@@ -55,6 +55,7 @@ import (
 	"hacc/internal/fault"
 	"hacc/internal/machine"
 	"hacc/internal/mpi"
+	"hacc/internal/shortrange"
 )
 
 // physicsFlags are rejected alongside -restart: the checkpoint itself
@@ -371,6 +372,9 @@ func drive(s *core.Simulation, ranks, pkBins int, snapPath string, start time.Ti
 			s.Cfg.Solver, s.Cfg.NParticles, s.Cfg.NGrid, s.Cfg.BoxMpc, ranks,
 			s.Cfg.ZInit, s.Cfg.ZFinal, nsteps, s.Cfg.SubCycles)
 		log.Printf("particle mass %.3e Msun/h", s.ParticleMassMsun)
+		if s.Cfg.Solver != core.PMOnly {
+			log.Printf("short-range kernel: %s", shortrange.KernelISA())
+		}
 	}
 	err := s.Run(func(step int, a float64) {
 		if c.Rank() == 0 {

@@ -118,12 +118,20 @@ const (
 	FailHang              = core.FailHang
 	FailAbort             = core.FailAbort
 	FailCorruptCheckpoint = core.FailCorruptCheckpoint
+	FailConfig            = core.FailConfig
 )
+
+// ErrParticleEscaped is the error Step and Run return when a particle
+// streams past the field ghost halo between exchanges (the time step is too
+// long for the overload width: raise Steps or Overload). Supervisors class
+// it FailConfig and do not retry.
+type ErrParticleEscaped = core.ErrParticleEscaped
 
 // RunSupervised runs body under the failure supervisor: crashes, hangs, and
 // corrupt checkpoints are classified, damaged checkpoints quarantined, and
 // the run resumed from the newest restorable checkpoint with exponential
-// backoff, up to MaxRestarts. See core.RunSupervised.
+// backoff, up to MaxRestarts; a FailConfig failure ends it at once. See
+// core.RunSupervised.
 func RunSupervised(cfg Config, opts SupervisorOptions, body func(*Simulation) error) (*SupervisorReport, error) {
 	return core.RunSupervised(cfg, opts, body)
 }

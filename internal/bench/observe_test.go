@@ -17,6 +17,7 @@ import (
 	"hacc/internal/core"
 	"hacc/internal/mpi"
 	"hacc/internal/obs"
+	"hacc/internal/shortrange"
 )
 
 // PrintPhaseSplit and PrintFullTable on a zero-value result (no substeps,
@@ -138,7 +139,8 @@ func TestWireObservabilityIntegration(t *testing.T) {
 		}
 	}
 
-	// Every rank's journal: parseable JSONL with a step record per step.
+	// Every rank's journal: parseable JSONL headed by a run record naming
+	// the kernel body, with a step record per step.
 	for rank := 0; rank < ranks; rank++ {
 		f, err := os.Open(obs.JournalPath(dir, rank))
 		if err != nil {
@@ -146,13 +148,18 @@ func TestWireObservabilityIntegration(t *testing.T) {
 		}
 		steps := map[int]bool{}
 		sc := bufio.NewScanner(f)
-		for sc.Scan() {
+		for line := 0; sc.Scan(); line++ {
 			var rec struct {
-				Kind string `json:"kind"`
-				Step int    `json:"step"`
+				Kind      string `json:"kind"`
+				Step      int    `json:"step"`
+				KernelISA string `json:"kernel_isa"`
 			}
 			if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
 				t.Fatalf("rank %d journal line %q: %v", rank, sc.Text(), err)
+			}
+			if line == 0 && (rec.Kind != "run" || rec.KernelISA != shortrange.KernelISA()) {
+				t.Errorf("rank %d journal opens with %q, want a run record with kernel_isa %q",
+					rank, sc.Text(), shortrange.KernelISA())
 			}
 			if rec.Kind == "step" {
 				steps[rec.Step] = true

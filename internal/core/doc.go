@@ -23,11 +23,14 @@
 // so every rank observes one consistent outcome.
 //
 // RunSupervised makes the run self-healing (PR 6): failed attempts are
-// classified (panic, hang, abort, corrupt checkpoint), damaged checkpoint
-// directories are quarantined, and the run resumes from the newest
-// restorable checkpoint with bounded exponential backoff — converging, by
-// determinism plus restart-exactness, to the bitwise-identical final state
-// of an uninterrupted run. Transient checkpoint write failures retry in
+// classified (panic, hang, abort, corrupt checkpoint, config), damaged
+// checkpoint directories are quarantined, and the run resumes from the
+// newest restorable checkpoint with bounded exponential backoff —
+// converging, by determinism plus restart-exactness, to the
+// bitwise-identical final state of an uninterrupted run. The config class
+// is the exception: a run that cannot succeed as configured (a particle
+// outrunning the ghost halo, reported by Step as *ErrParticleEscaped) is
+// deterministic, so it is reported once and never retried. Transient checkpoint write failures retry in
 // collective lockstep below the supervisor (Config.CheckpointRetries), and
 // the recovery history feeds machine.Counters. internal/fault manufactures
 // all of these failures deterministically for tests and chaos runs.

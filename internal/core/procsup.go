@@ -34,6 +34,7 @@ const (
 	ExitHang              = 11
 	ExitAbort             = 12
 	ExitCorruptCheckpoint = 13
+	ExitConfig            = 14
 )
 
 // EnvResume tells a respawned rank process which checkpoint step directory
@@ -61,6 +62,8 @@ func ExitCodeFor(err error) int {
 		return ExitAbort
 	case FailCorruptCheckpoint:
 		return ExitCorruptCheckpoint
+	case FailConfig:
+		return ExitConfig
 	default:
 		return ExitPanic
 	}
@@ -215,12 +218,16 @@ func SuperviseProcs(opts ProcOptions) (*Report, error) {
 				inc.Quarantined = append(inc.Quarantined, q)
 			}
 		}
-		if attempt >= opts.MaxRestarts {
+		if !class.Retryable() || attempt >= opts.MaxRestarts {
+			why := "restarts exhausted"
+			if !class.Retryable() {
+				why = "not retryable"
+			}
 			rep.Incidents = append(rep.Incidents, inc)
 			recordIncident(inc)
-			logf("supervisor: attempt %d failed (%s): %v; restarts exhausted", attempt, class, runErr)
-			return rep, fmt.Errorf("core: supervised procs failed after %d restarts: last failure (%s): %w",
-				rep.Restarts, class, runErr)
+			logf("supervisor: attempt %d failed (%s): %v; %s", attempt, class, runErr, why)
+			return rep, fmt.Errorf("core: supervised procs failed after %d restarts, %s: last failure (%s): %w",
+				rep.Restarts, why, class, runErr)
 		}
 		next, quars := pickResume(opts.CheckpointRoot)
 		inc.Quarantined = append(inc.Quarantined, quars...)
@@ -327,14 +334,17 @@ func runProcAttempt(opts *ProcOptions, resume string) error {
 
 // classifyExits folds the per-rank exit statuses into one representative
 // error, or nil when every rank succeeded. When several ranks report
-// different classes the root cause wins over the symptom: a corrupt
-// checkpoint or a hang over a crash, a crash over the aborts the dying
-// rank's peers observe. An attempt cut down by AttemptTimeout is a hang
-// regardless of what the killed processes report.
+// different classes the root cause wins over the symptom: an unrunnable
+// configuration over everything, a corrupt checkpoint or a hang over a
+// crash, a crash over the aborts the dying rank's peers observe. An attempt
+// cut down by AttemptTimeout is a hang regardless of what the killed
+// processes report.
 func classifyExits(exits []error, hung bool) error {
 	best := -1
 	prio := func(c FailureClass) int {
 		switch c {
+		case FailConfig:
+			return 4
 		case FailCorruptCheckpoint:
 			return 3
 		case FailHang:
@@ -359,6 +369,8 @@ func classifyExits(exits []error, hung bool) error {
 				class = FailAbort
 			case ExitCorruptCheckpoint:
 				class = FailCorruptCheckpoint
+			case ExitConfig:
+				class = FailConfig
 			}
 			// ExitPanic, signal deaths (ExitCode -1), and any stray status
 			// stay FailPanic.

@@ -255,6 +255,9 @@ func newSimulation(c *mpi.Comm, cfg Config) (*Simulation, error) {
 	// by side.
 	s.gaugeStep = c.World().Metrics().Gauge("sim.step")
 	s.gaugeA = c.World().Metrics().Gauge("sim.a")
+	// The registry holds numbers only, so the kernel body is an info-style
+	// gauge: the name carries the value.
+	c.World().Metrics().Gauge("shortrange.kernel_isa." + shortrange.KernelISA()).Set(1)
 	if cfg.TraceDir != "" {
 		if err := obs.ArmTracing(cfg.TraceDir, c.Size()); err != nil {
 			return nil, err
@@ -265,6 +268,13 @@ func newSimulation(c *mpi.Comm, cfg Config) (*Simulation, error) {
 		}
 		s.journal = j
 		s.lastPhaseSec = map[string]float64{}
+		if err := j.Record(obs.RunRecord{
+			Kind: "run", Rank: c.Rank(), Ranks: c.Size(),
+			Solver: cfg.Solver.String(), KernelISA: shortrange.KernelISA(),
+			NParticles: cfg.NParticles, NGrid: cfg.NGrid,
+		}); err != nil {
+			return nil, err
+		}
 		if c.Rank() == 0 {
 			obs.SetDebugRegistry(c.World().Metrics())
 			obs.SetDebugJournal(j.Path())
@@ -362,8 +372,11 @@ func (s *Simulation) step() error {
 		switch op.Kind {
 		case timestep.KickLong:
 			t0 := obs.Begin()
-			s.kickLong(op.W)
+			err := s.kickLong(op.W)
 			obs.End(s.Comm.Rank(), obs.SpanKickLong, t0)
+			if err != nil {
+				return err
+			}
 		case timestep.KickShort:
 			s.FinishRefresh() // no-op except before the first passive read
 			t0 := obs.Begin()
@@ -536,7 +549,15 @@ func (s *Simulation) Analyze() error {
 // the interpolation of components < d. Every overlap is bitwise neutral
 // (the deposit needs only actives; each fill touches only its own field;
 // each momentum component updates its own array).
-func (s *Simulation) kickLong(w float64) {
+//
+// The CIC deposit and gather index the field's box plus ghost halo and panic
+// beyond it, so both particle sets are checked first: a particle that has
+// streamed further than the halo since the last exchange ends the step with
+// an *ErrParticleEscaped instead.
+func (s *Simulation) kickLong(w float64) error {
+	if err := s.checkEscaped(&s.Dom.Active); err != nil {
+		return err
+	}
 	s.phase("cic", obs.SpanCIC, func() {
 		s.rho.Fill(0)
 		if s.Cfg.ThreadedCIC {
@@ -552,6 +573,9 @@ func (s *Simulation) kickLong(w float64) {
 	// sums are in flight (first passive read of this step is below).
 	s.FinishRefresh()
 	s.phase(machine.CommWait, obs.SpanCommWait, func() { rhoOp.End() })
+	if err := s.checkEscaped(&s.Dom.Passive); err != nil {
+		return err
+	}
 	s.phase("fft", obs.SpanFFT, func() {
 		s.poisson.Solve(s.rho, &s.acc)
 		// One r2c forward + three c2r gradient inverses; Hermitian symmetry
@@ -573,6 +597,41 @@ func (s *Simulation) kickLong(w float64) {
 		})
 	}
 	s.Counters.CICOps += 3 * int64(s.Dom.Active.Len()+s.Dom.Passive.Len())
+	return nil
+}
+
+// ErrParticleEscaped reports that a particle streamed out of its rank's box
+// plus the field ghost halo between two exchanges, so the long-range kick
+// cannot deposit or interpolate it. The configuration, not the machine, is
+// at fault — the step is too long for the overload width — so a rerun from
+// any checkpoint meets the same particle again: supervisors classify it as
+// FailConfig and do not retry.
+type ErrParticleEscaped struct {
+	Step   int        // 0-based full step being taken
+	Rank   int        // rank that held the particle
+	Coord  [3]float32 // its position, in grid cells
+	Lo, Hi [3]int     // the rank's box, in grid cells
+	Ghost  int        // field ghost width, in grid cells
+}
+
+func (e *ErrParticleEscaped) Error() string {
+	return fmt.Sprintf("core: step %d: rank %d: particle at (%g, %g, %g) is outside box %v-%v plus the %d-cell ghost halo: "+
+		"the step outran the overload width; raise Steps or Overload",
+		e.Step, e.Rank, e.Coord[0], e.Coord[1], e.Coord[2], e.Lo, e.Hi, e.Ghost)
+}
+
+// checkEscaped returns an *ErrParticleEscaped for the first particle of p
+// whose CIC cloud no longer fits the PM fields.
+func (s *Simulation) checkEscaped(p *domain.Particles) error {
+	i := s.rho.FirstEscaped(p.X, p.Y, p.Z)
+	if i < 0 {
+		return nil
+	}
+	return &ErrParticleEscaped{
+		Step: s.StepIndex, Rank: s.Comm.Rank(),
+		Coord: [3]float32{p.X[i], p.Y[i], p.Z[i]},
+		Lo:    s.rho.Box.Lo, Hi: s.rho.Box.Hi, Ghost: s.rho.Ghost,
+	}
 }
 
 // applyGridKick interpolates the PM acceleration and updates momenta for

@@ -14,12 +14,12 @@ import (
 	"hacc/internal/obs"
 )
 
-// FailureClass is the supervisor's diagnosis of one failed attempt. The
-// class decides nothing about whether to retry (every class retries until
-// MaxRestarts — on real machines transient and permanent faults are not
-// distinguishable from one observation) but it decides the recovery action:
-// a corrupt checkpoint is quarantined before the next attempt, and the log
-// records what the campaign actually died of.
+// FailureClass is the supervisor's diagnosis of one failed attempt. Every
+// class but FailConfig retries until MaxRestarts — on real machines transient
+// and permanent faults are not distinguishable from one observation — and
+// the class decides the recovery action: a corrupt checkpoint is quarantined
+// before the next attempt, and the log records what the campaign actually
+// died of.
 type FailureClass int
 
 // Failure classes, most-specific first (classification order matters: a
@@ -39,7 +39,15 @@ const (
 	// (damaged container, schedule mismatch). The directory is quarantined
 	// and the next attempt falls back to an older checkpoint.
 	FailCorruptCheckpoint
+	// FailConfig: the run cannot succeed as configured (ErrParticleEscaped:
+	// the time step outruns the overload width). Deterministic, so a retry
+	// from any checkpoint fails the same way: the supervisor stops at once.
+	FailConfig
 )
+
+// Retryable reports whether another attempt can succeed where this one
+// failed.
+func (f FailureClass) Retryable() bool { return f != FailConfig }
 
 func (f FailureClass) String() string {
 	switch f {
@@ -51,6 +59,8 @@ func (f FailureClass) String() string {
 		return "abort"
 	case FailCorruptCheckpoint:
 		return "corrupt-checkpoint"
+	case FailConfig:
+		return "config"
 	}
 	return fmt.Sprintf("failure(%d)", int(f))
 }
@@ -122,6 +132,14 @@ func (e *restoreError) Unwrap() error { return e.err }
 // failures and timeouts travel inside rank panics, so the specific classes
 // are tested before the generic FailPanic.
 func classifyFailure(err error) FailureClass {
+	var pe *ErrParticleEscaped
+	if errors.As(err, &pe) {
+		return FailConfig
+	}
+	var rp *rankProcErr
+	if errors.As(err, &rp) && rp.class == FailConfig {
+		return FailConfig
+	}
 	var re *restoreError
 	if errors.As(err, &re) {
 		return FailCorruptCheckpoint
@@ -257,12 +275,16 @@ func RunSupervised(cfg Config, opts SupervisorOptions, body func(*Simulation) er
 				quarantined++
 			}
 		}
-		if attempt >= opts.MaxRestarts {
+		if !class.Retryable() || attempt >= opts.MaxRestarts {
+			why := "restarts exhausted"
+			if !class.Retryable() {
+				why = "not retryable"
+			}
 			rep.Incidents = append(rep.Incidents, inc)
 			recordIncident(inc)
-			logf("supervisor: attempt %d failed (%s): %v; restarts exhausted", attempt, class, runErr)
-			return rep, fmt.Errorf("core: supervised run failed after %d restarts: last failure (%s): %w",
-				rep.Restarts, class, lastErr)
+			logf("supervisor: attempt %d failed (%s): %v; %s", attempt, class, runErr, why)
+			return rep, fmt.Errorf("core: supervised run failed after %d restarts, %s: last failure (%s): %w",
+				rep.Restarts, why, class, lastErr)
 		}
 
 		// Pick the resume point for the next attempt, quarantining damaged

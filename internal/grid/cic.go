@@ -12,29 +12,25 @@ import "math"
 // as future work (§VI), and accumulation races are the reason.
 func DepositCIC(f *Field, xs, ys, zs []float32, mass float64) {
 	for i := range xs {
-		x, y, z := float64(xs[i]), float64(ys[i]), float64(zs[i])
-		ix, iy, iz := int(math.Floor(x)), int(math.Floor(y)), int(math.Floor(z))
-		fx, fy, fz := x-float64(ix), y-float64(iy), z-float64(iz)
-		gx, gy, gz := 1-fx, 1-fy, 1-fz
-
-		i000 := f.index(ix, iy, iz)
-		// The eight neighbors share rows along z; compute the three base
-		// indices once and use the +1 offsets, falling back to full index
-		// arithmetic only across the wrap (handled inside index()).
-		i100 := f.index(ix+1, iy, iz)
-		i010 := f.index(ix, iy+1, iz)
-		i110 := f.index(ix+1, iy+1, iz)
-		iz1 := f.index(ix, iy, iz+1) - i000 // z-offset is uniform in-row
-
-		f.Data[i000] += mass * gx * gy * gz
-		f.Data[i100] += mass * fx * gy * gz
-		f.Data[i010] += mass * gx * fy * gz
-		f.Data[i110] += mass * fx * fy * gz
-		f.Data[i000+iz1] += mass * gx * gy * fz
-		f.Data[i100+iz1] += mass * fx * gy * fz
-		f.Data[i010+iz1] += mass * gx * fy * fz
-		f.Data[i110+iz1] += mass * fx * fy * fz
+		depositOne(f, xs[i], ys[i], zs[i], mass)
 	}
+}
+
+// depositOne spreads a single particle's CIC cloud.
+func depositOne(f *Field, x, y, z float32, mass float64) {
+	xf, yf, zf := float64(x), float64(y), float64(z)
+	ix, iy, iz := int(math.Floor(xf)), int(math.Floor(yf)), int(math.Floor(zf))
+	fx, fy, fz := xf-float64(ix), yf-float64(iy), zf-float64(iz)
+	gx, gy, gz := 1-fx, 1-fy, 1-fz
+	i000, i100, i010, i110, iz1 := f.cloud(ix, iy, iz)
+	f.Data[i000] += mass * gx * gy * gz
+	f.Data[i100] += mass * fx * gy * gz
+	f.Data[i010] += mass * gx * fy * gz
+	f.Data[i110] += mass * fx * fy * gz
+	f.Data[i000+iz1] += mass * gx * gy * fz
+	f.Data[i100+iz1] += mass * fx * gy * fz
+	f.Data[i010+iz1] += mass * gx * fy * fz
+	f.Data[i110+iz1] += mass * fx * fy * fz
 }
 
 // InterpCIC gathers the field at each particle position with CIC weights
@@ -48,11 +44,7 @@ func InterpCIC(f *Field, xs, ys, zs []float32, out []float32, scale float64) {
 		fx, fy, fz := x-float64(ix), y-float64(iy), z-float64(iz)
 		gx, gy, gz := 1-fx, 1-fy, 1-fz
 
-		i000 := f.index(ix, iy, iz)
-		i100 := f.index(ix+1, iy, iz)
-		i010 := f.index(ix, iy+1, iz)
-		i110 := f.index(ix+1, iy+1, iz)
-		iz1 := f.index(ix, iy, iz+1) - i000
+		i000, i100, i010, i110, iz1 := f.cloud(ix, iy, iz)
 
 		v := f.Data[i000]*gx*gy*gz +
 			f.Data[i100]*fx*gy*gz +

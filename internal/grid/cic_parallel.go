@@ -106,24 +106,3 @@ func InterpCICParallel(f *Field, xs, ys, zs []float32, out []float32, scale floa
 		InterpCIC(f, xs[lo:hi], ys[lo:hi], zs[lo:hi], out[lo:hi], scale)
 	})
 }
-
-// depositOne spreads a single particle's CIC cloud.
-func depositOne(f *Field, x, y, z float32, mass float64) {
-	xf, yf, zf := float64(x), float64(y), float64(z)
-	ix, iy, iz := int(math.Floor(xf)), int(math.Floor(yf)), int(math.Floor(zf))
-	fx, fy, fz := xf-float64(ix), yf-float64(iy), zf-float64(iz)
-	gx, gy, gz := 1-fx, 1-fy, 1-fz
-	i000 := f.index(ix, iy, iz)
-	i100 := f.index(ix+1, iy, iz)
-	i010 := f.index(ix, iy+1, iz)
-	i110 := f.index(ix+1, iy+1, iz)
-	iz1 := f.index(ix, iy, iz+1) - i000
-	f.Data[i000] += mass * gx * gy * gz
-	f.Data[i100] += mass * fx * gy * gz
-	f.Data[i010] += mass * gx * fy * gz
-	f.Data[i110] += mass * fx * fy * gz
-	f.Data[i000+iz1] += mass * gx * gy * fz
-	f.Data[i100+iz1] += mass * fx * gy * fz
-	f.Data[i010+iz1] += mass * gx * fy * fz
-	f.Data[i110+iz1] += mass * fx * fy * fz
-}

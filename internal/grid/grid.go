@@ -2,6 +2,7 @@ package grid
 
 import (
 	"fmt"
+	"math"
 
 	"hacc/internal/mpi"
 	"hacc/internal/pfft"
@@ -151,19 +152,39 @@ func NewField(n [3]int, box pfft.Box, ghost int) *Field {
 // localCoord reduces a global coordinate along one axis to a local extended
 // coordinate in [-ghost, size+ghost), wrapping periodically. Owned cells are
 // preferred over ghost aliases, so writes to owned coordinates always hit
-// the interior even when the halo wraps onto the same rank.
+// the interior even when the halo wraps onto the same rank. The owned,
+// unwrapped case — nearly every call — returns before any modulo.
 func localCoord(x, lo, size, n, ghost int) int {
+	if d := x - lo; uint(d) < uint(size) {
+		return d
+	}
+	return mustWrapLocalCoord(x, lo, size, n, ghost)
+}
+
+// mustWrapLocalCoord is localCoord's out-of-line general case (kept apart
+// so the fast path inlines).
+func mustWrapLocalCoord(x, lo, size, n, ghost int) int {
+	l, ok := wrapLocalCoord(x, lo, size, n, ghost)
+	if !ok {
+		panic(fmt.Sprintf("grid: coordinate %d outside box [%d,%d)+ghost %d (n=%d)", x, lo, lo+size, ghost, n))
+	}
+	return l
+}
+
+// wrapLocalCoord resolves the periodic wrap; ok is false when x lies
+// outside the box plus its ghost halo under every periodic image.
+func wrapLocalCoord(x, lo, size, n, ghost int) (l int, ok bool) {
 	d := x - lo
 	dm := ((d % n) + n) % n
 	switch {
 	case dm < size:
-		return dm
+		return dm, true
 	case dm-n >= -ghost:
-		return dm - n
+		return dm - n, true
 	case dm < size+ghost:
-		return dm
+		return dm, true
 	}
-	panic(fmt.Sprintf("grid: coordinate %d outside box [%d,%d)+ghost %d (n=%d)", x, lo, lo+size, ghost, n))
+	return 0, false
 }
 
 // index converts global cell coordinates (possibly in the ghost halo,
@@ -173,6 +194,53 @@ func (f *Field) index(x, y, z int) int {
 	ly := localCoord(y, f.Box.Lo[1], f.size[1], f.N[1], f.Ghost) + f.Ghost
 	lz := localCoord(z, f.Box.Lo[2], f.size[2], f.N[2], f.Ghost) + f.Ghost
 	return (lx*f.ext[1]+ly)*f.ext[2] + lz
+}
+
+// cloud returns the storage indices of a CIC cloud based at global cell
+// (ix,iy,iz): the four z-rows' base cells and the in-row offset iz1 of the
+// z+1 cells (uniform across rows). Each axis's two local coordinates are
+// resolved once — six localCoord calls for the eight cells.
+func (f *Field) cloud(ix, iy, iz int) (i000, i100, i010, i110, iz1 int) {
+	g := f.Ghost
+	x0 := localCoord(ix, f.Box.Lo[0], f.size[0], f.N[0], g) + g
+	x1 := localCoord(ix+1, f.Box.Lo[0], f.size[0], f.N[0], g) + g
+	y0 := localCoord(iy, f.Box.Lo[1], f.size[1], f.N[1], g) + g
+	y1 := localCoord(iy+1, f.Box.Lo[1], f.size[1], f.N[1], g) + g
+	z0 := localCoord(iz, f.Box.Lo[2], f.size[2], f.N[2], g) + g
+	z1 := localCoord(iz+1, f.Box.Lo[2], f.size[2], f.N[2], g) + g
+	e1, e2 := f.ext[1], f.ext[2]
+	i000 = (x0*e1+y0)*e2 + z0
+	i100 = (x1*e1+y0)*e2 + z0
+	i010 = (x0*e1+y1)*e2 + z0
+	i110 = (x1*e1+y1)*e2 + z0
+	return i000, i100, i010, i110, z1 - z0
+}
+
+// FirstEscaped returns the index of the first particle whose CIC cloud does
+// not fit inside the field's box plus ghost halo — the positions DepositCIC
+// and InterpCIC panic on — or -1 when every cloud fits. Callers that move
+// particles between deposits (a time step too long for the overload width)
+// use it to report the condition as an error instead.
+func (f *Field) FirstEscaped(xs, ys, zs []float32) int {
+	for i := range xs {
+		if !f.axisFits(0, xs[i]) || !f.axisFits(1, ys[i]) || !f.axisFits(2, zs[i]) {
+			return i
+		}
+	}
+	return -1
+}
+
+// axisFits reports whether the two cells a CIC cloud at coordinate v covers
+// along axis a both map into the extended box.
+func (f *Field) axisFits(a int, v float32) bool {
+	c := int(math.Floor(float64(v)))
+	lo, size := f.Box.Lo[a], f.size[a]
+	if uint(c-lo) < uint(size-1) {
+		return true
+	}
+	_, ok0 := wrapLocalCoord(c, lo, size, f.N[a], f.Ghost)
+	_, ok1 := wrapLocalCoord(c+1, lo, size, f.N[a], f.Ghost)
+	return ok0 && ok1
 }
 
 // At returns the value at global cell coordinates.

@@ -9,6 +9,21 @@ import (
 	"sync"
 )
 
+// RunRecord heads a rank's journal: one per attempt that opens it (a fresh
+// run, a restore, a supervised restart), so every step record below it is
+// attributable to a world size, a solver and the short-range kernel body
+// that computed it. All kernel bodies are bit-identical; the name is
+// provenance for the timings.
+type RunRecord struct {
+	Kind       string `json:"kind"` // "run"
+	Rank       int    `json:"rank"`
+	Ranks      int    `json:"ranks"`
+	Solver     string `json:"solver"`
+	KernelISA  string `json:"kernel_isa"` // shortrange.KernelISA(): avx2 | sse2 | portable
+	NParticles int    `json:"np"`
+	NGrid      int    `json:"ng"`
+}
+
 // StepRecord is one completed full step in the run journal.
 type StepRecord struct {
 	Kind       string             `json:"kind"` // "step"

@@ -16,9 +16,18 @@
 // ordered (start,end) spans over the SoA working arrays instead of
 // gathering neighbor coordinates (the mesh's z-contiguous CSR layout folds
 // the 27-cell stencil into ≤9 spans, see cellLoopRanges), and the inner
-// loop dispatches to a 4-lane SSE2 assembly kernel on amd64 (build tag
-// hacc_noasm opts out) or a bounds-check-free 4-wide tiled Go loop
-// elsewhere. The copy path (Apply) remains as the scalar oracle; see
+// loop dispatches to an assembly kernel on amd64 (build tag hacc_noasm opts
+// out) or a bounds-check-free 4-wide tiled Go loop elsewhere. The copy path
+// (Apply) remains as the scalar oracle.
+//
+// PR 12 rebuilt the amd64 kernel as two bodies with one numerics: SSE2 (4
+// neighbors per vector) and AVX2 (8 per vector, no FMA, products folded
+// into the same four lane sums low half first), picked once at init from
+// CPUID and named by KernelISA. Each vector tests its r_cut mask before the
+// rsqrt/Horner tail and skips it when no lane is in range — exact, and a
+// deliberate departure from the paper's branch-free fsel kernel — and one
+// assembly call covers a whole leaf (targets, spans and tails). The bodies
+// are bit-identical to each other and to the previous SSE2 kernel; see
 // DESIGN.md "Short-range kernel" for the equivalence model and measured
 // ns/interaction.
 package shortrange

@@ -11,9 +11,9 @@ type Kernel struct {
 	gm   float32
 	c    [6]float32 // poly5 coefficients, ascending powers of s
 
-	// Broadcast-constant table for the assembly range kernel: kc points at
-	// the 16-byte-aligned start of kcBuf (nil without the asm build). See
-	// buildKernelConsts in kernel_sse_amd64.go for the layout.
+	// Broadcast-constant table for the assembly range kernels: kc points at
+	// the 32-byte-aligned start of kcBuf (nil without the asm build). See
+	// buildKernelConsts in kernel_amd64.go for the layout.
 	kc    *float32
 	kcBuf []float32
 
@@ -85,7 +85,9 @@ func poly5(s, c0, c1, c2, c3, c4, c5 float32) float32 {
 // cutMask returns 1.0 when s < rc2 and 0.0 otherwise, branchlessly: the
 // sign bit of s−rc2 broadcast over the bit pattern of 1.0 gives a 0/1
 // multiplier — the same data-path select as the QPX fsel trick of §III,
-// keeping the inner loops free of data-dependent branches.
+// keeping the Go inner loops free of data-dependent branches. (The amd64
+// assembly bodies keep the select and add a per-vector early-out in front
+// of it; see kernel_amd64.go.)
 func cutMask(s, rc2 float32) float32 {
 	return math.Float32frombits(uint32(int32(math.Float32bits(s-rc2))>>31) & 0x3f800000)
 }
@@ -152,11 +154,12 @@ func (k *Kernel) Apply(lx, ly, lz, nx, ny, nz, ax, ay, az []float32) int64 {
 // Per target the spans are visited in order. The portable tiled kernel
 // accumulates each target sequentially across spans, so splitting or
 // coalescing spans is bitwise invisible to it (TestTiledSplitInvariance);
-// the amd64 SSE kernel reduces four neighbor lanes per span, so its span
-// structure moves results only within the documented ULP model. Either
-// way, equivalence to the scalar oracle is ULP-bounded, pinned by
-// TestApplyRangesULPBound; per-pair terms are bit-identical to FSR on
-// every path (TestFsrSpanSSEBitExact, randomized-fsr-sweep).
+// the amd64 assembly bodies (SSE2 and AVX2, bit-identical to each other)
+// reduce four neighbor lanes per span, so their span structure moves
+// results only within the documented ULP model. Either way, equivalence to
+// the scalar oracle is ULP-bounded, pinned by TestApplyRangesULPBound;
+// per-pair terms are bit-identical to FSR on every path
+// (TestFsrSpanBitExact, randomized-fsr-sweep).
 func (k *Kernel) ApplyRanges(lx, ly, lz, px, py, pz []float32, ranges [][2]int32, ax, ay, az []float32) int64 {
 	return applyRangesDispatch(k, lx, ly, lz, px, py, pz, ranges, ax, ay, az)
 }

@@ -46,7 +46,13 @@ func benchKernelSetup(nt, cell int) (k *Kernel, lx, ly, lz, px, py, pz []float32
 //	tiled-go:     the portable tiled range kernel (what non-amd64 and
 //	              `hacc_noasm` builds run).
 //	tiled-ranges: the production dispatch — ApplyRanges over coalesced
-//	              spans, copy-free (SSE2 4-lane kernel on amd64).
+//	              spans, copy-free (the KernelISA() body).
+//	ranges-<isa>: ApplyRanges forced onto each assembly body the host
+//	              supports (amd64 asm builds only; see kernelBodyBenchmarks).
+//
+// The neighbors here are spatially incoherent (uniform random over a 9-cell
+// cube, r_cut 3), so few vectors are wholly outside r_cut: the worst case
+// for the kernels' early-out.
 func BenchmarkKernelInteraction(b *testing.B) {
 	const nt, cell = 64, 64
 	k, lx, ly, lz, px, py, pz, ranges := benchKernelSetup(nt, cell)
@@ -89,6 +95,13 @@ func BenchmarkKernelInteraction(b *testing.B) {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*perIter), "ns/interaction")
 	})
 	b.Run("tiled-ranges", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			k.ApplyRanges(lx, ly, lz, px, py, pz, ranges, ax, ay, az)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*perIter), "ns/interaction")
+	})
+	kernelBodyBenchmarks(b, func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			k.ApplyRanges(lx, ly, lz, px, py, pz, ranges, ax, ay, az)

@@ -102,9 +102,9 @@ func TestApplyRangesULPBound(t *testing.T) {
 // TestTiledSplitInvariance: the portable tiled kernel accumulates each
 // target sequentially across spans in order, so splitting a span at any
 // point is bitwise invisible — the protocol that lets walks coalesce
-// adjacent leaves and mesh columns freely. (The SSE kernel reduces 4 lanes
-// per span, so its span structure shifts results within the documented ULP
-// bound; it is exercised through TestApplyRangesULPBound above.)
+// adjacent leaves and mesh columns freely. (The assembly bodies reduce 4 lanes
+// per span, so their span structure shifts results within the documented ULP
+// bound; they are exercised through TestApplyRangesULPBound above.)
 func TestTiledSplitInvariance(t *testing.T) {
 	const nt, cell = 9, 21
 	k, lx, ly, lz, px, py, pz, ranges := benchKernelSetup(nt, cell)

@@ -1,151 +1,269 @@
 //go:build !hacc_noasm
 
 #include "textflag.h"
+#include "kernel_amd64.h"
 
-// func fsrSpanSSE(xi, yi, zi float32, nx, ny, nz *float32, n int64, kc *float32) (sx, sy, sz float32)
+// SSE_S: X0-X2 hold xj,yj,zj on entry; on exit they hold d = xj - xi and X3
+// holds s = (dx*dx + dy*dy) + dz*dz. Clobbers X4.
+#define SSE_S \
+	SUBPS  X8, X0;  \
+	SUBPS  X9, X1;  \
+	SUBPS  X10, X2; \
+	MOVAPS X0, X3;  \
+	MULPS  X3, X3;  \
+	MOVAPS X1, X4;  \
+	MULPS  X4, X4;  \
+	ADDPS  X4, X3;  \
+	MOVAPS X2, X4;  \
+	MULPS  X4, X4;  \
+	ADDPS  X4, X3
+
+// SSE_CUT: X15 = (s < rc2) lane mask, AX = its sign bits; ZF set when no
+// lane is inside the cutoff (the early-out test).
+#define SSE_CUT \
+	MOVAPS   X3, X15;             \
+	CMPPS    KC_RC2(R8), X15, $1; \
+	MOVMSKPS X15, AX;             \
+	TESTL    AX, AX
+
+// SSE_NEWTON: y *= 1.5 - ((0.5x)*y)*y, with y in X12 and 0.5x in X11.
+#define SSE_NEWTON \
+	MOVAPS X11, X13;        \
+	MULPS  X12, X13;        \
+	MULPS  X12, X13;        \
+	MOVAPS KC_1P5(R8), X4;  \
+	SUBPS  X13, X4;         \
+	MULPS  X4, X12
+
+// SSE_F: from d (X0-X2), s (X3) and the cutoff mask (X15), leaves the pair
+// terms d*f in X0-X2, where per lane
 //
-// Short-range force of one contiguous neighbor span on one target, 4
-// neighbors per 128-bit SSE2 vector. n must be a multiple of 4 (Go caller
-// handles the tail); kc is the 16-byte-aligned broadcast-constant table
-// built by buildKernelConsts (offsets: 0 magic, 16 half, 32 threeHalf,
-// 48 eps, 64 rc2, 80+16i ci), used as aligned memory operands so every
-// XMM register is free for live state.
+//	y0 = frombits(magic - bits(s+eps)>>1)      PSRLL/PSUBL on float lanes
+//	y *= 1.5 - ((0.5*(s+eps))*y)*y             three times
+//	f  = ((y*y)*y - poly5(s)) & mask           Horner, then the fsel select
 //
-// Per lane the arithmetic reproduces the Go scalar helpers operation for
-// operation (same association, no FMA contraction):
+// in exactly the association of the Go helpers rsqrt3/poly5 (no FMA), so
+// each term is bit-identical to dx*Kernel.FSR(s). Clobbers X4, X11-X13.
+#define SSE_F \
+	MOVAPS X3, X11;           \
+	ADDPS  KC_EPS(R8), X11;   \
+	MOVAPS X11, X4;           \
+	PSRLL  $1, X4;            \
+	MOVAPS KC_MAGIC(R8), X12; \
+	PSUBL  X4, X12;           \
+	MULPS  KC_HALF(R8), X11;  \
+	SSE_NEWTON;               \
+	SSE_NEWTON;               \
+	SSE_NEWTON;               \
+	MOVAPS X12, X13;          \
+	MULPS  X12, X13;          \
+	MULPS  X12, X13;          \
+	MOVAPS KC_C5(R8), X4;     \
+	MULPS  X3, X4;            \
+	ADDPS  KC_C4(R8), X4;     \
+	MULPS  X3, X4;            \
+	ADDPS  KC_C3(R8), X4;     \
+	MULPS  X3, X4;            \
+	ADDPS  KC_C2(R8), X4;     \
+	MULPS  X3, X4;            \
+	ADDPS  KC_C1(R8), X4;     \
+	MULPS  X3, X4;            \
+	ADDPS  KC_C0(R8), X4;     \
+	SUBPS  X4, X13;           \
+	ANDPS  X15, X13;          \
+	MULPS  X13, X0;           \
+	MULPS  X13, X1;           \
+	MULPS  X13, X2
+
+// func fsrRangesSSE(lx, ly, lz *float32, nt int64, px, py, pz *float32, ranges *[2]int32, nr int64, ax, ay, az, kc *float32)
 //
-//	s   = (dx*dx + dy*dy) + dz*dz
-//	y0  = frombits(magic - bits(s+eps)>>1)      PSRLL/PSUBL on float lanes
-//	y  *= 1.5 - ((0.5*(s+eps))*y)*y             three times
-//	f   = (y*y)*y - Horner(poly5, s)
-//	f  &= (s < rc2) mask                        CMPPS — the fsel select
-//	acc += d * f                                per-lane partial sums
+// Whole-leaf short-range kernel, 4 neighbors per 128-bit SSE2 vector: for
+// each target i, for each span [r0,r1) in order,
 //
-// so each pair term is bit-identical to Kernel.FSR; the horizontal reduce
-// (l0+l2)+(l1+l3) at the end is the only reassociation (documented-ULP).
+//	lanes  = Σ over full 4-blocks of d*f, lane L summing j≡L (mod 4)
+//	S     += (l0+l2)+(l1+l3)               only when the span has a 4-block
+//	S     += d*f for the n&3 tail neighbors, in index order
 //
-// Register plan: X0-X2 dx/dy/dz, X3 s, X4/X13/X14 temps, X5-X7 lane
-// accumulators, X8-X10 target broadcast, X11 halfx, X12 y, X15 rc2.
-TEXT ·fsrSpanSSE(SB), NOSPLIT, $0-68
-	MOVSS  xi+0(FP), X8
+// then a[i] += gm*S. The tail is one more vector: over the span's last four
+// elements when n ≥ 4 (the first 4-t lanes repeat block elements and are
+// dropped), or built from element loads when n < 4, so nothing outside
+// [r0,r1) is read. A vector with no lane inside r_cut skips SSE_F.
+//
+// Registers: X0-X2 d, X3 s, X4/X11-X13 temps, X5-X7 lane sums, X8-X10
+// target broadcast, X14 S = [sx,sy,sz,0], X15 cutoff mask. R8 kc, R9-R11
+// px/py/pz, R12/R13 span cursor/count, SI neighbor index, DI span length,
+// CX block count then tail count, BX target index, AX scratch.
+TEXT ·fsrRangesSSE(SB), NOSPLIT, $0-104
+	MOVQ px+32(FP), R9
+	MOVQ py+40(FP), R10
+	MOVQ pz+48(FP), R11
+	MOVQ kc+96(FP), R8
+	XORQ BX, BX
+
+target:
+	CMPQ   BX, nt+24(FP)
+	JGE    done
+	MOVQ   lx+0(FP), AX
+	MOVSS  (AX)(BX*4), X8
 	SHUFPS $0x00, X8, X8
-	MOVSS  yi+4(FP), X9
+	MOVQ   ly+8(FP), AX
+	MOVSS  (AX)(BX*4), X9
 	SHUFPS $0x00, X9, X9
-	MOVSS  zi+8(FP), X10
+	MOVQ   lz+16(FP), AX
+	MOVSS  (AX)(BX*4), X10
 	SHUFPS $0x00, X10, X10
-	MOVQ   nx+16(FP), SI
-	MOVQ   ny+24(FP), DI
-	MOVQ   nz+32(FP), DX
-	MOVQ   n+40(FP), CX
-	MOVQ   kc+48(FP), R8
-	SHRQ   $2, CX
-	XORPS  X5, X5
-	XORPS  X6, X6
-	XORPS  X7, X7
-	MOVAPS 64(R8), X15       // rc2 (loop-invariant)
-	TESTQ  CX, CX
-	JZ     reduce
+	XORPS  X14, X14
+	MOVQ   ranges+56(FP), R12
+	MOVQ   nr+64(FP), R13
+
+span:
+	TESTQ   R13, R13
+	JZ      store
+	DECQ    R13
+	MOVLQSX 0(R12), SI
+	MOVLQSX 4(R12), DI
+	ADDQ    $8, R12
+	SUBQ    SI, DI           // n
+	MOVQ    DI, CX
+	SHRQ    $2, CX
+	JZ      tail             // n < 4: no lane sums to reduce
+	XORPS   X5, X5
+	XORPS   X6, X6
+	XORPS   X7, X7
 
 loop:
-	MOVUPS (SI), X0          // xj
-	MOVUPS (DI), X1          // yj
-	MOVUPS (DX), X2          // zj
-	SUBPS  X8, X0            // dx = xj - xi
-	SUBPS  X9, X1
-	SUBPS  X10, X2
-	MOVAPS X0, X3
-	MULPS  X3, X3            // dx²
-	MOVAPS X1, X4
-	MULPS  X4, X4
-	ADDPS  X4, X3            // + dy²
-	MOVAPS X2, X4
-	MULPS  X4, X4
-	ADDPS  X4, X3            // s
-
-	// rsqrt(s+eps): bit-level estimate + 3 Newton iterations
-	MOVAPS X3, X11
-	ADDPS  48(R8), X11       // x = s + eps
-	MOVAPS X11, X4
-	PSRLL  $1, X4            // bits(x) >> 1
-	MOVAPS 0(R8), X12
-	PSUBL  X4, X12           // y0 = magic - bits(x)>>1 (as float lanes)
-	MULPS  16(R8), X11       // halfx = 0.5*x
-	MOVAPS X11, X13          // iteration 1
-	MULPS  X12, X13          // (0.5x)*y
-	MULPS  X12, X13          // ((0.5x)*y)*y
-	MOVAPS 32(R8), X14
-	SUBPS  X13, X14          // 1.5 - ...
-	MULPS  X14, X12          // y *=
-	MOVAPS X11, X13          // iteration 2
-	MULPS  X12, X13
-	MULPS  X12, X13
-	MOVAPS 32(R8), X14
-	SUBPS  X13, X14
-	MULPS  X14, X12
-	MOVAPS X11, X13          // iteration 3
-	MULPS  X12, X13
-	MULPS  X12, X13
-	MOVAPS 32(R8), X14
-	SUBPS  X13, X14
-	MULPS  X14, X12
-
-	// f = (y*y)*y - poly5(s)
-	MOVAPS X12, X13
-	MULPS  X12, X13          // y*y
-	MULPS  X12, X13          // (y*y)*y
-	MOVAPS 160(R8), X14      // c5
-	MULPS  X3, X14
-	ADDPS  144(R8), X14      // c4 + s*c5
-	MULPS  X3, X14
-	ADDPS  128(R8), X14      // c3 + ...
-	MULPS  X3, X14
-	ADDPS  112(R8), X14      // c2 + ...
-	MULPS  X3, X14
-	ADDPS  96(R8), X14       // c1 + ...
-	MULPS  X3, X14
-	ADDPS  80(R8), X14       // c0 + ... = poly5(s)
-	SUBPS  X14, X13          // f
-
-	// cutoff: f &= (s < rc2)
-	MOVAPS X3, X14
-	CMPPS  X15, X14, $1      // mask = s < rc2
-	ANDPS  X14, X13
-
-	// accumulate d*f into the lane sums
-	MULPS  X13, X0
+	MOVUPS (R9)(SI*4), X0
+	MOVUPS (R10)(SI*4), X1
+	MOVUPS (R11)(SI*4), X2
+	SSE_S
+	SSE_CUT
+	JZ     skip
+	SSE_F
 	ADDPS  X0, X5
-	MULPS  X13, X1
 	ADDPS  X1, X6
-	MULPS  X13, X2
 	ADDPS  X2, X7
 
-	ADDQ   $16, SI
-	ADDQ   $16, DI
-	ADDQ   $16, DX
-	DECQ   CX
-	JNZ    loop
+skip:
+	ADDQ $4, SI
+	DECQ CX
+	JNZ  loop
 
-reduce:
-	// horizontal sum (l0+l2)+(l1+l3) of each accumulator
-	MOVAPS  X5, X0
-	MOVHLPS X5, X0           // X0 = [l2, l3, ...]
-	ADDPS   X5, X0           // [l0+l2, l1+l3, ...]
-	MOVAPS  X0, X1
-	SHUFPS  $0x01, X0, X1    // X1[0] = l1+l3
-	ADDSS   X1, X0
-	MOVSS   X0, sx+56(FP)
-	MOVAPS  X6, X0
-	MOVHLPS X6, X0
-	ADDPS   X6, X0
-	MOVAPS  X0, X1
-	SHUFPS  $0x01, X0, X1
-	ADDSS   X1, X0
-	MOVSS   X0, sy+60(FP)
-	MOVAPS  X7, X0
-	MOVHLPS X7, X0
-	ADDPS   X7, X0
-	MOVAPS  X0, X1
-	SHUFPS  $0x01, X0, X1
-	ADDSS   X1, X0
-	MOVSS   X0, sz+64(FP)
+	// Lane reduce (l0+l2)+(l1+l3) of all three sums at once: transpose
+	// X5/X6/X7 into rows T_L = [x_L, y_L, z_L, 0], then (T0+T2)+(T1+T3).
+	XORPS    X4, X4
+	MOVAPS   X5, X0
+	UNPCKLPS X6, X0          // [x0 y0 x1 y1]
+	UNPCKHPS X6, X5          // [x2 y2 x3 y3]
+	MOVAPS   X7, X1
+	UNPCKLPS X4, X1          // [z0 0 z1 0]
+	UNPCKHPS X4, X7          // [z2 0 z3 0]
+	MOVAPS   X0, X2
+	MOVLHPS  X1, X2          // T0
+	MOVHLPS  X0, X1          // T1
+	MOVAPS   X5, X3
+	MOVLHPS  X7, X3          // T2
+	MOVHLPS  X5, X7          // T3
+	ADDPS    X3, X2
+	ADDPS    X7, X1
+	ADDPS    X1, X2
+	ADDPS    X2, X14
+
+tail:
+	MOVQ DI, CX
+	ANDQ $3, CX              // t
+	JZ   span
+	CMPQ DI, $4
+	JB   short
+	ADDQ CX, SI              // r1: load the span's last four elements
+	MOVUPS -16(R9)(SI*4), X0
+	MOVUPS -16(R10)(SI*4), X1
+	MOVUPS -16(R11)(SI*4), X2
+	JMP  tailbody
+
+	// n = t < 4: place the t elements in the top t lanes from element
+	// loads; the lanes below repeat an element and are dropped.
+short:
+	CMPQ CX, $2
+	JB   short1
+	JA   short3
+	MOVSD   (R9)(SI*4), X0
+	MOVLHPS X0, X0           // [e0 e1 e0 e1]
+	MOVSD   (R10)(SI*4), X1
+	MOVLHPS X1, X1
+	MOVSD   (R11)(SI*4), X2
+	MOVLHPS X2, X2
+	JMP     tailbody
+
+short1:
+	MOVSS  (R9)(SI*4), X0
+	SHUFPS $0x00, X0, X0     // [e0 e0 e0 e0]
+	MOVSS  (R10)(SI*4), X1
+	SHUFPS $0x00, X1, X1
+	MOVSS  (R11)(SI*4), X2
+	SHUFPS $0x00, X2, X2
+	JMP    tailbody
+
+short3:
+	MOVSS  (R9)(SI*4), X0
+	MOVHPS 4(R9)(SI*4), X0
+	SHUFPS $0xE0, X0, X0     // [e0 e0 e1 e2]
+	MOVSS  (R10)(SI*4), X1
+	MOVHPS 4(R10)(SI*4), X1
+	SHUFPS $0xE0, X1, X1
+	MOVSS  (R11)(SI*4), X2
+	MOVHPS 4(R11)(SI*4), X2
+	SHUFPS $0xE0, X2, X2
+
+tailbody:
+	SSE_S
+	SSE_CUT
+	JZ     span
+	SSE_F
+
+	// Rows T1..T3 of the transposed terms; add the last t in index order.
+	XORPS    X4, X4
+	MOVAPS   X0, X5
+	UNPCKLPS X1, X5          // [x0 y0 x1 y1]
+	UNPCKHPS X1, X0          // [x2 y2 x3 y3]
+	MOVAPS   X2, X6
+	UNPCKLPS X4, X6          // [z0 0 z1 0]
+	UNPCKHPS X4, X2          // [z2 0 z3 0]
+	MOVHLPS  X5, X6          // T1
+	MOVAPS   X0, X7
+	MOVLHPS  X2, X7          // T2
+	MOVHLPS  X0, X2          // T3
+	CMPQ     CX, $3
+	JB       tail2
+	ADDPS    X6, X14
+
+tail2:
+	CMPQ  CX, $2
+	JB    tail1
+	ADDPS X7, X14
+
+tail1:
+	ADDPS X2, X14
+	JMP   span
+
+store:
+	MULPS  KC_GM(R8), X14    // gm*S
+	MOVQ   ax+72(FP), AX
+	MOVSS  (AX)(BX*4), X0
+	ADDSS  X14, X0
+	MOVSS  X0, (AX)(BX*4)
+	MOVAPS X14, X1
+	SHUFPS $0x55, X1, X1
+	MOVQ   ay+80(FP), AX
+	MOVSS  (AX)(BX*4), X0
+	ADDSS  X1, X0
+	MOVSS  X0, (AX)(BX*4)
+	MOVHLPS X14, X1
+	MOVQ   az+88(FP), AX
+	MOVSS  (AX)(BX*4), X0
+	ADDSS  X1, X0
+	MOVSS  X0, (AX)(BX*4)
+	INCQ   BX
+	JMP    target
+
+done:
 	RET
