@@ -12,6 +12,7 @@ import (
 	"hacc/internal/ic"
 	"hacc/internal/mpi"
 	"hacc/internal/par"
+	"hacc/internal/race"
 )
 
 // fofFixture is a deterministic global particle set designed to exercise
@@ -365,7 +366,7 @@ func TestPowerValidation(t *testing.T) {
 // TestAnalysisWarmAllocs pins the persistent-plan property on one rank:
 // once warm, FindHalos and Measure allocate nothing.
 func TestAnalysisWarmAllocs(t *testing.T) {
-	if raceEnabled {
+	if race.Enabled {
 		t.Skip("race instrumentation allocates inside the transform path")
 	}
 	fix := makeFOFFixture(3)

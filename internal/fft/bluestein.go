@@ -1,20 +1,16 @@
 package fft
 
-import (
-	"math"
-	"sync"
-)
+import "math"
 
 // bluestein implements the chirp-z transform for an arbitrary length n via a
 // zero-padded circular convolution of length m = nextpow2(2n-1). It handles
-// the large-prime cofactors the mixed-radix recursion cannot split.
+// the large-prime cofactors the mixed-radix stages cannot split.
 type bluestein struct {
 	n    int
 	m    int
 	w    []complex128 // chirp: w[j] = exp(-iπ j²/n), j² reduced mod 2n
 	bHat []complex128 // FFT of the conjugate chirp, padded circularly
 	sub  *Plan        // power-of-two plan of length m
-	pool sync.Pool
 }
 
 func newBluestein(n int) *bluestein {
@@ -41,30 +37,25 @@ func newBluestein(n int) *bluestein {
 	b.sub = NewPlan(m)
 	b.sub.Forward(bVec)
 	b.bHat = bVec
-	b.pool.New = func() any {
-		buf := make([]complex128, m)
-		return &buf
-	}
 	return b
 }
 
-// transform computes the in-place DFT of data (length n).
-func (b *bluestein) transform(data []complex128) {
-	bufp := b.pool.Get().(*[]complex128)
-	a := *bufp
+// transform computes the in-place DFT of data (length n) using the owning
+// plan's scratch: w.conv holds the convolution, w.sub serves the sub-plan.
+func (b *bluestein) transform(data []complex128, w *work) {
+	a := w.conv
 	for j := 0; j < b.n; j++ {
 		a[j] = data[j] * b.w[j]
 	}
 	for j := b.n; j < b.m; j++ {
 		a[j] = 0
 	}
-	b.sub.Forward(a)
+	b.sub.transform(a, w.sub, false)
 	for j := range a {
 		a[j] *= b.bHat[j]
 	}
-	b.sub.Inverse(a)
+	b.sub.transform(a, w.sub, true)
 	for k := 0; k < b.n; k++ {
 		data[k] = a[k] * b.w[k]
 	}
-	b.pool.Put(bufp)
 }

@@ -3,11 +3,32 @@
 // radix-2/3/4 butterflies, generic small-prime butterflies, and Bluestein's
 // chirp-z algorithm for lengths containing large prime factors. HACC
 // deliberately avoids vendor FFT libraries (paper §I); this package plays
-// the role of its hand-rolled FFT. PR 2 added the real-to-complex path
-// (ForwardReal/InverseReal and their batch forms) via the packed
+// the role of its hand-rolled FFT. The real-to-complex path
+// (ForwardReal/InverseReal and their batch forms) runs the packed
 // half-length complex transform for even n, which is what the distributed
 // half-spectrum pipeline in pfft builds on.
 //
+// A plan is everything that does not depend on the data. NewPlan factors n
+// (4s first, then 2, 3, 5, 7, the remaining primes up to 31, a Bluestein
+// cofactor last) and precomputes the digit-reversal gather permutation and,
+// per factor, a contiguous table of exactly the twiddles that stage
+// multiplies by. A transform is then one gather pass — fused into the first
+// stage for the power-of-two lengths — and one loop per stage from the
+// innermost factor out, the last stage storing into the caller's row; the
+// inverse conjugates in the gather and conjugates and scales in the last
+// store. The batch calls take scratch once per batch.
+//
+// This is the decimation-in-time recursion the package started with,
+// rescheduled: every butterfly combines the same operands with the same
+// twiddles through the same expressions, only level by level instead of
+// depth first, so results are bit-identical to it for every length. The
+// recursion survives in oracle_test.go and TestPlanMatchesReference and
+// FuzzPlanBitExact hold the plan to it; the seed-42 goldens of the whole
+// simulation depend on that, so a change here must keep the factor order,
+// the butterfly expressions, the (ac−bd, ad+bc) complex product, the
+// multiplies by the unit twiddle (1, −0), and use no fused multiply-add.
+//
 // A Plan is immutable after creation and safe for concurrent use by
-// multiple goroutines; per-call scratch comes from an internal pool.
+// multiple goroutines; per-call scratch comes from an internal pool. A
+// Plan3 owns its transpose tile and is not.
 package fft

@@ -1,6 +1,7 @@
 package fft
 
 import (
+	"fmt"
 	"math"
 	"math/cmplx"
 	"math/rand"
@@ -286,5 +287,24 @@ func BenchmarkForward160(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p.Forward(x)
+	}
+}
+
+// BenchmarkBatch1D is the per-layer figure behind the long-range solve: one
+// forward and one inverse batch over 64 rows, reported per point.
+func BenchmarkBatch1D(b *testing.B) {
+	for _, n := range []int{20, 32, 64, 160, 1024} {
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			const rows = 64
+			p := NewPlan(n)
+			data := randomVec(rows*n, rand.New(rand.NewSource(1)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				p.ForwardBatch(data, rows)
+				p.InverseBatch(data, rows)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(2*rows*n), "ns/point")
+		})
 	}
 }

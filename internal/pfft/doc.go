@@ -4,10 +4,16 @@
 // Transposes are pairwise exchanges inside row/column sub-communicators,
 // interleaved with local 1-D FFTs, mirroring the paper's description.
 //
-// Since PR 2 the package is plan-based: Redistributor[T] precomputes a
-// layout-intersection schedule (empty legs dropped, the self overlap a
-// direct copy, pack buffers persistent) for moving data between arbitrary
-// rectangular layouts, and Pencil is a plan in the FFTW sense — four
+// The package is plan-based. Redistributor[T] precomputes a
+// layout-intersection schedule for moving data between arbitrary
+// rectangular layouts: empty legs are dropped, the self overlap is a direct
+// move, pack buffers persist, and every leg is a short list of runs
+// (src, dst, n, stride) — n elements stored consecutively and loaded stride
+// apart, a plain copy when the stride is one — instead of an index per
+// element. Messages are packed in the sender's storage order (so a send is
+// all copies); unpacking and the self move walk the destination's order,
+// because a core overlaps the misses of strided loads but retires strided
+// stores one miss at a time. Pencil is a plan in the FFTW sense — four
 // persistent transpose plans, per-stage scratch, pooled batched 1-D
 // transforms, and a real-to-complex path (ForwardReal/InverseReal/
 // ForEachKR) on the Hermitian half grid [n/2+1, n, n] that halves the x

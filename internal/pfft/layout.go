@@ -69,6 +69,20 @@ func (l *Layout) LocalIndex(rank int, g [3]int) int {
 	return (c0*b.Size(o[1])+c1)*b.Size(o[2]) + c2
 }
 
+// axisStride returns the distance in the given rank's local storage between
+// neighbouring points along axis.
+func (l *Layout) axisStride(rank, axis int) int {
+	b, o := l.Boxes[rank], l.Order
+	switch axis {
+	case o[2]:
+		return 1
+	case o[1]:
+		return b.Size(o[2])
+	default:
+		return b.Size(o[1]) * b.Size(o[2])
+	}
+}
+
 // chunk returns the [lo,hi) range of the i-th of p near-equal chunks of n.
 func chunk(i, p, n int) (int, int) { return i * n / p, (i + 1) * n / p }
 

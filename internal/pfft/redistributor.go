@@ -11,21 +11,30 @@ import (
 // the in-process mpi preserves per-pair FIFO order, so a fixed tag is safe.
 const redistTag = 0x5244
 
-// peerXfer is one planned transfer leg: the peer rank, the local storage
-// indices visited in the sender's pack order, and (sends only) a persistent
-// staging buffer reused across Runs.
+// run is one planned move of n elements, stored consecutively into dst and
+// read stride apart from src: out[dst+i] = in[src+i·stride]. Lines that
+// continue each other on both sides are merged when the plan is built.
+type run struct {
+	src, dst, n, stride int
+}
+
+// peerXfer is one planned transfer leg: the peer rank, the moves between
+// local storage and the message (packed in the sender's storage order), the
+// message length, and (sends only) a persistent staging buffer reused
+// across Runs.
 type peerXfer[T any] struct {
-	rank int
-	idx  []int
-	buf  []T
+	rank  int
+	runs  []run
+	count int
+	buf   []T
 }
 
 // Redistributor is a planned layout-to-layout redistribution. Building the
 // plan walks the box intersections once: empty intersections are dropped (no
 // zero-length messages), the rank's own overlap becomes a direct src→dst
-// copy that never touches the mpi mailbox, and every remaining leg gets a
-// precomputed index list plus (for sends) a persistent pack buffer. Run then
-// reduces to gather→send, local copy, recv→scatter.
+// move that never touches the mpi mailbox, and every remaining leg gets a
+// precomputed run list plus (for sends) a persistent pack buffer. Run then
+// reduces to pack→send, local move, recv→unpack.
 //
 // A Redistributor is collective state: every rank of the communicator must
 // build the plan over the same layout pair and call Run collectively. Run is
@@ -35,8 +44,8 @@ type Redistributor[T any] struct {
 	from, to       *Layout
 	srcLen, dstLen int
 
-	selfSrc, selfDst []int // direct copy: dst[selfDst[i]] = src[selfSrc[i]]
-	sends, recvs     []peerXfer[T]
+	self         []run // direct moves src → dst
+	sends, recvs []peerXfer[T]
 }
 
 // NewRedistributor plans the redistribution from one layout to the other on
@@ -56,34 +65,82 @@ func NewRedistributor[T any](c *mpi.Comm, from, to *Layout) *Redistributor[T] {
 	mine := from.Boxes[me]
 	dstBox := to.Boxes[me]
 	for r := 0; r < p; r++ {
-		// Outgoing: the part of my source box that rank r owns under `to`.
+		// Outgoing: the part of my source box that rank r owns under `to`,
+		// packed in my (from) storage order.
 		if itc := Intersect(mine, to.Boxes[r]); !itc.Empty() {
-			idx := make([]int, itc.Count())
-			forEach(itc, from.Order, func(g [3]int, k int) {
-				idx[k] = from.LocalIndex(me, g)
-			})
 			if r == me {
-				rd.selfSrc = idx
+				rd.self = planRuns(itc, from, me, to, me)
 			} else {
-				rd.sends = append(rd.sends, peerXfer[T]{rank: r, idx: idx, buf: make([]T, len(idx))})
+				rd.sends = append(rd.sends, peerXfer[T]{rank: r, count: itc.Count(),
+					runs: planRuns(itc, from, me, wireLayout(itc, from), 0),
+					buf:  make([]T, itc.Count())})
 			}
 		}
 		// Incoming: the part of my destination box that rank r owns under
-		// `from`. The sender packs in its own (from) storage order; walking
-		// the same way maps arrival position k to my local index.
-		if itc := Intersect(from.Boxes[r], dstBox); !itc.Empty() {
-			idx := make([]int, itc.Count())
-			forEach(itc, from.Order, func(g [3]int, k int) {
-				idx[k] = to.LocalIndex(me, g)
-			})
-			if r == me {
-				rd.selfDst = idx
-			} else {
-				rd.recvs = append(rd.recvs, peerXfer[T]{rank: r, idx: idx})
-			}
+		// `from`, arriving in that rank's storage order.
+		if itc := Intersect(from.Boxes[r], dstBox); !itc.Empty() && r != me {
+			rd.recvs = append(rd.recvs, peerXfer[T]{rank: r, count: itc.Count(),
+				runs: planRuns(itc, wireLayout(itc, from), 0, to, me)})
 		}
 	}
 	return rd
+}
+
+// wireLayout describes a message as a one-rank layout: the intersection
+// itc, packed in the sender's storage order.
+func wireLayout(itc Box, from *Layout) *Layout {
+	return &Layout{N: from.N, Order: from.Order, Boxes: []Box{itc}}
+}
+
+// planRuns lists the moves that carry the points of itc from srcRank's
+// storage under src to dstRank's storage under dst. The walk follows the
+// destination's storage order, one line along its fastest axis at a time:
+// stores are consecutive and the loads take the stride, because a core
+// overlaps the cache misses of scattered loads but retires scattered stores
+// one miss at a time. Packing a message walks the sender's own order on both
+// sides, so a send is all copies.
+func planRuns(itc Box, src *Layout, srcRank int, dst *Layout, dstRank int) []run {
+	o0, o1, o2 := dst.Order[0], dst.Order[1], dst.Order[2]
+	if o0 == src.Order[2] {
+		// Step the source's fastest axis between lines, so that
+		// neighbouring lines load from the same cache lines.
+		o0, o1 = o1, o0
+	}
+	n, stride := itc.Size(o2), src.axisStride(srcRank, o2)
+	var runs []run
+	g := itc.Lo
+	for a := itc.Lo[o0]; a < itc.Hi[o0]; a++ {
+		for b := itc.Lo[o1]; b < itc.Hi[o1]; b++ {
+			g[o0], g[o1] = a, b
+			r := run{src: src.LocalIndex(srcRank, g), dst: dst.LocalIndex(dstRank, g), n: n, stride: stride}
+			if len(runs) > 0 {
+				last := &runs[len(runs)-1]
+				if r.dst == last.dst+last.n && r.src == last.src+last.n*stride {
+					last.n += n
+					continue
+				}
+			}
+			runs = append(runs, r)
+		}
+	}
+	return runs
+}
+
+// move executes a run list from in to out.
+func move[T any](out, in []T, runs []run) {
+	for _, r := range runs {
+		d := out[r.dst : r.dst+r.n]
+		if r.stride == 1 {
+			copy(d, in[r.src:r.src+r.n])
+			continue
+		}
+		s := in[r.src : r.src+(r.n-1)*r.stride+1]
+		j := 0
+		for i := range d {
+			d[i] = s[j]
+			j += r.stride
+		}
+	}
 }
 
 // SrcLen returns this rank's local element count under the source layout.
@@ -109,24 +166,18 @@ func (rd *Redistributor[T]) Run(src, dst []T) []T {
 	// before any receive cannot deadlock.
 	for i := range rd.sends {
 		s := &rd.sends[i]
-		for k, j := range s.idx {
-			s.buf[k] = src[j]
-		}
+		move(s.buf, src, s.runs)
 		mpi.Send(rd.comm, s.rank, redistTag, s.buf)
 	}
-	for k, j := range rd.selfSrc {
-		dst[rd.selfDst[k]] = src[j]
-	}
+	move(dst, src, rd.self)
 	for i := range rd.recvs {
 		r := &rd.recvs[i]
 		buf := mpi.Recv[T](rd.comm, r.rank, redistTag)
-		if len(buf) != len(r.idx) {
+		if len(buf) != r.count {
 			panic(fmt.Sprintf("pfft: received %d elements from rank %d, expected %d",
-				len(buf), r.rank, len(r.idx)))
+				len(buf), r.rank, r.count))
 		}
-		for k, j := range r.idx {
-			dst[j] = buf[k]
-		}
+		move(dst, buf, r.runs)
 	}
 	return dst
 }

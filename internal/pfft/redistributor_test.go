@@ -1,7 +1,9 @@
 package pfft
 
 import (
+	"fmt"
 	"math/cmplx"
+	"reflect"
 	"testing"
 
 	"hacc/internal/fft"
@@ -248,5 +250,171 @@ func TestPencilRealMatchesComplex(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// indexPlan is the per-element plan the run lists replaced: for every leg,
+// the local storage index of each element in the sender's pack order.
+type indexPlan struct {
+	selfSrc, selfDst []int
+	sends, recvs     map[int][]int // peer rank → local indices in pack order
+}
+
+func newIndexPlan(me int, from, to *Layout) indexPlan {
+	ip := indexPlan{sends: map[int][]int{}, recvs: map[int][]int{}}
+	walk := func(itc Box, lay *Layout) []int {
+		idx := make([]int, itc.Count())
+		forEach(itc, from.Order, func(g [3]int, k int) { idx[k] = lay.LocalIndex(me, g) })
+		return idx
+	}
+	for r := range from.Boxes {
+		if itc := Intersect(from.Boxes[me], to.Boxes[r]); !itc.Empty() {
+			if r == me {
+				ip.selfSrc = walk(itc, from)
+			} else {
+				ip.sends[r] = walk(itc, from)
+			}
+		}
+		if itc := Intersect(from.Boxes[r], to.Boxes[me]); !itc.Empty() {
+			if r == me {
+				ip.selfDst = walk(itc, to)
+			} else {
+				ip.recvs[r] = walk(itc, to)
+			}
+		}
+	}
+	return ip
+}
+
+// runMap expands a run list into dst index → src index, failing on a
+// destination written twice.
+func runMap(t *testing.T, runs []run) map[int]int {
+	m := map[int]int{}
+	for _, r := range runs {
+		for i := 0; i < r.n; i++ {
+			if _, dup := m[r.dst+i]; dup {
+				t.Errorf("run list stores index %d twice", r.dst+i)
+			}
+			m[r.dst+i] = r.src + i*r.stride
+		}
+	}
+	return m
+}
+
+// indexMap is the same map for an index-list leg; nil stands for the
+// message, whose k-th element sits at position k.
+func indexMap(src, dst []int) map[int]int {
+	m := map[int]int{}
+	for k := range max(len(src), len(dst)) {
+		s, d := k, k
+		if src != nil {
+			s = src[k]
+		}
+		if dst != nil {
+			d = dst[k]
+		}
+		m[d] = s
+	}
+	return m
+}
+
+// TestRedistributorRunsMatchIndexPlan pins the run plan against the index
+// lists element for element: every leg must move the same elements between
+// the same local indices and message positions (so the same pack order and
+// the same bytes on the wire), with the same set of peers (so the same
+// messages). Only the order in which a leg's elements are visited may differ.
+func TestRedistributorRunsMatchIndexPlan(t *testing.T) {
+	type pair struct {
+		name     string
+		from, to *Layout
+	}
+	var cases []pair
+	add := func(name string, from, to *Layout) {
+		cases = append(cases, pair{name, from, to}, pair{name + "-back", to, from})
+	}
+	n := [3]int{12, 10, 9}
+	add("block-to-pencil", Block3D(n, [3]int{2, 2, 1}), PencilX(n, 2, 2))
+	add("block-to-zpencil", Block3D(n, [3]int{1, 2, 3}), PencilZ(n, 3, 2))
+	add("single-rank", Block3D([3]int{7, 5, 6}, [3]int{1, 1, 1}), PencilX([3]int{7, 5, 6}, 1, 1))
+	add("slab", PencilX([3]int{8, 12, 10}, 4, 1), PencilY([3]int{8, 12, 10}, 4, 1))
+	add("sparse-overlap", PencilX([3]int{11, 13, 8}, 3, 2), PencilZ([3]int{11, 13, 8}, 3, 2))
+	// The transposes a Pencil actually plans, on the full grid and on the
+	// half-spectrum grid (deep slab: some ranks own empty half pencils).
+	for _, g := range []struct {
+		n      [3]int
+		p1, p2 int
+	}{{[3]int{12, 10, 8}, 3, 2}, {[3]int{9, 6, 10}, 2, 2}, {[3]int{8, 8, 8}, 8, 1}} {
+		for _, grid := range [][3]int{g.n, {g.n[0]/2 + 1, g.n[1], g.n[2]}} {
+			layX, layY, layZ := PencilX(grid, g.p1, g.p2), PencilY(grid, g.p1, g.p2), PencilZ(grid, g.p1, g.p2)
+			rowFrom, rowTo, colFrom, colTo := restrictTransposes(grid, g.p1, g.p2, g.p1-1, g.p2-1, layX, layY, layZ)
+			add(fmt.Sprintf("row-%v-%dx%d", grid, g.p1, g.p2), rowFrom, rowTo)
+			add(fmt.Sprintf("col-%v-%dx%d", grid, g.p1, g.p2), colFrom, colTo)
+		}
+	}
+	for _, tc := range cases {
+		err := mpi.Run(len(tc.from.Boxes), func(c *mpi.Comm) {
+			me := c.Rank()
+			rd := NewRedistributor[float64](c, tc.from, tc.to)
+			want := newIndexPlan(me, tc.from, tc.to)
+			if !reflect.DeepEqual(runMap(t, rd.self), indexMap(want.selfSrc, want.selfDst)) {
+				t.Errorf("%s rank %d: self leg differs from the index plan", tc.name, me)
+			}
+			if len(rd.sends) != len(want.sends) || len(rd.recvs) != len(want.recvs) {
+				t.Errorf("%s rank %d: %d sends / %d recvs, index plan %d / %d", tc.name, me,
+					len(rd.sends), len(rd.recvs), len(want.sends), len(want.recvs))
+			}
+			for _, s := range rd.sends {
+				idx := want.sends[s.rank]
+				if !reflect.DeepEqual(runMap(t, s.runs), indexMap(idx, nil)) || s.count != len(idx) || len(s.buf) != len(idx) {
+					t.Errorf("%s rank %d: send leg to %d differs from the index plan", tc.name, me, s.rank)
+				}
+			}
+			for _, r := range rd.recvs {
+				idx := want.recvs[r.rank]
+				if !reflect.DeepEqual(runMap(t, r.runs), indexMap(nil, idx)) || r.count != len(idx) {
+					t.Errorf("%s rank %d: recv leg from %d differs from the index plan", tc.name, me, r.rank)
+				}
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkRedistribute measures one planned Run on two ranks of a 64³
+// grid: the PM solver's block→x-pencil move of the real field, and the
+// pencil FFT's x→y row transpose of the complex one.
+func BenchmarkRedistribute(b *testing.B) {
+	n := [3]int{64, 64, 64}
+	b.Run("block-to-pencil", func(b *testing.B) {
+		benchRedistribute[float64](b, 8, Block3D(n, [3]int{2, 1, 1}), PencilX(n, 2, 1))
+	})
+	b.Run("row-transpose", func(b *testing.B) {
+		benchRedistribute[complex128](b, 16, PencilX(n, 2, 1), PencilY(n, 2, 1))
+	})
+}
+
+func benchRedistribute[T any](b *testing.B, elemBytes int, from, to *Layout) {
+	err := mpi.Run(len(from.Boxes), func(c *mpi.Comm) {
+		rd := NewRedistributor[T](c, from, to)
+		src, dst := make([]T, rd.SrcLen()), make([]T, rd.DstLen())
+		rd.Run(src, dst)
+		mpi.Barrier(c)
+		if c.Rank() == 0 {
+			b.SetBytes(int64(elemBytes * rd.SrcLen()))
+			b.ReportAllocs()
+			b.ResetTimer()
+		}
+		for i := 0; i < b.N; i++ {
+			rd.Run(src, dst)
+		}
+		mpi.Barrier(c)
+		if c.Rank() == 0 {
+			b.StopTimer()
+		}
+	})
+	if err != nil {
+		b.Fatal(err)
 	}
 }

@@ -45,7 +45,7 @@ type Poisson struct {
 	// kernel is the composed Poisson kernel (3/2)Ωm·F(k)/λ(k) per local
 	// half-spectrum z-pencil mode; dTab holds the GradSL4 factor per global
 	// axis mode (three O(n) tables — the gradient loops recover the axis
-	// mode from the flat index, so no per-mode gradient storage is needed).
+	// mode from the row they walk, so no per-mode gradient storage is needed).
 	kernel []float64
 	dTab   [3][]float64
 	kbox   pfft.Box // this rank's half-spectrum z-pencil box
@@ -114,30 +114,31 @@ func NewPoisson(c *mpi.Comm, dec *grid.Decomp, opts Options) *Poisson {
 	}
 	p.gradBody = func(lo, hi int) {
 		// acceleration = −∂ψ ↔ −i·D(k)·ψ̂. The half-spectrum z-pencil
-		// stores z fastest, then y, then x, so the axis mode falls out of
-		// the flat index by div/mod against the local box shape.
-		spec, comp, dt := p.spec, p.comp, p.dTab[p.gradD]
+		// stores z fastest, then y, then x: walk [lo, hi) one z-row at a
+		// time, so the x and y modes cost one division per row and the z
+		// mode indexes its table directly.
+		spec, comp, dt, d := p.spec, p.comp, p.dTab[p.gradD], p.gradD
 		sy, sz := p.kbox.Size(1), p.kbox.Size(2)
-		switch p.gradD {
-		case 0:
-			lo0 := p.kbox.Lo[0]
-			for i := lo; i < hi; i++ {
-				v := spec[i]
-				dk := dt[i/(sy*sz)+lo0]
-				comp[i] = complex(imag(v)*dk, -real(v)*dk)
+		for i := lo; i < hi; {
+			row := i / sz
+			end := min((row+1)*sz, hi)
+			if d == 2 {
+				// dt is axis d's table: only here may it take axis-2 bounds.
+				dz := dt[p.kbox.Lo[2]:p.kbox.Hi[2]]
+				for z := i - row*sz; i < end; i, z = i+1, z+1 {
+					v := spec[i]
+					dk := dz[z]
+					comp[i] = complex(imag(v)*dk, -real(v)*dk)
+				}
+				continue
 			}
-		case 1:
-			lo1 := p.kbox.Lo[1]
-			for i := lo; i < hi; i++ {
-				v := spec[i]
-				dk := dt[(i/sz)%sy+lo1]
-				comp[i] = complex(imag(v)*dk, -real(v)*dk)
+			m := row/sy + p.kbox.Lo[0]
+			if d == 1 {
+				m = row%sy + p.kbox.Lo[1]
 			}
-		default:
-			lo2 := p.kbox.Lo[2]
-			for i := lo; i < hi; i++ {
+			dk := dt[m]
+			for ; i < end; i++ {
 				v := spec[i]
-				dk := dt[i%sz+lo2]
 				comp[i] = complex(imag(v)*dk, -real(v)*dk)
 			}
 		}

@@ -9,6 +9,7 @@ import (
 	"hacc/internal/mpi"
 	"hacc/internal/par"
 	"hacc/internal/pfft"
+	"hacc/internal/race"
 )
 
 // depositRandom deposits this rank's share of a random particle set.
@@ -37,16 +38,22 @@ func depositRandom(rho *grid.Field, dec *grid.Decomp, rank int, n [3]int, seed i
 func TestSolveMatchesReference(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
+		n       [3]int
 		ranks   int
 		slab    bool
 		threads int // per-rank pool size; 0 = serial
 	}{
-		{"serial-1rank", 1, false, 0},
-		{"pooled-4rank", 4, false, 3},
-		{"slab-4rank", 4, true, 0},
+		{"serial-1rank", [3]int{16, 16, 16}, 1, false, 0},
+		{"pooled-4rank", [3]int{16, 16, 16}, 4, false, 3},
+		{"slab-4rank", [3]int{16, 16, 16}, 4, true, 0},
+		// Non-cubic grids whose z extent exceeds the x and y extents (and
+		// the reverse): each gradient axis must index its own table.
+		{"long-z-1rank", [3]int{4, 6, 16}, 1, false, 0},
+		{"long-z-pooled-2rank", [3]int{6, 4, 16}, 2, false, 3},
+		{"long-x-slab-2rank", [3]int{16, 6, 4}, 2, true, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			n := [3]int{16, 16, 16}
+			n := tc.n
 			err := mpi.Run(tc.ranks, func(c *mpi.Comm) {
 				dec := grid.NewDecomp(n, tc.ranks)
 				b := dec.Box(c.Rank())
@@ -210,5 +217,39 @@ func BenchmarkPoissonSolveReference(b *testing.B) {
 	})
 	if err != nil {
 		b.Fatal(err)
+	}
+}
+
+// TestSolveAllocFree pins the steady-state long-range solve at zero
+// allocations on one rank, serial and pooled: plans, run lists, stage
+// tables and scratch are all built once.
+func TestSolveAllocFree(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector makes sync.Pool drop items and allocates itself")
+	}
+	for _, threads := range []int{0, 2} {
+		n := [3]int{16, 12, 10}
+		err := mpi.Run(1, func(c *mpi.Comm) {
+			dec := grid.NewDecomp(n, 1)
+			box := dec.Box(0)
+			rho := grid.NewField(n, box, 1)
+			depositRandom(rho, dec, 0, n, 3)
+			opts := Options{OmegaM: 0.3, Filter: true}
+			if threads > 0 {
+				opts.Pool = par.NewPool(threads)
+			}
+			ps := NewPoisson(c, dec, opts)
+			var acc [3]*grid.Field
+			for d := 0; d < 3; d++ {
+				acc[d] = grid.NewField(n, box, 1)
+			}
+			ps.Solve(rho, &acc) // warm plans and scratch
+			if allocs := testing.AllocsPerRun(5, func() { ps.Solve(rho, &acc) }); allocs != 0 {
+				t.Errorf("threads=%d: Solve allocates %v times per call", threads, allocs)
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 }
