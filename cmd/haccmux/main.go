@@ -4,10 +4,10 @@
 // HACC_WIRE_RENDEZVOUS, HACC_WIRE_TRANSPORT); a command detects wire mode
 // with mpi.WireChild and joins via mpi.ConnectEnv. Child failures are
 // classified through the supervisor exit-code protocol (10 = crash, 11 =
-// hang, 12 = abort, 13 = corrupt checkpoint; a signal death reads as a
-// crash), and with -max-restarts ≥ 0 the world is restarted from the newest
-// restorable checkpoint under -ckpt-root, damaged ones quarantined — the
-// process-level form of the core supervisor.
+// hang, 12 = abort, 13 = corrupt checkpoint, 14 = config; a signal death
+// reads as a crash), and with -max-restarts N the world is restarted up to N
+// times from the newest restorable checkpoint under -ckpt-root, damaged ones
+// quarantined — core.SuperviseProcs, the core supervisor's process runner.
 //
 // Examples:
 //
@@ -30,7 +30,7 @@ func main() {
 	var (
 		n           = flag.Int("n", 2, "world size: one OS process per rank")
 		transport   = flag.String("transport", "auto", "wire socket family: tcp|unix|auto")
-		maxRestarts = flag.Int("max-restarts", -1, "restart the world from the newest checkpoint up to N times (-1 = no retry)")
+		maxRestarts = flag.Int("max-restarts", 0, "restart the world from the newest checkpoint up to N times (0 = no retry)")
 		ckptRoot    = flag.String("ckpt-root", "", "cadenced checkpoint root recovery resumes from")
 		deadline    = flag.Duration("deadline", 0, "wall-clock bound per attempt; elapsing classifies as a hang (0 = none)")
 		grace       = flag.Duration("grace", 0, "time survivors get to self-abort after a peer dies before being killed (default 10s)")

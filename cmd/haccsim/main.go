@@ -14,11 +14,14 @@
 //
 //	haccsim -restart ckpt
 //
-// With -max-restarts the run is supervised: crashes, detected hangs, and
-// corrupt checkpoints tear the world down, quarantine any damaged
-// checkpoint, and resume from the newest restorable one with exponential
-// backoff. -fault arms the deterministic fault injector, which is how the
-// recovery path is exercised on demand:
+// Every run is supervised, by one recovery loop whether its ranks are
+// goroutines in this process (-ranks) or OS processes (-par): a crash, a
+// detected hang (-op-timeout, -deadline) or a corrupt checkpoint tears the
+// world down and is classified. With -max-restarts N (default 0, no retry)
+// the world then quarantines any damaged checkpoint and resumes from the
+// newest restorable one with exponential backoff, up to N times. -fault arms
+// the deterministic fault injector, which is how the recovery path is
+// exercised on demand:
 //
 //	haccsim -np 32 -steps 8 -ckpt-dir ckpt -ckpt-every 2 \
 //	        -max-restarts 3 -fault "kill rank 2 at step 5"
@@ -33,11 +36,10 @@
 //
 // Multi-process execution: -par N spawns N OS processes, one rank each,
 // connected through the mpi wire transport (-transport tcp|unix|auto; rank 0
-// doubles as the rendezvous point). The parent supervises the worker
-// processes: a dead or wedged rank tears the world down and, with
-// checkpoints configured, the world restarts from the newest restorable one
-// — the same recovery loop as the in-process supervisor, across a real
-// process boundary:
+// doubles as the rendezvous point). The parent re-execs this binary as the
+// rank processes and supervises them through the exit-code protocol: a dead
+// or wedged rank tears the world down and, with checkpoints configured and
+// -max-restarts, every rank restarts from the newest restorable one:
 //
 //	haccsim -par 4 -transport tcp -np 32 -steps 8 \
 //	        -ckpt-dir ckpt -ckpt-every 2 -max-restarts 3
@@ -91,9 +93,9 @@ func main() {
 		ckptDir     = flag.String("ckpt-dir", "", "write cadenced checkpoints under this directory")
 		ckptEvery   = flag.Int("ckpt-every", 0, "checkpoint after every Nth full step (requires -ckpt-dir)")
 		restart     = flag.String("restart", "", "resume from a checkpoint (a step directory or a -ckpt-dir root)")
-		maxRestarts = flag.Int("max-restarts", -1, "supervise the run, restarting from the newest checkpoint up to N times (-1 = unsupervised)")
-		opTimeout   = flag.Duration("op-timeout", 0, "hang detection: per-operation timeout under -max-restarts (0 = off)")
-		deadline    = flag.Duration("deadline", 0, "wall-clock bound per supervised attempt (0 = none)")
+		maxRestarts = flag.Int("max-restarts", 0, "after a failure, restart from the newest checkpoint up to N times (0 = no retry)")
+		opTimeout   = flag.Duration("op-timeout", 0, "hang detection: per-operation timeout (0 = off)")
+		deadline    = flag.Duration("deadline", 0, "wall-clock bound per attempt; elapsing classifies as a hang (0 = none)")
 		faultSpec   = flag.String("fault", "", `arm the fault injector, e.g. "kill rank 2 at step 3; fail every 5th fsync"`)
 		icKind      = flag.String("ic", "zeldovich", "initial conditions: zeldovich|halo (clustered load-balancing stress)")
 		rebalance   = flag.Float64("rebalance", 0, "cost-driven rebalancing: smoothed max/mean work threshold > 1 (0 = static decomposition)")
@@ -109,9 +111,6 @@ func main() {
 		*threads, *pkBins, *solver, *transfer, *ckptDir, *ckptEvery, *restart,
 		*maxRestarts, *opTimeout, *deadline, *faultSpec, *par, *transport); err != nil {
 		log.Fatal(err)
-	}
-	if *par > 0 && !mpi.WireChild() {
-		*ranks = *par
 	}
 
 	// explicit records which flags the user actually set, so a restart
@@ -195,159 +194,67 @@ func main() {
 		}
 	}
 
-	if *faultSpec != "" && *par == 0 && !mpi.WireChild() {
-		// Under -par the spec travels to the rank processes via argv; the
-		// parent itself runs no physics.
+	start := time.Now()
+	body := func(s *core.Simulation) error { return drive(s, *pkBins, *snapPath, start) }
+	child := mpi.WireChild()
+	// Faults fire where the physics runs: in-process ranks, or a rank process
+	// on its first attempt (a resumed attempt must run clean or recovery
+	// would loop forever). A -par parent only forwards the spec through argv.
+	if *faultSpec != "" && (child && os.Getenv(core.EnvResume) == "" || !child && *par == 0) {
 		fault.Arm(fault.MustParse(*faultSpec))
 		defer fault.Disarm()
 		log.Printf("fault injector armed: %s", *faultSpec)
 	}
-
-	start := time.Now()
-	if mpi.WireChild() {
+	if child {
 		// This process is one rank of a wire world spawned by -par (or
-		// haccmux): join via the env contract and exit through the
-		// supervisor's exit-code protocol.
-		if *faultSpec != "" && os.Getenv(core.EnvResume) == "" {
-			// Injected faults fire on the first attempt only; a resumed
-			// attempt must run clean or recovery would loop forever.
-			fault.Arm(fault.MustParse(*faultSpec))
-			log.Printf("fault injector armed: %s", *faultSpec)
-		}
-		runWireChild(cfg, stepDir, mutate, *opTimeout, *pkBins, *snapPath, start)
-		return // unreachable: runWireChild exits
+		// haccmux).
+		core.RunRankProcess(cfg, stepDir, mutate, *opTimeout, body)
+		return // unreachable: RunRankProcess exits
 	}
+
+	// Everything else runs under the supervisor, with goroutine ranks in this
+	// process or -par rank processes re-execing this binary with the
+	// identical command line. -max-restarts 0 supervises without retrying.
+	restarts := *maxRestarts
+	if restarts == 0 {
+		restarts = -1
+	}
+	var rep *core.Report
+	var err error
 	if *par > 0 {
-		runProcParent(*par, *transport, *maxRestarts, *deadline, *ckptDir, stepDir, cfg.TraceDir)
-		return
-	}
-	if *maxRestarts >= 0 {
-		// Supervised: the supervisor owns world construction and recovery.
-		opts := core.SupervisorOptions{
+		exe, xerr := os.Executable()
+		if xerr != nil {
+			log.Fatalf("-par: cannot re-exec: %v", xerr)
+		}
+		// Report the modeled torus placement: ranks map row-major onto the
+		// BG/Q rack wiring, the layout the paper's comm-pattern estimates
+		// assume.
+		torus := machine.RackTorus()
+		for r := 0; r < *par; r++ {
+			log.Printf("torus map: rank %d -> node %v", r, torus.Coords(r))
+		}
+		rep, err = core.SuperviseProcs(core.ProcOptions{
+			Ranks:          *par,
+			Transport:      *transport,
+			Command:        append([]string{exe}, os.Args[1:]...),
+			MaxRestarts:    restarts,
+			AttemptTimeout: *deadline,
+			CheckpointRoot: cfg.CheckpointDir,
+			TraceDir:       cfg.TraceDir,
+			ResumeFrom:     stepDir,
+			Log:            func(line string) { log.Print(line) },
+		})
+	} else {
+		rep, err = core.RunSupervised(cfg, core.SupervisorOptions{
 			Ranks:       *ranks,
-			MaxRestarts: *maxRestarts,
+			MaxRestarts: restarts,
 			OpTimeout:   *opTimeout,
 			Deadline:    *deadline,
 			ResumeFrom:  stepDir,
 			Mutate:      mutate,
 			Log:         func(line string) { log.Print(line) },
-		}
-		if *maxRestarts == 0 {
-			opts.MaxRestarts = -1 // supervised teardown/diagnosis, no retry
-		}
-		rep, err := core.RunSupervised(cfg, opts, func(s *core.Simulation) error {
-			return drive(s, *ranks, *pkBins, *snapPath, start)
-		})
-		for _, inc := range rep.Incidents {
-			log.Printf("incident: attempt %d failed (%s); resumed from %q after %v",
-				inc.Attempt, inc.Class, inc.Resume, inc.Backoff)
-		}
-		if err != nil {
-			log.Fatal(err)
-		}
-		if rep.Restarts > 0 {
-			log.Printf("run completed after %d restart(s)", rep.Restarts)
-		}
-		return
+		}, body)
 	}
-
-	err := mpi.Run(*ranks, func(c *mpi.Comm) {
-		var s *core.Simulation
-		var err error
-		if stepDir != "" {
-			s, err = core.Restore(c, stepDir, mutate)
-		} else {
-			s, err = core.New(c, cfg)
-		}
-		if err != nil {
-			panic(err)
-		}
-		if err := drive(s, *ranks, *pkBins, *snapPath, start); err != nil {
-			panic(err)
-		}
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-}
-
-// runWireChild is the rank-process body: join the wire world from the
-// launcher environment, build or restore the Simulation, drive the shared
-// run body, and exit through the supervisor's exit-code protocol so the
-// parent can classify any failure without parsing output.
-func runWireChild(cfg core.Config, stepDir string, mutate func(*core.Config),
-	opTimeout time.Duration, pkBins int, snapPath string, start time.Time) {
-	// A recovery attempt resumes from the checkpoint the supervisor picked,
-	// overriding any -restart the original command line carried.
-	if dir := os.Getenv(core.EnvResume); dir != "" {
-		stepDir = dir
-	}
-	w, err := mpi.ConnectEnv()
-	if err != nil {
-		log.Print(err)
-		os.Exit(core.ExitPanic)
-	}
-	if opTimeout > 0 {
-		w.SetTimeout(opTimeout)
-	}
-	err = w.Run(func(c *mpi.Comm) {
-		var s *core.Simulation
-		var err error
-		if stepDir != "" {
-			s, err = core.Restore(c, stepDir, mutate)
-			if err != nil {
-				panic(core.MarkRestoreFailure(stepDir, err))
-			}
-		} else {
-			s, err = core.New(c, cfg)
-			if err != nil {
-				panic(err)
-			}
-		}
-		if err := drive(s, c.Size(), pkBins, snapPath, start); err != nil {
-			panic(err)
-		}
-	})
-	if cerr := w.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		log.Printf("rank %s: %v", os.Getenv(mpi.EnvRank), err)
-	}
-	os.Exit(core.ExitCodeFor(err))
-}
-
-// runProcParent spawns and supervises par rank processes (re-execing this
-// binary with the identical command line; the children detect wire mode from
-// the environment). Failures recover from the newest restorable checkpoint,
-// exactly as the in-process supervisor does.
-func runProcParent(par int, transport string, maxRestarts int, deadline time.Duration,
-	ckptDir, stepDir, traceDir string) {
-	exe, err := os.Executable()
-	if err != nil {
-		log.Fatalf("-par: cannot re-exec: %v", err)
-	}
-	// Report the modeled torus placement: ranks map row-major onto the BG/Q
-	// rack wiring, the layout the paper's comm-pattern estimates assume.
-	torus := machine.RackTorus()
-	for r := 0; r < par; r++ {
-		log.Printf("torus map: rank %d -> node %v", r, torus.Coords(r))
-	}
-	restarts := maxRestarts
-	if restarts <= 0 {
-		restarts = -1 // supervised spawn + classification, no retry
-	}
-	rep, err := core.SuperviseProcs(core.ProcOptions{
-		Ranks:          par,
-		Transport:      transport,
-		Command:        append([]string{exe}, os.Args[1:]...),
-		MaxRestarts:    restarts,
-		AttemptTimeout: deadline,
-		CheckpointRoot: ckptDir,
-		TraceDir:       traceDir,
-		ResumeFrom:     stepDir,
-		Log:            func(line string) { log.Print(line) },
-	})
 	for _, inc := range rep.Incidents {
 		log.Printf("incident: attempt %d failed (%s); resumed from %q after %v",
 			inc.Attempt, inc.Class, inc.Resume, inc.Backoff)
@@ -361,15 +268,14 @@ func runProcParent(par int, transport string, maxRestarts int, deadline time.Dur
 }
 
 // drive runs the remaining schedule on one rank's Simulation and reports
-// the final science and performance summary. It is the body shared by the
-// plain and supervised paths, so a restarted attempt replays exactly the
-// same code.
-func drive(s *core.Simulation, ranks, pkBins int, snapPath string, start time.Time) error {
+// the final science and performance summary. It is the body every launch
+// path runs, so a restarted attempt replays exactly the same code.
+func drive(s *core.Simulation, pkBins int, snapPath string, start time.Time) error {
 	c := s.Comm
 	nsteps := s.Cfg.Steps
 	if c.Rank() == 0 {
 		log.Printf("%s: %d^3 particles, %d^3 grid, %.0f Mpc/h box, %d ranks, z=%.1f→%.1f in %d steps ×%d sub-cycles",
-			s.Cfg.Solver, s.Cfg.NParticles, s.Cfg.NGrid, s.Cfg.BoxMpc, ranks,
+			s.Cfg.Solver, s.Cfg.NParticles, s.Cfg.NGrid, s.Cfg.BoxMpc, c.Size(),
 			s.Cfg.ZInit, s.Cfg.ZFinal, nsteps, s.Cfg.SubCycles)
 		log.Printf("particle mass %.3e Msun/h", s.ParticleMassMsun)
 		if s.Cfg.Solver != core.PMOnly {
@@ -465,12 +371,8 @@ func validateFlags(ranks, np, ng int, box, zInit, zFinal float64, steps, nc,
 		return fmt.Errorf("-ckpt-every %d needs -ckpt-dir", ckptEvery)
 	case ckptEvery == 0 && ckptDir != "":
 		return fmt.Errorf("-ckpt-dir %s needs -ckpt-every ≥1", ckptDir)
-	case maxRestarts < -1:
-		return fmt.Errorf("-max-restarts %d must be ≥-1 (-1 = unsupervised)", maxRestarts)
-	case maxRestarts < 0 && par == 0 && opTimeout != 0:
-		return fmt.Errorf("-op-timeout needs -max-restarts or -par (hang detection is a supervisor feature)")
-	case maxRestarts < 0 && par == 0 && deadline != 0:
-		return fmt.Errorf("-deadline needs -max-restarts or -par")
+	case maxRestarts < 0:
+		return fmt.Errorf("-max-restarts %d must be ≥0 (0 = no retry)", maxRestarts)
 	case opTimeout < 0 || deadline < 0:
 		return fmt.Errorf("timeouts must be ≥0")
 	}

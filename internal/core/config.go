@@ -365,10 +365,3 @@ func (c Config) TransferFunc() cosmology.TransferFunc {
 		return cosmology.EisensteinHuNoWiggle(c.Cosmo)
 	}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -22,16 +22,22 @@
 // geometry. All checkpoint failures are collectively agreed (mpi.AllOK),
 // so every rank observes one consistent outcome.
 //
-// RunSupervised makes the run self-healing (PR 6): failed attempts are
-// classified (panic, hang, abort, corrupt checkpoint, config), damaged
-// checkpoint directories are quarantined, and the run resumes from the
-// newest restorable checkpoint with bounded exponential backoff —
-// converging, by determinism plus restart-exactness, to the
-// bitwise-identical final state of an uninterrupted run. The config class
-// is the exception: a run that cannot succeed as configured (a particle
-// outrunning the ghost halo, reported by Step as *ErrParticleEscaped) is
-// deterministic, so it is reported once and never retried. Transient checkpoint write failures retry in
-// collective lockstep below the supervisor (Config.CheckpointRetries), and
-// the recovery history feeds machine.Counters. internal/fault manufactures
+// One supervisor makes the run self-healing. Its recovery loop classifies
+// each failed attempt (panic, hang, abort, corrupt checkpoint, config),
+// quarantines damaged checkpoint directories, and resumes from the newest
+// restorable checkpoint with bounded exponential backoff — converging, by
+// determinism plus restart-exactness, to the bitwise-identical final state
+// of an uninterrupted run. The config class is the exception: a run that
+// cannot succeed as configured (a particle outrunning the ghost halo,
+// reported by Step as *ErrParticleEscaped) is deterministic, so it is
+// reported once and never retried. The loop drives one of two attempt
+// runners: RunSupervised runs goroutine ranks in this process,
+// SuperviseProcs spawns one OS process per rank and reads each one's
+// failure from its exit code. Every rank starts through Start (New, or
+// Restore with restore failures marked corrupt-checkpoint), and a rank
+// process lives in RunRankProcess, the child half of SuperviseProcs. The
+// recovery history reaches the ranks' machine.Counters under both runners.
+// Transient checkpoint write failures retry in collective lockstep below
+// the supervisor (Config.CheckpointRetries). internal/fault manufactures
 // all of these failures deterministically for tests and chaos runs.
 package core

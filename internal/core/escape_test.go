@@ -48,9 +48,9 @@ func TestParticleEscapedIsTypedError(t *testing.T) {
 			t.Errorf("message %q lacks %q", pe.Error(), want)
 		}
 	}
-	if ClassifyFailure(runErr) != FailConfig || ExitCodeFor(runErr) != ExitConfig {
+	if classifyFailure(runErr) != FailConfig || ExitCodeFor(runErr) != ExitConfig {
 		t.Errorf("classified %v / exit %d, want %v / %d",
-			ClassifyFailure(runErr), ExitCodeFor(runErr), FailConfig, ExitConfig)
+			classifyFailure(runErr), ExitCodeFor(runErr), FailConfig, ExitConfig)
 	}
 }
 
@@ -82,7 +82,7 @@ func TestClassifyExitsConfig(t *testing.T) {
 		return err
 	}
 	err := classifyExits([]error{exit(ExitAbort), exit(ExitConfig)}, false)
-	if got := ClassifyFailure(err); got != FailConfig || got.Retryable() {
+	if got := classifyFailure(err); got != FailConfig || got.Retryable() {
 		t.Fatalf("exits {abort, config} classified %v (retryable %v): %v", got, got.Retryable(), err)
 	}
 }

@@ -1,18 +1,18 @@
 package core
 
-// Process-level supervision: the multi-process analogue of RunSupervised.
-// Where RunSupervised owns goroutine ranks inside one address space,
-// SuperviseProcs owns N OS processes connected through the mpi wire
-// transport. The failure taxonomy is shared — a rank process reports its own
-// failure through the exit-code protocol below (ExitCodeFor is the child
-// half, classifyExits the parent half), and the recovery loop reuses the
-// same pickResume/quarantine/backoff machinery, so a kill -9'd worker drives
-// exactly the classify → quarantine → resume-from-newest-checkpoint path the
-// in-process supervisor does.
+// The process attempt runner. Where RunSupervised's runner owns goroutine
+// ranks inside one address space, SuperviseProcs's owns N OS processes
+// connected through the mpi wire transport; both run under the same
+// recovery loop (supervise). A rank process reports its own failure through
+// the exit-code protocol below — RunRankProcess and ExitCodeFor are the
+// child half, classifyExits the parent half — so a kill -9'd worker drives
+// exactly the classify → quarantine → resume-from-newest-checkpoint path an
+// in-process rank panic does.
 
 import (
 	"fmt"
 	"io"
+	"log"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"hacc/internal/mpi"
-	"hacc/internal/obs"
 )
 
 // Exit-code protocol between a supervised rank process and its parent. A
@@ -38,16 +37,18 @@ const (
 )
 
 // EnvResume tells a respawned rank process which checkpoint step directory
-// to restore. It is set by SuperviseProcs on recovery attempts only, so a
-// child can gate first-attempt-only behavior (fault arming, injected
-// suicide) on its absence.
+// to restore. SuperviseProcs sets it whenever an attempt resumes, so a child
+// can gate first-attempt-only behavior (fault arming, injected suicide) on
+// its absence.
 const EnvResume = "HACC_RESUME"
 
-// ClassifyFailure diagnoses one attempt's error into the supervisor's
-// failure taxonomy — the exported form of the classifier RunSupervised uses,
-// for rank processes and launchers that classify on their own side of a
-// process boundary.
-func ClassifyFailure(err error) FailureClass { return classifyFailure(err) }
+// The rest of the supervisor→child contract: the recovery history the
+// ranks record in machine.Counters. Written by SuperviseProcs and read by
+// RunRankProcess only.
+const (
+	envRestarts    = "HACC_RESTARTS"
+	envQuarantined = "HACC_QUARANTINED"
+)
 
 // ExitCodeFor maps a rank-process error onto the exit-code protocol: the
 // child half of the classification handshake.
@@ -69,11 +70,38 @@ func ExitCodeFor(err error) int {
 	}
 }
 
-// MarkRestoreFailure wraps a checkpoint-restore error so ClassifyFailure and
-// ExitCodeFor report FailCorruptCheckpoint — the tag a rank process applies
-// before exiting, mirroring what RunSupervised's rank closure panics with.
-func MarkRestoreFailure(dir string, err error) error {
-	return &restoreError{dir: dir, err: err}
+// RunRankProcess is the life of one rank process under SuperviseProcs (or
+// any launcher speaking the mpi wire env contract): join the wire world via
+// mpi.ConnectEnv, Start the Simulation — restoring the checkpoint the
+// supervisor picked, else restart ("" = initial conditions) — with the
+// supervisor's recovery history in its counters, drive body, and exit
+// through the exit-code protocol so the parent can classify any failure
+// without parsing output. opTimeout bounds every blocking mpi operation (0 =
+// off). It never returns.
+func RunRankProcess(cfg Config, restart string, mutate func(*Config), opTimeout time.Duration, body func(*Simulation) error) {
+	a := attempt{resume: restart}
+	if dir := os.Getenv(EnvResume); dir != "" {
+		a.resume = dir
+	}
+	// Unset on a first attempt, where the history is zero.
+	a.restarts, _ = strconv.Atoi(os.Getenv(envRestarts))
+	a.quarantined, _ = strconv.Atoi(os.Getenv(envQuarantined))
+	w, err := mpi.ConnectEnv()
+	if err != nil {
+		log.Print(err)
+		os.Exit(ExitPanic)
+	}
+	if opTimeout > 0 {
+		w.SetTimeout(opTimeout)
+	}
+	err = w.Run(rankMain(cfg, mutate, a, body))
+	if cerr := w.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		log.Printf("rank %s: %v", os.Getenv(mpi.EnvRank), err)
+	}
+	os.Exit(ExitCodeFor(err))
 }
 
 // ProcOptions configures SuperviseProcs.
@@ -85,7 +113,7 @@ type ProcOptions struct {
 	// Command is the argv every rank process runs (the launcher re-execs
 	// itself here). The wire env contract is appended to each child's
 	// environment; the command must detect it (mpi.WireChild) and join via
-	// mpi.ConnectEnv.
+	// mpi.ConnectEnv — RunRankProcess does both.
 	Command []string
 	// Env is extra environment appended to every child.
 	Env []string
@@ -125,7 +153,8 @@ type ProcOptions struct {
 	Log func(string)
 }
 
-// rankProcErr describes the representative failure of one attempt.
+// rankProcErr describes the representative failure of one process attempt,
+// already classified from the exit-code protocol.
 type rankProcErr struct {
 	rank   int
 	class  FailureClass
@@ -136,15 +165,15 @@ func (e *rankProcErr) Error() string {
 	return fmt.Sprintf("rank process %d failed (%s): %s", e.rank, e.class, e.detail)
 }
 
-// SuperviseProcs runs one multi-process wire-world attempt after another
-// until the world completes or restarts are exhausted. Each attempt spawns
-// opts.Ranks copies of opts.Command with the mpi wire env contract (rank,
-// size, rendezvous socket, transport) plus EnvResume on recovery attempts,
-// waits for all of them, and classifies any failure from the exit-code
-// protocol: explicit protocol codes first, signal deaths and stray statuses
-// as crashes, an elapsed AttemptTimeout as a hang. Between attempts it picks
-// the newest restorable checkpoint under opts.CheckpointRoot (quarantining
-// damaged ones) and backs off exponentially — the same recovery loop as
+// SuperviseProcs runs a multi-process wire world under the failure
+// supervisor. Each attempt spawns opts.Ranks copies of opts.Command with the
+// mpi wire env contract (rank, size, rendezvous socket, transport) plus the
+// attempt's resume directory (EnvResume) and recovery history, waits for all
+// of them, and classifies any failure from the exit-code protocol: explicit
+// protocol codes first, signal deaths and stray statuses as crashes, an
+// elapsed AttemptTimeout as a hang. Between attempts the shared recovery
+// loop picks the newest restorable checkpoint under opts.CheckpointRoot
+// (quarantining damaged ones) and backs off exponentially — the same loop as
 // RunSupervised, across a process boundary.
 func SuperviseProcs(opts ProcOptions) (*Report, error) {
 	if opts.Ranks <= 0 {
@@ -152,18 +181,6 @@ func SuperviseProcs(opts ProcOptions) (*Report, error) {
 	}
 	if len(opts.Command) == 0 {
 		return nil, fmt.Errorf("core: SuperviseProcs needs a command")
-	}
-	if opts.MaxRestarts == 0 {
-		opts.MaxRestarts = 3
-	}
-	if opts.MaxRestarts < 0 {
-		opts.MaxRestarts = 0
-	}
-	if opts.Backoff <= 0 {
-		opts.Backoff = 100 * time.Millisecond
-	}
-	if opts.BackoffMax <= 0 {
-		opts.BackoffMax = 5 * time.Second
 	}
 	if opts.GraceKill <= 0 {
 		opts.GraceKill = 10 * time.Second
@@ -174,86 +191,21 @@ func SuperviseProcs(opts ProcOptions) (*Report, error) {
 	if opts.Stderr == nil {
 		opts.Stderr = os.Stderr
 	}
-	logf := func(format string, args ...any) {
-		if opts.Log != nil {
-			opts.Log(fmt.Sprintf(format, args...))
-		}
+	rc := recovery{
+		maxRestarts: opts.MaxRestarts,
+		backoff:     opts.Backoff,
+		backoffMax:  opts.BackoffMax,
+		ckptRoot:    opts.CheckpointRoot,
+		traceDir:    opts.TraceDir,
+		resumeFrom:  opts.ResumeFrom,
+		log:         opts.Log,
 	}
-	var incLog *obs.Journal
-	if opts.TraceDir != "" {
-		if j, err := obs.OpenJournalFile(filepath.Join(opts.TraceDir, "journal.supervisor.jsonl")); err == nil {
-			incLog = j
-			defer incLog.Close()
-		} else {
-			logf("supervisor: incident journal unavailable: %v", err)
-		}
-	}
-	recordIncident := func(inc Incident) {
-		rec := obs.IncidentRecord{
-			Kind:        "incident",
-			Attempt:     inc.Attempt,
-			Class:       inc.Class.String(),
-			Resume:      inc.Resume,
-			Quarantined: inc.Quarantined,
-			BackoffMs:   float64(inc.Backoff) / 1e6,
-		}
-		if inc.Err != nil {
-			rec.Err = inc.Err.Error()
-		}
-		incLog.Record(rec) // nil-safe
-	}
-
-	rep := &Report{}
-	resume := opts.ResumeFrom
-	for attempt := 0; ; attempt++ {
-		runErr := runProcAttempt(&opts, resume)
-		if runErr == nil {
-			rep.Completed = true
-			return rep, nil
-		}
-		class := classifyFailure(runErr)
-		inc := Incident{Attempt: attempt, Class: class, Err: runErr}
-		if class == FailCorruptCheckpoint && resume != "" {
-			if q, err := quarantine(opts.CheckpointRoot, resume); err == nil {
-				inc.Quarantined = append(inc.Quarantined, q)
-			}
-		}
-		if !class.Retryable() || attempt >= opts.MaxRestarts {
-			why := "restarts exhausted"
-			if !class.Retryable() {
-				why = "not retryable"
-			}
-			rep.Incidents = append(rep.Incidents, inc)
-			recordIncident(inc)
-			logf("supervisor: attempt %d failed (%s): %v; %s", attempt, class, runErr, why)
-			return rep, fmt.Errorf("core: supervised procs failed after %d restarts, %s: last failure (%s): %w",
-				rep.Restarts, why, class, runErr)
-		}
-		next, quars := pickResume(opts.CheckpointRoot)
-		inc.Quarantined = append(inc.Quarantined, quars...)
-		inc.Resume = next
-		backoff := opts.Backoff << attempt
-		if backoff > opts.BackoffMax {
-			backoff = opts.BackoffMax
-		}
-		inc.Backoff = backoff
-		rep.Incidents = append(rep.Incidents, inc)
-		recordIncident(inc)
-		from := next
-		if from == "" {
-			from = "initial conditions"
-		}
-		logf("supervisor: attempt %d failed (%s): %v; resuming from %s after %v",
-			attempt, class, runErr, from, backoff)
-		time.Sleep(backoff)
-		resume = next
-		rep.Restarts++
-	}
+	return supervise(rc, func(a attempt) error { return runProcAttempt(&opts, a) })
 }
 
 // runProcAttempt spawns and waits one world's worth of rank processes,
 // returning nil on success or a classifiable error.
-func runProcAttempt(opts *ProcOptions, resume string) error {
+func runProcAttempt(opts *ProcOptions, a attempt) error {
 	scratch, err := os.MkdirTemp("", "hacc-wire")
 	if err != nil {
 		return fmt.Errorf("core: wire scratch dir: %w", err)
@@ -271,8 +223,14 @@ func runProcAttempt(opts *ProcOptions, resume string) error {
 			mpi.EnvRendezvous+"="+rdv,
 			mpi.EnvTransport+"="+opts.Transport,
 		)
-		if resume != "" {
-			cmd.Env = append(cmd.Env, EnvResume+"="+resume)
+		if a.resume != "" {
+			cmd.Env = append(cmd.Env, EnvResume+"="+a.resume)
+		}
+		if a.restarts > 0 {
+			cmd.Env = append(cmd.Env,
+				envRestarts+"="+strconv.Itoa(a.restarts),
+				envQuarantined+"="+strconv.Itoa(a.quarantined),
+			)
 		}
 		cmd.Stderr = opts.Stderr
 		if r == 0 {
@@ -329,17 +287,20 @@ func runProcAttempt(opts *ProcOptions, resume string) error {
 			kill(0)
 		}
 	}
-	return classifyExits(exits, hung)
+	if rp := classifyExits(exits, hung); rp != nil {
+		return rp
+	}
+	return nil
 }
 
 // classifyExits folds the per-rank exit statuses into one representative
-// error, or nil when every rank succeeded. When several ranks report
+// failure, or nil when every rank succeeded. When several ranks report
 // different classes the root cause wins over the symptom: an unrunnable
 // configuration over everything, a corrupt checkpoint or a hang over a
 // crash, a crash over the aborts the dying rank's peers observe. An attempt
 // cut down by AttemptTimeout is a hang regardless of what the killed
 // processes report.
-func classifyExits(exits []error, hung bool) error {
+func classifyExits(exits []error, hung bool) *rankProcErr {
 	best := -1
 	prio := func(c FailureClass) int {
 		switch c {
@@ -380,25 +341,11 @@ func classifyExits(exits []error, hung bool) error {
 			rep = &rankProcErr{rank: r, class: class, detail: detail}
 		}
 	}
-	if rep == nil {
-		if hung {
+	if hung {
+		if rep == nil {
 			return &rankProcErr{rank: -1, class: FailHang, detail: "attempt deadline elapsed"}
 		}
-		return nil
-	}
-	if hung {
 		rep.class = FailHang
 	}
-	// Wrap so classifyFailure recovers the class: reuse the same sentinel
-	// error types the in-process path produces.
-	switch rep.class {
-	case FailHang:
-		return fmt.Errorf("core: %w: %v", &mpi.TimeoutError{Rank: rep.rank}, rep)
-	case FailAbort:
-		return fmt.Errorf("core: %w: %v", &mpi.AbortError{Rank: rep.rank, Reason: rep.detail}, rep)
-	case FailCorruptCheckpoint:
-		return fmt.Errorf("core: %w", &restoreError{dir: "(child)", err: rep})
-	default:
-		return fmt.Errorf("core: %w", rep)
-	}
+	return rep
 }

@@ -69,7 +69,7 @@ func (f FailureClass) String() string {
 type Incident struct {
 	Attempt     int          // 0-based attempt that failed
 	Class       FailureClass // diagnosis
-	Err         error        // the error mpi.Run surfaced
+	Err         error        // the error the attempt surfaced
 	Resume      string       // checkpoint dir the NEXT attempt resumes from ("" = initial conditions)
 	Quarantined []string     // checkpoint dirs moved aside before the next attempt
 	Backoff     time.Duration
@@ -98,8 +98,8 @@ type SupervisorOptions struct {
 	// outside mpi calls.
 	Deadline time.Duration
 	// ResumeFrom, when non-empty, makes the FIRST attempt restore from this
-	// checkpoint step directory or cadence root instead of starting from
-	// initial conditions (the -restart flag under supervision).
+	// checkpoint step directory instead of starting from initial conditions
+	// (the -restart flag).
 	ResumeFrom string
 	// Mutate adjusts bitwise-neutral config knobs on every restore, exactly
 	// as in Restore.
@@ -130,15 +130,16 @@ func (e *restoreError) Unwrap() error { return e.err }
 
 // classifyFailure diagnoses one attempt's error. Order matters: restore
 // failures and timeouts travel inside rank panics, so the specific classes
-// are tested before the generic FailPanic.
+// are tested before the generic FailPanic. A process attempt arrives already
+// classified from the exit-code protocol (*rankProcErr).
 func classifyFailure(err error) FailureClass {
 	var pe *ErrParticleEscaped
 	if errors.As(err, &pe) {
 		return FailConfig
 	}
 	var rp *rankProcErr
-	if errors.As(err, &rp) && rp.class == FailConfig {
-		return FailConfig
+	if errors.As(err, &rp) {
+		return rp.class
 	}
 	var re *restoreError
 	if errors.As(err, &re) {
@@ -155,45 +156,52 @@ func classifyFailure(err error) FailureClass {
 	return FailPanic
 }
 
-// RunSupervised runs body under a failure supervisor: it builds a world,
-// constructs (or restores) the Simulation on every rank, and calls body to
-// drive it. When the attempt fails — a rank panic, a detected hang, an
-// abort, a broken resume checkpoint — the supervisor tears the world down,
-// classifies the failure, quarantines any damaged checkpoint directory,
-// sleeps an exponential backoff, and retries from the newest restorable
-// checkpoint (falling back to older ones, and to initial conditions when
-// none survives). Steps are deterministic, so a supervised run that resumes
-// from a restart-exact checkpoint converges to the bitwise-identical final
-// state an uninterrupted run produces.
-//
-// body must be safe to re-run from a restored Simulation: drive the
-// remaining schedule (s.Run), then do terminal work. It runs on every rank.
-// The returned Report is valid even when err is non-nil (the run that
-// exhausted MaxRestarts is described by its incidents).
-//
-// The per-incident log is also fed into machine.Counters: each attempt's
-// Simulation starts with Counters.Restarts and Counters.CkptQuarantined
-// reflecting the supervisor's history, so checkpoints and reports written
-// by the run itself carry the campaign's recovery record.
-func RunSupervised(cfg Config, opts SupervisorOptions, body func(*Simulation) error) (*Report, error) {
-	if opts.Ranks <= 0 {
-		opts.Ranks = 1
+// attempt is what the supervisor hands its attempt runner for one try: the
+// checkpoint step directory to resume from ("" = initial conditions) and
+// the recovery history so far, which the ranks record in machine.Counters.
+type attempt struct {
+	resume      string
+	restarts    int
+	quarantined int
+}
+
+// recovery is the supervisor loop's policy: the restart budget and backoff
+// schedule, the cadenced checkpoint root recovery resumes from, the
+// directory for the incident journal, and the first attempt's resume dir.
+type recovery struct {
+	maxRestarts         int
+	backoff, backoffMax time.Duration
+	ckptRoot            string
+	traceDir            string
+	resumeFrom          string
+	log                 func(string)
+}
+
+// supervise is the one recovery loop behind RunSupervised and
+// SuperviseProcs; run is their attempt runner, returning nil on success or
+// a classifiable error. It runs attempts until one succeeds, and after each
+// failure it classifies the error, quarantines a resume directory that
+// failed to restore, picks the newest restorable checkpoint under the root
+// (quarantining damaged ones on the way), sleeps a capped exponential
+// backoff, and tries again — until a non-retryable class or the restart
+// budget ends the run. Every incident goes to the Report, the log, and
+// journal.supervisor.jsonl under the trace dir.
+func supervise(rc recovery, run func(attempt) error) (*Report, error) {
+	if rc.maxRestarts == 0 {
+		rc.maxRestarts = 3
 	}
-	if opts.MaxRestarts == 0 {
-		opts.MaxRestarts = 3
+	if rc.maxRestarts < 0 {
+		rc.maxRestarts = 0
 	}
-	if opts.MaxRestarts < 0 {
-		opts.MaxRestarts = 0
+	if rc.backoff <= 0 {
+		rc.backoff = 100 * time.Millisecond
 	}
-	if opts.Backoff <= 0 {
-		opts.Backoff = 100 * time.Millisecond
-	}
-	if opts.BackoffMax <= 0 {
-		opts.BackoffMax = 5 * time.Second
+	if rc.backoffMax <= 0 {
+		rc.backoffMax = 5 * time.Second
 	}
 	logf := func(format string, args ...any) {
-		if opts.Log != nil {
-			opts.Log(fmt.Sprintf(format, args...))
+		if rc.log != nil {
+			rc.log(fmt.Sprintf(format, args...))
 		}
 	}
 	// The supervisor's own incident journal, alongside the per-rank run
@@ -201,115 +209,160 @@ func RunSupervised(cfg Config, opts SupervisorOptions, body func(*Simulation) er
 	// process dies between attempts. Not a rank product — one file per
 	// supervisor, append-only across attempts.
 	var incLog *obs.Journal
-	if cfg.TraceDir != "" {
-		if j, err := obs.OpenJournalFile(filepath.Join(cfg.TraceDir, "journal.supervisor.jsonl")); err == nil {
+	if rc.traceDir != "" {
+		if j, err := obs.OpenJournalFile(filepath.Join(rc.traceDir, "journal.supervisor.jsonl")); err == nil {
 			incLog = j
 			defer incLog.Close()
 		} else {
 			logf("supervisor: incident journal unavailable: %v", err)
 		}
 	}
-	recordIncident := func(inc Incident) {
-		rec := obs.IncidentRecord{
-			Kind:        "incident",
-			Attempt:     inc.Attempt,
-			Class:       inc.Class.String(),
-			Resume:      inc.Resume,
-			Quarantined: inc.Quarantined,
-			BackoffMs:   float64(inc.Backoff) / 1e6,
-		}
-		if inc.Err != nil {
-			rec.Err = inc.Err.Error()
-		}
-		incLog.Record(rec) // nil-safe
-	}
 
 	rep := &Report{}
-	resume := opts.ResumeFrom
+	resume := rc.resumeFrom
 	quarantined := 0
-	var lastErr error
-	for attempt := 0; ; attempt++ {
-		// Capture plain values for the rank closures: goroutines leaked by a
-		// timed-out attempt must not race with the supervisor mutating rep.
-		restarts, quar, resumeDir := rep.Restarts, quarantined, resume
-		world := mpi.NewWorld(opts.Ranks)
-		if opts.OpTimeout > 0 {
-			world.SetTimeout(opts.OpTimeout)
-		}
-		runErr := world.RunDeadline(func(c *mpi.Comm) {
-			var s *Simulation
-			var err error
-			if resumeDir != "" {
-				s, err = Restore(c, resumeDir, opts.Mutate)
-				if err != nil {
-					panic(&restoreError{dir: resumeDir, err: err})
-				}
-			} else {
-				s, err = New(c, cfg)
-				if err != nil {
-					panic(err)
-				}
-			}
-			s.Counters.Restarts = int64(restarts)
-			s.Counters.CkptQuarantined = int64(quar)
-			if err := body(s); err != nil {
-				panic(err)
-			}
-		}, opts.Deadline)
-		if runErr == nil {
+	backoff := rc.backoff
+	for i := 0; ; i++ {
+		err := run(attempt{resume, rep.Restarts, quarantined})
+		if err == nil {
 			rep.Completed = true
 			return rep, nil
 		}
-		lastErr = runErr
-		// Teardown: release any goroutine an injected hang parked, so a
-		// wedged rank drains instead of leaking across attempts.
-		fault.Interrupt()
-
-		class := classifyFailure(runErr)
-		inc := Incident{Attempt: attempt, Class: class, Err: runErr}
+		class := classifyFailure(err)
+		inc := Incident{Attempt: i, Class: class, Err: err}
 		if class == FailCorruptCheckpoint && resume != "" {
 			// The resume dir itself is bad in a way Verify may not catch
 			// (meta mismatch, schedule drift): move it aside explicitly.
-			if q, err := quarantine(cfg.CheckpointDir, resume); err == nil {
+			if q, qerr := quarantine(resume); qerr == nil {
 				inc.Quarantined = append(inc.Quarantined, q)
-				quarantined++
 			}
 		}
-		if !class.Retryable() || attempt >= opts.MaxRestarts {
+		retry := class.Retryable() && i < rc.maxRestarts
+		if retry {
+			var quars []string
+			inc.Resume, quars = pickResume(rc.ckptRoot)
+			inc.Quarantined = append(inc.Quarantined, quars...)
+			inc.Backoff = min(backoff, rc.backoffMax)
+		}
+		quarantined += len(inc.Quarantined)
+		rep.Incidents = append(rep.Incidents, inc)
+		incLog.Record(obs.IncidentRecord{ // nil-safe
+			Kind:        "incident",
+			Attempt:     inc.Attempt,
+			Class:       inc.Class.String(),
+			Err:         err.Error(),
+			Resume:      inc.Resume,
+			Quarantined: inc.Quarantined,
+			BackoffMs:   float64(inc.Backoff) / 1e6,
+		})
+
+		if !retry {
 			why := "restarts exhausted"
 			if !class.Retryable() {
 				why = "not retryable"
 			}
-			rep.Incidents = append(rep.Incidents, inc)
-			recordIncident(inc)
-			logf("supervisor: attempt %d failed (%s): %v; %s", attempt, class, runErr, why)
+			logf("supervisor: attempt %d failed (%s): %v; %s", i, class, err, why)
 			return rep, fmt.Errorf("core: supervised run failed after %d restarts, %s: last failure (%s): %w",
-				rep.Restarts, why, class, lastErr)
+				rep.Restarts, why, class, err)
 		}
-
-		// Pick the resume point for the next attempt, quarantining damaged
-		// checkpoints as they are discovered.
-		next, quars := pickResume(cfg.CheckpointDir)
-		inc.Quarantined = append(inc.Quarantined, quars...)
-		quarantined += len(quars)
-		inc.Resume = next
-
-		backoff := opts.Backoff << attempt
-		if backoff > opts.BackoffMax {
-			backoff = opts.BackoffMax
-		}
-		inc.Backoff = backoff
-		rep.Incidents = append(rep.Incidents, inc)
-		recordIncident(inc)
-		from := next
+		from := inc.Resume
 		if from == "" {
 			from = "initial conditions"
 		}
 		logf("supervisor: attempt %d failed (%s): %v; resuming from %s after %v",
-			attempt, class, runErr, from, backoff)
-		time.Sleep(backoff)
-		resume = next
+			i, class, err, from, inc.Backoff)
+		time.Sleep(inc.Backoff)
+		backoff = 2 * inc.Backoff
+		resume = inc.Resume
 		rep.Restarts++
+	}
+}
+
+// RunSupervised runs body under the failure supervisor on an in-process
+// goroutine world: each attempt builds a world, starts the Simulation on
+// every rank (Start), and calls body to drive it. When the attempt fails — a
+// rank panic, a detected hang, an abort, a broken resume checkpoint — the
+// world is torn down and the shared recovery loop classifies the failure,
+// quarantines any damaged checkpoint directory, backs off, and retries from
+// the newest restorable checkpoint under cfg.CheckpointDir (falling back to
+// older ones, and to initial conditions when none survives). Steps are
+// deterministic, so a supervised run that resumes from a restart-exact
+// checkpoint converges to the bitwise-identical final state an uninterrupted
+// run produces.
+//
+// body must be safe to re-run from a restored Simulation: drive the
+// remaining schedule (s.Run), then do terminal work. It runs on every rank.
+// The returned Report is valid even when err is non-nil (the run that
+// exhausted MaxRestarts is described by its incidents).
+//
+// The recovery history is also fed into machine.Counters: every recovery
+// attempt's Simulation starts with Counters.Restarts and
+// Counters.CkptQuarantined reflecting the supervisor's history, so
+// checkpoints and reports written by the run itself carry the campaign's
+// recovery record.
+func RunSupervised(cfg Config, opts SupervisorOptions, body func(*Simulation) error) (*Report, error) {
+	if opts.Ranks <= 0 {
+		opts.Ranks = 1
+	}
+	rc := recovery{
+		maxRestarts: opts.MaxRestarts,
+		backoff:     opts.Backoff,
+		backoffMax:  opts.BackoffMax,
+		ckptRoot:    cfg.CheckpointDir,
+		traceDir:    cfg.TraceDir,
+		resumeFrom:  opts.ResumeFrom,
+		log:         opts.Log,
+	}
+	// The rank closure sees the attempt as a plain value, so goroutines
+	// leaked by a timed-out attempt never race with the loop.
+	return supervise(rc, func(a attempt) error {
+		world := mpi.NewWorld(opts.Ranks)
+		if opts.OpTimeout > 0 {
+			world.SetTimeout(opts.OpTimeout)
+		}
+		err := world.RunDeadline(rankMain(cfg, opts.Mutate, a, body), opts.Deadline)
+		if err != nil {
+			// Teardown: release any goroutine an injected hang parked, so a
+			// wedged rank drains instead of leaking across attempts.
+			fault.Interrupt()
+		}
+		return err
+	})
+}
+
+// Start builds this rank's Simulation for one attempt: New from cfg, or —
+// when resume names a checkpoint step directory — Restore from it with
+// mutate applied. A restore failure is marked as a corrupt checkpoint, so a
+// supervisor quarantines the directory instead of retrying it. Collective.
+func Start(c *mpi.Comm, cfg Config, resume string, mutate func(*Config)) (*Simulation, error) {
+	if resume == "" {
+		return New(c, cfg)
+	}
+	s, err := Restore(c, resume, mutate)
+	if err != nil {
+		return nil, &restoreError{dir: resume, err: err}
+	}
+	return s, nil
+}
+
+// rankMain is one rank's share of an attempt under either runner: Start
+// the Simulation, record the supervisor's history in its counters, and
+// drive body. Failures panic, so the world's recovery path surfaces them.
+func rankMain(cfg Config, mutate func(*Config), a attempt, body func(*Simulation) error) func(*mpi.Comm) {
+	return func(c *mpi.Comm) {
+		s, err := Start(c, cfg, a.resume, mutate)
+		if err != nil {
+			panic(err)
+		}
+		// A first attempt keeps the counters New or Restore set, so a run
+		// resumed by hand keeps the recovery record its checkpoint carries.
+		if a.restarts > 0 {
+			s.Counters.Restarts = int64(a.restarts)
+			s.Counters.CkptQuarantined = int64(a.quarantined)
+		}
+		if err := body(s); err != nil {
+			panic(err)
+		}
 	}
 }
 
@@ -335,7 +388,7 @@ func pickResume(root string) (string, []string) {
 		if err == nil {
 			return dir, quars
 		}
-		if q, qerr := quarantine(root, dir); qerr == nil {
+		if q, qerr := quarantine(dir); qerr == nil {
 			quars = append(quars, q)
 		}
 	}
@@ -372,11 +425,12 @@ func checkpointDirs(root string) []string {
 }
 
 // quarantine moves a damaged checkpoint step directory into the
-// "quarantined" subdirectory of the checkpoint root, so LatestCheckpoint's
-// step%d scan can never resume from it again but the bytes survive for a
-// post-mortem. Returns the new path.
-func quarantine(root, dir string) (string, error) {
-	qdir := filepath.Join(root, "quarantined")
+// "quarantined" subdirectory beside it — step directories sit directly
+// under their checkpoint root — so LatestCheckpoint's step%d scan can never
+// resume from it again but the bytes survive for a post-mortem. Returns the
+// new path.
+func quarantine(dir string) (string, error) {
+	qdir := filepath.Join(filepath.Dir(dir), "quarantined")
 	if err := os.MkdirAll(qdir, 0o755); err != nil {
 		return "", err
 	}

@@ -350,3 +350,124 @@ func TestSupervisedRestartsExhausted(t *testing.T) {
 		t.Fatalf("report %+v: want 3 incidents over 2 restarts, not completed", rep)
 	}
 }
+
+// scriptedErr is a fake attempt failure the classifier reads as a crash.
+type scriptedErr struct{ n int }
+
+func (e *scriptedErr) Error() string { return fmt.Sprintf("scripted failure %d", e.n) }
+
+// runScript drives the shared recovery loop with a fake attempt runner that
+// returns script[i] on attempt i (success once the script runs out) — no
+// world, no processes — and returns the attempts the runner was handed.
+func runScript(rc recovery, script ...error) (*Report, []attempt, error) {
+	var seen []attempt
+	rep, err := supervise(rc, func(a attempt) error {
+		seen = append(seen, a)
+		if i := len(seen) - 1; i < len(script) {
+			return script[i]
+		}
+		return nil
+	})
+	return rep, seen, err
+}
+
+// The recovery loop on scripted failures: one incident per failed attempt
+// in the Report and the journal, FailConfig stops at once, a corrupt resume
+// dir is quarantined, backoff doubles up to BackoffMax, the recovery history
+// reaches every attempt, and an exhausted budget's error unwraps to the last
+// failure.
+func TestSuperviseLoopScriptedFailures(t *testing.T) {
+	crash := func(n int) error { return &scriptedErr{n} }
+
+	t.Run("backoff doubles and caps", func(t *testing.T) {
+		trace := t.TempDir()
+		rep, seen, err := runScript(recovery{
+			maxRestarts: 5, backoff: time.Millisecond, backoffMax: 3 * time.Millisecond, traceDir: trace,
+		}, crash(1), crash(2), crash(3), crash(4))
+		if err != nil || !rep.Completed || rep.Restarts != 4 || len(rep.Incidents) != 4 {
+			t.Fatalf("report %+v, err %v: want completion after 4 restarts", rep, err)
+		}
+		want := []time.Duration{1, 2, 3, 3}
+		for i, inc := range rep.Incidents {
+			if inc.Attempt != i || inc.Class != FailPanic || inc.Backoff != want[i]*time.Millisecond {
+				t.Errorf("incident %d = %+v, want attempt %d, panic, backoff %v", i, inc, i, want[i]*time.Millisecond)
+			}
+		}
+		for i, a := range seen {
+			if a.restarts != i {
+				t.Errorf("attempt %d was told restarts=%d", i, a.restarts)
+			}
+		}
+		raw, err := os.ReadFile(filepath.Join(trace, "journal.supervisor.jsonl"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := strings.Count(string(raw), `"kind":"incident"`); n != 4 {
+			t.Errorf("journal holds %d incident records, want 4:\n%s", n, raw)
+		}
+	})
+
+	t.Run("config stops at once", func(t *testing.T) {
+		rep, seen, err := runScript(recovery{maxRestarts: 3, backoff: time.Millisecond}, &ErrParticleEscaped{})
+		if err == nil || len(seen) != 1 || rep.Restarts != 0 || len(rep.Incidents) != 1 || rep.Incidents[0].Class != FailConfig {
+			t.Fatalf("report %+v after %d attempts, err %v: want one config incident, no retry", rep, len(seen), err)
+		}
+	})
+
+	t.Run("corrupt checkpoint quarantined", func(t *testing.T) {
+		root := t.TempDir()
+		bad := filepath.Join(root, "step000004")
+		if err := os.Mkdir(bad, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		rep, seen, err := runScript(recovery{maxRestarts: 1, backoff: time.Millisecond, resumeFrom: bad},
+			&restoreError{dir: bad, err: errors.New("bad meta")})
+		if err != nil || len(rep.Incidents) != 1 || rep.Incidents[0].Class != FailCorruptCheckpoint {
+			t.Fatalf("report %+v, err %v: want one corrupt-checkpoint incident then success", rep, err)
+		}
+		moved := filepath.Join(root, "quarantined", "step000004")
+		if q := rep.Incidents[0].Quarantined; len(q) != 1 || q[0] != moved {
+			t.Fatalf("quarantined %v, want [%s]", q, moved)
+		}
+		if _, err := os.Stat(bad); !os.IsNotExist(err) {
+			t.Fatal("corrupt resume dir still in place")
+		}
+		if len(seen) != 2 || seen[1] != (attempt{resume: "", restarts: 1, quarantined: 1}) {
+			t.Fatalf("attempts %+v: want the retry from initial conditions told of 1 restart, 1 quarantine", seen)
+		}
+	})
+
+	t.Run("exhausted unwraps to last failure", func(t *testing.T) {
+		rep, _, err := runScript(recovery{maxRestarts: 2, backoff: time.Millisecond}, crash(1), crash(2), crash(3))
+		var last *scriptedErr
+		if !errors.As(err, &last) || last.n != 3 {
+			t.Fatalf("error %v does not unwrap to scripted failure 3", err)
+		}
+		if rep.Completed || rep.Restarts != 2 || len(rep.Incidents) != 3 {
+			t.Fatalf("report %+v: want 3 incidents over 2 restarts", rep)
+		}
+	})
+}
+
+// A resume dir that fails to restore with no checkpoint root configured (a
+// hand-written Simulation.Checkpoint resumed under supervision) is
+// quarantined beside itself, not into the working directory.
+func TestQuarantineStaysBesideCheckpoint(t *testing.T) {
+	root := t.TempDir()
+	dir := filepath.Join(root, "mine")
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := RunSupervised(chaosCfg(""), SupervisorOptions{
+		Ranks: 2, MaxRestarts: -1, ResumeFrom: dir,
+	}, func(s *Simulation) error { return s.Run(nil) })
+	if err == nil || len(rep.Incidents) != 1 || rep.Incidents[0].Class != FailCorruptCheckpoint {
+		t.Fatalf("report %+v, err %v: want one corrupt-checkpoint incident", rep, err)
+	}
+	if _, err := os.Stat(filepath.Join(root, "quarantined", "mine")); err != nil {
+		t.Fatalf("resume dir not quarantined beside itself: %v", err)
+	}
+	if _, err := os.Stat("quarantined"); !os.IsNotExist(err) {
+		t.Fatal("quarantine created a directory in the working directory")
+	}
+}

@@ -12,7 +12,6 @@ package core
 
 import (
 	"encoding/gob"
-	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -40,10 +39,13 @@ func TestMain(m *testing.M) {
 }
 
 // runProduct is what one full run yields for bitwise comparison: the global
-// ID-sorted particle state and the P(k) estimate, both as raw bit patterns.
+// ID-sorted particle state and the P(k) estimate, both as raw bit patterns,
+// plus rank 0's Counters.Restarts (the recovery history a process run's
+// ranks received from the supervisor).
 type runProduct struct {
-	State []uint64
-	Pk    []uint64
+	State    []uint64
+	Pk       []uint64
+	Restarts int64
 }
 
 // collectProduct drives the remaining schedule and gathers the run product
@@ -133,68 +135,41 @@ func TestWireFullRunEquivalence(t *testing.T) {
 	}
 }
 
-// wireHelperMain is the re-exec'd rank-process body: join the wire world
-// from the launcher environment, run chaosCfg's schedule (optionally
-// SIGKILLing rank 1 mid-run on the first attempt), and write the run product
-// from rank 0. It exits through the supervisor exit-code protocol.
+// wireHelperMain is the re-exec'd rank-process body: run chaosCfg's
+// schedule as one rank of the wire world (optionally SIGKILLing rank 1
+// mid-run on the first attempt) and write the run product from rank 0.
+// RunRankProcess exits through the supervisor exit-code protocol.
 func wireHelperMain() {
-	ckroot := os.Getenv(envHelperCk)
 	outPath := os.Getenv(envHelperTo)
 	killStep := -1
 	if v := os.Getenv(envHelperKS); v != "" {
 		killStep, _ = strconv.Atoi(v)
 	}
-	resume := os.Getenv(EnvResume)
-	w, err := mpi.ConnectEnv()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(ExitPanic)
-	}
-	err = w.Run(func(c *mpi.Comm) {
-		var s *Simulation
-		var err error
-		if resume != "" {
-			s, err = Restore(c, resume, nil)
-			if err != nil {
-				panic(MarkRestoreFailure(resume, err))
-			}
-		} else {
-			s, err = New(c, chaosCfg(ckroot))
-			if err != nil {
-				panic(err)
-			}
-		}
+	firstAttempt := os.Getenv(EnvResume) == ""
+	RunRankProcess(chaosCfg(os.Getenv(envHelperCk)), "", nil, 0, func(s *Simulation) error {
+		c := s.Comm
 		p, err := collectProduct(c, s, func(step int, a float64) {
 			// The real thing, not an injected panic: no deferred cleanup, no
 			// exit status, no abort frame — peers find out from the dead
 			// connection. First attempt only (EnvResume gates recovery).
-			if resume == "" && step == killStep && c.Rank() == 1 {
+			if firstAttempt && step == killStep && c.Rank() == 1 {
 				syscall.Kill(os.Getpid(), syscall.SIGKILL)
 			}
 		})
+		if err != nil || c.Rank() != 0 {
+			return err
+		}
+		p.Restarts = s.Counters.Restarts
+		f, err := os.Create(outPath)
 		if err != nil {
-			panic(err)
+			return err
 		}
-		if c.Rank() == 0 {
-			f, err := os.Create(outPath)
-			if err != nil {
-				panic(err)
-			}
-			if err := gob.NewEncoder(f).Encode(p); err != nil {
-				panic(err)
-			}
-			if err := f.Close(); err != nil {
-				panic(err)
-			}
+		if err := gob.NewEncoder(f).Encode(p); err != nil {
+			f.Close()
+			return err
 		}
+		return f.Close()
 	})
-	if cerr := w.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-	}
-	os.Exit(ExitCodeFor(err))
 }
 
 // superviseHelper runs one supervised multi-process world of re-exec'd test
@@ -287,6 +262,9 @@ func TestProcKillRecoveryBitwise(t *testing.T) {
 	}
 	if rep.Incidents[0].Resume == "" {
 		t.Error("recovery did not resume from a checkpoint")
+	}
+	if got.Restarts != int64(rep.Restarts) {
+		t.Errorf("rank 0 Counters.Restarts = %d, report says %d", got.Restarts, rep.Restarts)
 	}
 	sameProduct(t, "proc/kill-9", got, want)
 }

@@ -1,7 +1,6 @@
 package machine
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"sync"
@@ -203,15 +202,8 @@ func BGQTimePerSubstep(flops float64, nodes int) time.Duration {
 // Timers accumulates named phase durations (kernel, walk, fft, cic, build,
 // comm, …). Safe for concurrent Add.
 type Timers struct {
-	mu    sync.Mutex
-	m     map[string]time.Duration
-	stack []phaseFrame // open Enter frames, innermost last
-}
-
-// phaseFrame is one open Enter/Exit bracket.
-type phaseFrame struct {
-	name  string
-	start time.Time
+	mu sync.Mutex
+	m  map[string]time.Duration
 }
 
 // NewTimers creates an empty timer set.
@@ -229,55 +221,6 @@ func (t *Timers) Time(name string, fn func()) {
 	start := time.Now()
 	fn()
 	t.Add(name, time.Since(start))
-}
-
-// Enter opens the named phase for explicit Enter/Exit bracketing — the form
-// Time cannot express, where the phase boundary spans non-lexical scopes
-// (loop iterations, early returns from callees). Phases nest; Exit must
-// close the innermost open phase. Mismatched bracketing is a programming
-// error and panics loudly rather than silently misattributing time.
-func (t *Timers) Enter(name string) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.stack = append(t.stack, phaseFrame{name: name, start: time.Now()})
-}
-
-// Exit closes the named phase opened by the matching Enter, accumulating the
-// elapsed time. It panics if no phase is open or if name is not the
-// innermost open phase.
-func (t *Timers) Exit(name string) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if len(t.stack) == 0 {
-		panic(fmt.Sprintf("machine: Timers.Exit(%q) with no open phase", name))
-	}
-	top := t.stack[len(t.stack)-1]
-	if top.name != name {
-		panic(fmt.Sprintf("machine: Timers.Exit(%q) does not match open phase %q", name, top.name))
-	}
-	t.stack = t.stack[:len(t.stack)-1]
-	t.m[name] += time.Since(top.start)
-}
-
-// Merge accumulates every phase of o into t — the per-worker timer merge:
-// workers time their own phases into private Timers and the owner folds them
-// in after the join. Merging a timer set into itself is a no-op (not a
-// doubling). Open Enter frames are not merged; o should be quiesced first.
-func (t *Timers) Merge(o *Timers) {
-	if o == nil || o == t {
-		return
-	}
-	o.mu.Lock()
-	snap := make(map[string]time.Duration, len(o.m))
-	for n, d := range o.m {
-		snap[n] = d
-	}
-	o.mu.Unlock()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for n, d := range snap {
-		t.m[n] += d
-	}
 }
 
 // Get returns the accumulated duration of a phase.

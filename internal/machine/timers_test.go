@@ -35,53 +35,8 @@ func TestTimersUnenteredPhases(t *testing.T) {
 	}
 }
 
-func TestTimersEnterExit(t *testing.T) {
-	tm := NewTimers()
-	tm.Enter("walk")
-	tm.Enter("kernel") // nested
-	time.Sleep(time.Millisecond)
-	tm.Exit("kernel")
-	tm.Exit("walk")
-	if got := tm.Get("kernel"); got <= 0 {
-		t.Fatalf("kernel = %v, want > 0", got)
-	}
-	if got := tm.Get("walk"); got < tm.Get("kernel") {
-		t.Fatalf("outer walk (%v) shorter than nested kernel (%v)", got, tm.Get("kernel"))
-	}
-}
-
-// Misusing the Enter/Exit bracketing must panic loudly, not silently
-// misattribute phase time.
-func TestTimersExitMisusePanics(t *testing.T) {
-	mustPanic := func(name string, fn func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Fatalf("%s did not panic", name)
-			}
-		}()
-		fn()
-	}
-	mustPanic("Exit with no open phase", func() {
-		NewTimers().Exit("kernel")
-	})
-	mustPanic("Exit of a phase that is not innermost", func() {
-		tm := NewTimers()
-		tm.Enter("walk")
-		tm.Enter("kernel")
-		tm.Exit("walk")
-	})
-	mustPanic("Exit of a never-entered phase", func() {
-		tm := NewTimers()
-		tm.Enter("walk")
-		tm.Exit("fft")
-	})
-}
-
-// The per-worker pattern: workers accumulate into private timer sets and the
-// owner merges them after the join. Concurrent merges into one target must
-// be exact under -race.
-func TestTimersConcurrentMerge(t *testing.T) {
+// Concurrent Add into one timer set must be exact under -race.
+func TestTimersConcurrentAdd(t *testing.T) {
 	const workers = 8
 	total := NewTimers()
 	var wg sync.WaitGroup
@@ -89,33 +44,18 @@ func TestTimersConcurrentMerge(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			priv := NewTimers()
 			for i := 0; i < 100; i++ {
-				priv.Add("kernel", time.Microsecond)
-				priv.Add(CommWait, time.Microsecond)
+				total.Add("kernel", time.Microsecond)
+				total.Add(CommWait, time.Microsecond)
 			}
-			total.Merge(priv)
 		}()
 	}
 	wg.Wait()
 	want := time.Duration(workers*100) * time.Microsecond
 	if got := total.Get("kernel"); got != want {
-		t.Fatalf("merged kernel = %v, want %v", got, want)
+		t.Fatalf("kernel = %v, want %v", got, want)
 	}
 	if got := total.Busy(); got != want {
-		t.Fatalf("merged Busy = %v, want %v (commwait excluded)", got, want)
-	}
-}
-
-func TestTimersMergeSelfAndNil(t *testing.T) {
-	tm := NewTimers()
-	tm.Add("kernel", time.Second)
-	tm.Merge(tm)
-	if got := tm.Get("kernel"); got != time.Second {
-		t.Fatalf("self-merge doubled kernel to %v", got)
-	}
-	tm.Merge(nil)
-	if got := tm.Get("kernel"); got != time.Second {
-		t.Fatalf("nil merge changed kernel to %v", got)
+		t.Fatalf("Busy = %v, want %v (commwait excluded)", got, want)
 	}
 }
