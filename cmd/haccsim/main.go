@@ -330,7 +330,7 @@ func drive(s *core.Simulation, pkBins int, snapPath string, start time.Time) err
 		if dir := s.Cfg.TraceDir; dir != "" {
 			log.Printf("trace timelines and journals under %s", dir)
 		}
-		for _, p := range s.Timers.Fractions() {
+		for _, p := range s.Timers.Sums().Fractions() {
 			fmt.Printf("  %-10s %5.1f%%\n", p.Name, 100*p.Fraction)
 		}
 	}

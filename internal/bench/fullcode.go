@@ -11,6 +11,7 @@ import (
 	"hacc/internal/cosmology"
 	"hacc/internal/machine"
 	"hacc/internal/mpi"
+	"hacc/internal/obs"
 )
 
 // FullResult is one row of the Table II / Table III reproductions.
@@ -30,7 +31,7 @@ type FullResult struct {
 	HostGFlops   float64
 	BGQTF        float64 // modeled sustained TFlops at paper efficiency
 	BGQPct       float64
-	Phases       []machine.PhaseFraction
+	Phases       []obs.PhaseFraction
 	OverloadFrac float64
 	CommPostSec  float64 // pack+post share of communication (overlappable)
 	CommWaitSec  float64 // exposed blocking wait share
@@ -121,7 +122,8 @@ func runFullCfg(o FullOptions, cfg core.Config) (FullResult, error) {
 		}
 		mpi.Barrier(c)
 		wall := time.Since(start).Seconds()
-		busy := mpi.AllGather(c, []float64{s.Timers.Busy().Seconds()})
+		phases := s.Timers.Sums()
+		busy := mpi.AllGather(c, []float64{phases.Busy().Seconds()})
 		work := mpi.AllGather(c, []float64{float64(s.Counters.KernelInteractions + s.Counters.WalkNodes)})
 		mem := mpi.AllReduce(c, []float64{s.MemoryMB()}, mpi.MaxF64)
 		ovf := mpi.AllReduce(c, []float64{s.Dom.OverloadFraction()}, mpi.MaxF64)
@@ -147,11 +149,10 @@ func runFullCfg(o FullOptions, cfg core.Config) (FullResult, error) {
 		res.Flops = gc.Flops()
 		res.HostGFlops = res.Flops / wall / 1e9
 		res.BGQTF, res.BGQPct = machine.ProjectedBGQ(o.Ranks)
-		res.Phases = s.Timers.Fractions()
+		res.Phases = phases.Fractions()
 		res.OverloadFrac = ovf[0]
-		post, waitT := s.Timers.CommSplit()
-		res.CommPostSec = post.Seconds()
-		res.CommWaitSec = waitT.Seconds()
+		res.CommPostSec = phases[obs.SpanCommPost].Seconds()
+		res.CommWaitSec = phases[obs.SpanCommWait].Seconds()
 		res.BusyMaxSec, res.BusyMinSec = busy[0], busy[0]
 		for _, b := range busy {
 			res.BusyMaxSec = math.Max(res.BusyMaxSec, b)

@@ -158,7 +158,7 @@ func decodeCkptMeta(meta []byte) (ckptMeta, []byte, error) {
 // never leaves a truncated file under a restorable name. Collective.
 func (s *Simulation) Checkpoint(dir string) (err error) {
 	retries0 := s.Counters.CkptRetries
-	s.phase("checkpoint", obs.SpanCheckpoint, func() { err = s.checkpoint(dir) })
+	s.Timers.Time(obs.SpanCheckpoint, func() { err = s.checkpoint(dir) })
 	if s.journal != nil {
 		rec := obs.CheckpointRecord{
 			Kind:    "checkpoint",
@@ -257,8 +257,8 @@ func (s *Simulation) maybeCheckpoint() error {
 // Restore rebuilds a running Simulation from a checkpoint step directory,
 // continuing the integration from the recorded step. The configuration is
 // taken from the checkpoint itself; mutate (optional) may adjust
-// bitwise-neutral knobs — thread count, overlap, analysis and checkpoint
-// output — before construction, but any change to a physics-defining field
+// bitwise-neutral knobs — thread count, analysis and checkpoint output —
+// before construction, but any change to a physics-defining field
 // is rejected via the config fingerprint, because restart-exactness cannot
 // hold across a physics change.
 //
@@ -316,7 +316,7 @@ func Restore(c *mpi.Comm, dir string, mutate func(*Config)) (*Simulation, error)
 	}
 	cfg = cfg.WithDefaults()
 	if fp := cfg.Fingerprint(); fp != m.CfgFP {
-		return nil, fmt.Errorf("core: restart config changes the physics (fingerprint %016x, checkpoint %016x); only output, threading, and overlap knobs may differ across a restart", fp, m.CfgFP)
+		return nil, fmt.Errorf("core: restart config changes the physics (fingerprint %016x, checkpoint %016x); only output and threading knobs may differ across a restart", fp, m.CfgFP)
 	}
 	s, err := newSimulation(c, cfg)
 	if err != nil {

@@ -441,7 +441,6 @@ func TestRestoreValidation(t *testing.T) {
 	err = mpi.Run(2, func(c *mpi.Comm) {
 		s, err := Restore(c, stepDir, func(c *Config) {
 			c.Threads = 1
-			c.DisableOverlap = true
 			c.CheckpointEvery = 0
 			c.CheckpointDir = ""
 		})

@@ -64,18 +64,6 @@ type Config struct {
 	NTrees        int     // RCB trees per rank (default 1; §VI load balancing)
 	ThreadedCIC   bool    // threaded forward-CIC deposit (§VI)
 
-	// DisableOverlap forces fully synchronous communication: every exchange
-	// completes inside the call that posted it. By default the planned
-	// Begin/End exchanges overlap communication with computation — the
-	// density ghost-accumulate hides the deferred overload refresh, the
-	// three acceleration-component fills pipeline against interpolation,
-	// and Run defers the end-of-step refresh completion past the step
-	// callback into the next step's long-range kick. Every overlap is
-	// bitwise neutral; the only visible contract is that a Run callback
-	// must not read Dom.Passive (it is mid-refresh there — call
-	// Simulation.FinishRefresh first, or set DisableOverlap).
-	DisableOverlap bool
-
 	// In-situ analysis (the paper's sky-survey data products, produced
 	// without raw particle dumps). All four knobs are validated centrally in
 	// Validate: zero values take the documented defaults; negative (or
@@ -323,9 +311,9 @@ func (c Config) Validate() error {
 // Fingerprint hashes every configuration field that affects the bitwise
 // trajectory of the run — the problem definition, the integrator schedule,
 // and the solver parameters (including ThreadedCIC, whose deposit order
-// differs from the serial one). Output knobs, thread counts, and
-// communication overlap are excluded: they are bitwise-neutral (pinned by
-// the PR 1–3 equivalence tests), so a restart may legally change them. A
+// differs from the serial one). Output knobs and thread counts are
+// excluded: they are bitwise-neutral (pinned by the PR 1–3 equivalence
+// tests), so a restart may legally change them. A
 // checkpoint stores the fingerprint of the config that produced it, and
 // Restore refuses a config whose fingerprint differs — restart-exactness
 // cannot be promised across a physics change. Call on a defaulted config

@@ -11,7 +11,10 @@
 // overlapped Begin/End stepping (PR 3), the in-situ FOF and P(k) plans
 // driven by Config.AnalysisEvery (PR 4), and the collective checkpoint
 // writer driven by Config.CheckpointEvery (PR 5). The hot stepping path
-// allocates nothing after the first sub-cycle.
+// allocates nothing after the first sub-cycle. Each phase of a step is
+// timed by one call on the rank's phase clock (Simulation.Timers, an
+// obs.Phases), which feeds the phase split, the journal's step records and,
+// when Config.TraceDir arms tracing, the trace timeline.
 //
 // Checkpoint/Restore make the run durable: a checkpoint captures the
 // complete run state (active and replica particles, counters, schedule

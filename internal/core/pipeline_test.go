@@ -59,15 +59,21 @@ func TestThreadedPipelineMatchesSerial(t *testing.T) {
 }
 
 // TestOverlappedStepMatchesSequential extends the pipeline-equivalence
-// regression to the overlapped communication layer: with overlap on
-// (default), the density ghost-accumulate hides the deferred refresh, the
-// three acceleration fills pipeline against interpolation, and Run defers
-// the end-of-step refresh past the step callback — all bitwise-neutral
-// reorderings, so the spectrum must exactly match a run with every exchange
-// completed synchronously (DisableOverlap). The callback exercises the
-// overlap window, including a mid-window FinishRefresh.
+// regression to the overlapped communication layer: Run hides the deferred
+// refresh behind the density ghost-accumulate, pipelines the three
+// acceleration fills against interpolation, and defers the end-of-step
+// refresh past the step callback — all bitwise-neutral reorderings, so the
+// spectrum must exactly match a loop of Step, which completes every
+// exchange before it returns. The callback exercises the overlap window,
+// including a mid-window FinishRefresh.
 func TestOverlappedStepMatchesSequential(t *testing.T) {
-	run := func(cfg Config, finish bool) *analysis.PowerSpectrum {
+	type mode int
+	const (
+		stepLoop mode = iota
+		overlapped
+		withFinish
+	)
+	run := func(cfg Config, m mode) *analysis.PowerSpectrum {
 		var ps *analysis.PowerSpectrum
 		err := mpi.Run(2, func(c *mpi.Comm) {
 			s, err := New(c, cfg)
@@ -75,25 +81,34 @@ func TestOverlappedStepMatchesSequential(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			steps := 0
-			err = s.Run(func(step int, a float64) {
-				steps++
-				if finish && step == 1 {
-					// A callback that needs passives completes the pending
-					// refresh explicitly; the rest of the run stays
-					// overlapped.
-					s.FinishRefresh()
-					if s.Dom.Passive.Len() == 0 {
-						t.Error("no passives after FinishRefresh")
+			if m == stepLoop {
+				for s.StepIndex < cfg.Steps {
+					if err := s.Step(); err != nil {
+						t.Error(err)
+						return
 					}
 				}
-			})
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			if steps != cfg.Steps {
-				t.Errorf("callback ran %d times, want %d", steps, cfg.Steps)
+			} else {
+				steps := 0
+				err = s.Run(func(step int, a float64) {
+					steps++
+					if m == withFinish && step == 1 {
+						// A callback that needs passives completes the
+						// pending refresh explicitly; the rest of the run
+						// stays overlapped.
+						s.FinishRefresh()
+						if s.Dom.Passive.Len() == 0 {
+							t.Error("no passives after FinishRefresh")
+						}
+					}
+				})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if steps != cfg.Steps {
+					t.Errorf("callback ran %d times, want %d", steps, cfg.Steps)
+				}
 			}
 			out := s.PowerSpectrum(10, false)
 			if c.Rank() == 0 {
@@ -111,19 +126,17 @@ func TestOverlappedStepMatchesSequential(t *testing.T) {
 		cfg.Steps = 2
 		cfg.SubCycles = 3
 		cfg.Threads = 4
-		cfg.DisableOverlap = true
-		sequential := run(cfg, false)
-		cfg.DisableOverlap = false
-		overlapped := run(cfg, false)
-		withFinish := run(cfg, true)
+		sequential := run(cfg, stepLoop)
+		ov := run(cfg, overlapped)
+		fin := run(cfg, withFinish)
 		for i := range sequential.K {
-			if sequential.P[i] != overlapped.P[i] {
-				t.Errorf("%v k=%.3f: sequential %g vs overlapped %g",
-					solver, sequential.K[i], sequential.P[i], overlapped.P[i])
+			if sequential.P[i] != ov.P[i] {
+				t.Errorf("%v k=%.3f: Step loop %g vs Run %g",
+					solver, sequential.K[i], sequential.P[i], ov.P[i])
 			}
-			if sequential.P[i] != withFinish.P[i] {
-				t.Errorf("%v k=%.3f: sequential %g vs overlapped+FinishRefresh %g",
-					solver, sequential.K[i], sequential.P[i], withFinish.P[i])
+			if sequential.P[i] != fin.P[i] {
+				t.Errorf("%v k=%.3f: Step loop %g vs Run+FinishRefresh %g",
+					solver, sequential.K[i], sequential.P[i], fin.P[i])
 			}
 		}
 	}

@@ -25,7 +25,8 @@ func (s *Simulation) minSlabWidth() int { return int(math.Ceil(s.Cfg.Overload)) 
 // counters are bitwise reproducible across runs and schedules, so every
 // rank derives the identical cost vector and the collective rebalance
 // decision cannot diverge. (Wall-clock imbalance is still reported, by the
-// bench layer, from Timers.Busy.) Collective when the balancer is enabled.
+// bench layer, from the phase clock's Busy.) Collective when the balancer
+// is enabled.
 func (s *Simulation) observeCost() {
 	if s.balancer == nil {
 		return
@@ -161,7 +162,7 @@ func validCuts(cuts [3][]int, n, dims [3]int) error {
 // the ID-sorted particle state. Collective; cuts must be identical on every
 // rank and satisfy grid.NewDecompCuts.
 func (s *Simulation) RebalanceTo(cuts [3][]int) {
-	s.phase("rebalance", obs.SpanRebalance, func() { s.rebalanceTo(cuts) })
+	s.Timers.Time(obs.SpanRebalance, func() { s.rebalanceTo(cuts) })
 	s.Counters.Rebalances++
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"time"
 
 	"hacc/internal/analysis"
 	"hacc/internal/balance"
@@ -49,8 +48,10 @@ type Simulation struct {
 	// ParticleMassMsun is the particle mass in Msun/h.
 	ParticleMassMsun float64
 
-	// Timers and Counters accumulate per-rank performance data.
-	Timers   *machine.Timers
+	// Timers is the rank's phase clock (per-phase wall time, mirrored into
+	// the trace ring when tracing is armed); Counters accumulates countable
+	// work.
+	Timers   *obs.Phases
 	Counters machine.Counters
 
 	// SubstepsDone counts executed short-range sub-cycles (for
@@ -94,14 +95,14 @@ type Simulation struct {
 	lastWalk  int64
 
 	// Observability (PR 10): journal is the per-rank JSONL run journal (nil
-	// unless Cfg.TraceDir is set — every method is nil-safe), lastPhaseSec
-	// snapshots the timer totals at the previous step record so each record
+	// unless Cfg.TraceDir is set — every method is nil-safe), lastPhases
+	// snapshots the phase clock at the previous step record so each record
 	// carries per-phase deltas, and the gauges mirror step/a into the
 	// world's metric registry for the live debug endpoint.
-	journal      *obs.Journal
-	lastPhaseSec map[string]float64
-	gaugeStep    *obs.Gauge
-	gaugeA       *obs.Gauge
+	journal    *obs.Journal
+	lastPhases obs.PhaseSums
+	gaugeStep  *obs.Gauge
+	gaugeA     *obs.Gauge
 }
 
 // InSituResult is one in-situ analysis product: the rank's share of the
@@ -171,7 +172,7 @@ func newSimulation(c *mpi.Comm, cfg Config) (*Simulation, error) {
 		return nil, err
 	}
 	n := [3]int{cfg.NGrid, cfg.NGrid, cfg.NGrid}
-	s := &Simulation{Cfg: cfg, Comm: c, Timers: machine.NewTimers()}
+	s := &Simulation{Cfg: cfg, Comm: c, Timers: obs.NewPhases(c.Rank())}
 	s.pool = par.NewPool(cfg.Threads)
 	s.Dec = grid.NewDecomp(n, c.Size())
 	s.Dom = domain.New(c, s.Dec, cfg.Overload)
@@ -267,7 +268,6 @@ func newSimulation(c *mpi.Comm, cfg Config) (*Simulation, error) {
 			return nil, err
 		}
 		s.journal = j
-		s.lastPhaseSec = map[string]float64{}
 		if err := j.Record(obs.RunRecord{
 			Kind: "run", Rank: c.Rank(), Ranks: c.Size(),
 			Solver: cfg.Solver.String(), KernelISA: shortrange.KernelISA(),
@@ -290,15 +290,6 @@ func newSimulation(c *mpi.Comm, cfg Config) (*Simulation, error) {
 		}
 	}
 	return s, nil
-}
-
-// phase runs fn under both observability layers at once: the named timer
-// (the phase-split report) and a trace span (the per-rank timeline). With
-// tracing disarmed the span half costs one atomic load.
-func (s *Simulation) phase(name string, id obs.SpanID, fn func()) {
-	t0 := obs.Begin()
-	s.Timers.Time(name, fn)
-	obs.End(s.Comm.Rank(), id, t0)
 }
 
 // ensureFOF builds the persistent halo-finder plan on first use (purely
@@ -331,7 +322,7 @@ func (s *Simulation) Z() float64 { return cosmology.ZFromA(s.A) }
 // around SubCycles short-range SKS sub-cycles), then re-establishes domain
 // ownership and overloading. Collective. Step is fully synchronous: the
 // end-of-step exchange completes before it returns (Run overlaps it with
-// the step callback instead).
+// the step callback instead), so a loop of Step is Run without overlap.
 func (s *Simulation) Step() error {
 	if err := s.step(); err != nil {
 		return err
@@ -347,8 +338,8 @@ func (s *Simulation) Step() error {
 }
 
 // step runs the integrator ops and posts the end-of-step exchange, leaving
-// the refresh completion pending (unless overlap is disabled) so callers
-// can hide it behind analysis or the next step's long-range kick.
+// the refresh completion pending so callers can hide it behind analysis or
+// the next step's long-range kick.
 func (s *Simulation) step() error {
 	if s.StepIndex >= s.sched.Steps {
 		return fmt.Errorf("core: all %d steps already taken", s.sched.Steps)
@@ -364,78 +355,76 @@ func (s *Simulation) step() error {
 	// Rebalance before any physics of the step, so the whole step runs under
 	// one geometry and every rank makes the identical collective decision.
 	s.maybeRebalance()
-	stepT0 := obs.Begin()
-	wallT0 := time.Now()
 	a0, a1 := s.sched.StepBounds(s.StepIndex)
-	ops := timestep.Ops(s.Cfg.Cosmo, a0, a1, s.sched.SubCycles)
-	for _, op := range ops {
+	var err error
+	s.Timers.Time(obs.SpanStep, func() { err = s.runOps(a0, a1) })
+	if err != nil {
+		return err
+	}
+	s.StepIndex++
+	s.A = a1
+	s.recordStep(a1 - a0)
+	return nil
+}
+
+// runOps runs one step's integrator ops, migrates, and posts the end-of-step
+// overload refresh.
+func (s *Simulation) runOps(a0, a1 float64) error {
+	for _, op := range timestep.Ops(s.Cfg.Cosmo, a0, a1, s.sched.SubCycles) {
 		switch op.Kind {
 		case timestep.KickLong:
-			t0 := obs.Begin()
-			err := s.kickLong(op.W)
-			obs.End(s.Comm.Rank(), obs.SpanKickLong, t0)
+			var err error
+			s.Timers.Time(obs.SpanKickLong, func() { err = s.kickLong(op.W) })
 			if err != nil {
 				return err
 			}
 		case timestep.KickShort:
 			s.FinishRefresh() // no-op except before the first passive read
-			t0 := obs.Begin()
-			s.kickShort(op.W)
-			obs.End(s.Comm.Rank(), obs.SpanKickShort, t0)
+			s.Timers.Time(obs.SpanKickShort, func() { s.kickShort(op.W) })
 			s.SubstepsDone++
 		case timestep.Stream:
 			s.FinishRefresh()
-			t0 := obs.Begin()
-			s.stream(op.W)
-			obs.End(s.Comm.Rank(), obs.SpanStream, t0)
+			s.Timers.Time(obs.SpanStream, func() { s.stream(op.W) })
 		}
 	}
 	// Migration cannot overlap anything (the refresh classification needs
 	// the arrived actives), but the refresh wait can: post it here and let
 	// the caller run analysis — or the next deposit+solve — before the End.
-	s.phase(machine.CommPost, obs.SpanCommPost, func() { s.Dom.MigrateBegin() })
-	s.phase(machine.CommWait, obs.SpanCommWait, func() { s.Dom.MigrateEnd() })
-	s.phase(machine.CommPost, obs.SpanCommPost, func() { s.Dom.RefreshBegin() })
+	s.Timers.Time(obs.SpanCommPost, s.Dom.MigrateBegin)
+	s.Timers.Time(obs.SpanCommWait, s.Dom.MigrateEnd)
+	s.Timers.Time(obs.SpanCommPost, s.Dom.RefreshBegin)
 	s.refreshPending = true
-	if s.Cfg.DisableOverlap {
-		s.FinishRefresh()
-	}
 	s.observeCost()
-	s.StepIndex++
-	s.A = a1
-	obs.End(s.Comm.Rank(), obs.SpanStep, stepT0)
-	s.recordStep(a1-a0, time.Since(wallT0))
 	return nil
 }
 
 // recordStep appends this completed step to the run journal and mirrors the
 // run's progress into the metric gauges. No-op without a journal.
-func (s *Simulation) recordStep(da float64, wall time.Duration) {
+func (s *Simulation) recordStep(da float64) {
 	s.gaugeStep.Set(float64(s.StepIndex))
 	s.gaugeA.Set(s.A)
 	if s.journal == nil {
 		return
 	}
-	// Timers accumulate for the life of the rank; the record carries this
-	// step's contribution, so diff against the previous step's totals.
-	var phases map[string]float64
-	cur := make(map[string]float64, len(s.lastPhaseSec))
-	for _, pf := range s.Timers.Fractions() {
-		cur[pf.Name] = pf.Seconds
-		if d := pf.Seconds - s.lastPhaseSec[pf.Name]; d > 0 {
-			if phases == nil {
-				phases = make(map[string]float64)
-			}
-			phases[pf.Name] = d * 1e3
-		}
+	// The phase clock accumulates for the life of the rank; the record
+	// carries this step's contribution, so diff against the previous
+	// record's snapshot.
+	cur := s.Timers.Sums()
+	step := cur
+	for id := range step {
+		step[id] -= s.lastPhases[id]
 	}
-	s.lastPhaseSec = cur
+	s.lastPhases = cur
+	phases := make(map[string]float64)
+	for _, pf := range step.Fractions() {
+		phases[pf.Name] = pf.Seconds * 1e3
+	}
 	s.journal.Record(obs.StepRecord{
 		Kind:       "step",
 		Step:       s.StepIndex,
 		A:          s.A,
 		Da:         da,
-		WallMs:     float64(wall) / 1e6,
+		WallMs:     float64(step[obs.SpanStep]) / 1e6,
 		PhaseMs:    phases,
 		Imbalance:  s.Imbalance(),
 		Rebalances: s.Counters.Rebalances,
@@ -450,16 +439,15 @@ func (s *Simulation) FinishRefresh() {
 	if !s.refreshPending {
 		return
 	}
-	s.phase(machine.CommWait, obs.SpanCommWait, func() { s.Dom.RefreshEnd() })
+	s.Timers.Time(obs.SpanCommWait, s.Dom.RefreshEnd)
 	s.refreshPending = false
 }
 
 // Run advances through all remaining steps, invoking cb (if non-nil) after
-// every step. Unless Cfg.DisableOverlap is set, the end-of-step overload
-// refresh stays in flight while cb runs and completes behind the next
-// step's density deposit, so the exchange wait is hidden twice over; cb may
-// read actives freely but must call FinishRefresh before touching
-// Dom.Passive.
+// every step. The end-of-step overload refresh stays in flight while cb
+// runs and completes behind the next step's density deposit, so the
+// exchange wait is hidden twice over; cb may read actives freely but must
+// call FinishRefresh before touching Dom.Passive.
 func (s *Simulation) Run(cb func(step int, a float64)) error {
 	// Flush this rank's trace ring however the run ends — completion, a step
 	// error, or a panic unwinding toward the supervisor — so a crashed run
@@ -507,7 +495,7 @@ func (s *Simulation) maybeAnalyze() error {
 func (s *Simulation) Analyze() error {
 	s.ensureAnalysis(s.Cfg.AnalysisBins)
 	var res InSituResult
-	s.phase("analysis", obs.SpanAnalysis, func() {
+	s.Timers.Time(obs.SpanAnalysis, func() {
 		res = InSituResult{Step: s.StepIndex, A: s.A}
 		res.Spectrum = s.power.Measure(s.Dom, true)
 		s.FinishRefresh()
@@ -558,7 +546,7 @@ func (s *Simulation) kickLong(w float64) error {
 	if err := s.checkEscaped(&s.Dom.Active); err != nil {
 		return err
 	}
-	s.phase("cic", obs.SpanCIC, func() {
+	s.Timers.Time(obs.SpanCIC, func() {
 		s.rho.Fill(0)
 		if s.Cfg.ThreadedCIC {
 			grid.DepositCICParallel(s.rho, s.Dom.Active.X, s.Dom.Active.Y, s.Dom.Active.Z, s.ParticleMass, s.Cfg.Threads)
@@ -568,30 +556,30 @@ func (s *Simulation) kickLong(w float64) error {
 		s.Counters.CICOps += int64(s.Dom.Active.Len())
 	})
 	var rhoOp *grid.GhostOp
-	s.phase(machine.CommPost, obs.SpanCommPost, func() { rhoOp = s.rhoEx.AccumulateBegin(s.rho) })
+	s.Timers.Time(obs.SpanCommPost, func() { rhoOp = s.rhoEx.AccumulateBegin(s.rho) })
 	// Complete a refresh deferred from the previous step while the ghost
 	// sums are in flight (first passive read of this step is below).
 	s.FinishRefresh()
-	s.phase(machine.CommWait, obs.SpanCommWait, func() { rhoOp.End() })
+	s.Timers.Time(obs.SpanCommWait, rhoOp.End)
 	if err := s.checkEscaped(&s.Dom.Passive); err != nil {
 		return err
 	}
-	s.phase("fft", obs.SpanFFT, func() {
+	s.Timers.Time(obs.SpanFFT, func() {
 		s.poisson.Solve(s.rho, &s.acc)
 		// One r2c forward + three c2r gradient inverses; Hermitian symmetry
 		// halves each, so the flop model counts 4×½ = 2 complex-transform
 		// equivalents.
 		s.Counters.FFT3D += 2
 	})
-	s.phase(machine.CommPost, obs.SpanCommPost, func() {
+	s.Timers.Time(obs.SpanCommPost, func() {
 		for d := 0; d < 3; d++ {
 			s.fillOps[d] = s.accEx[d].FillBegin(s.acc[d])
 		}
 	})
 	for d := 0; d < 3; d++ {
-		s.phase(machine.CommWait, obs.SpanCommWait, func() { s.fillOps[d].End() })
+		s.Timers.Time(obs.SpanCommWait, s.fillOps[d].End)
 		s.fillOps[d] = nil
-		s.phase("cic", obs.SpanCIC, func() {
+		s.Timers.Time(obs.SpanCIC, func() {
 			s.applyGridKickComponent(&s.Dom.Active, d, w)
 			s.applyGridKickComponent(&s.Dom.Passive, d, w)
 		})
@@ -631,15 +619,6 @@ func (s *Simulation) checkEscaped(p *domain.Particles) error {
 		Step: s.StepIndex, Rank: s.Comm.Rank(),
 		Coord: [3]float32{p.X[i], p.Y[i], p.Z[i]},
 		Lo:    s.rho.Box.Lo, Hi: s.rho.Box.Hi, Ghost: s.rho.Ghost,
-	}
-}
-
-// applyGridKick interpolates the PM acceleration and updates momenta for
-// all three components (the non-pipelined form, kept for benchmarks and
-// callers outside the overlapped step).
-func (s *Simulation) applyGridKick(p *domain.Particles, w float64) {
-	for d := 0; d < 3; d++ {
-		s.applyGridKickComponent(p, d, w)
 	}
 }
 
@@ -698,28 +677,20 @@ func (s *Simulation) kickShort(w float64) {
 			if sc.fr == nil {
 				sc.fr = tree.NewForest(s.Cfg.LeafSize, s.Cfg.NTrees, s.Cfg.RCut)
 			}
-			t0 := time.Now()
-			sp := obs.Begin()
-			sc.fr.Rebuild(x, y, z)
-			s.Timers.Add("build", time.Since(t0))
-			obs.End(s.Comm.Rank(), obs.SpanBuild, sp)
-			t0 = time.Now()
-			sp = obs.Begin()
-			if s.Cfg.StealWalks {
-				s.Counters.StolenLeaves += sc.fr.ComputeForcesStealRanges(s.Kernel.ApplyRanges, s.Cfg.RCut, s.pool)
-			} else {
-				// Forest threading splits goroutines across sub-trees itself;
-				// it does not use the flat worker pool.
-				sc.fr.ComputeForcesRanges(s.Kernel.ApplyRanges, s.Cfg.RCut, s.Cfg.Threads)
-			}
-			obs.End(s.Comm.Rank(), obs.SpanWalk, sp)
-			walkAndKernel := time.Since(t0)
-			inter := sc.fr.Interactions()
-			s.Counters.KernelInteractions += inter
-			s.Counters.WalkNodes += sc.fr.NodesVisited()
-			kshare := kernelShare(walkAndKernel, inter, sc.fr.NeighborCount())
-			s.Timers.Add("kernel", kshare)
-			s.Timers.Add("walk", walkAndKernel-kshare)
+			s.Timers.Time(obs.SpanBuild, func() { sc.fr.Rebuild(x, y, z) })
+			s.Timers.Split(obs.SpanKernel, obs.SpanWalk, func() float64 {
+				if s.Cfg.StealWalks {
+					s.Counters.StolenLeaves += sc.fr.ComputeForcesStealRanges(s.Kernel.ApplyRanges, s.Cfg.RCut, s.pool)
+				} else {
+					// Forest threading splits goroutines across sub-trees
+					// itself; it does not use the flat worker pool.
+					sc.fr.ComputeForcesRanges(s.Kernel.ApplyRanges, s.Cfg.RCut, s.Cfg.Threads)
+				}
+				inter := sc.fr.Interactions()
+				s.Counters.KernelInteractions += inter
+				s.Counters.WalkNodes += sc.fr.NodesVisited()
+				return kernelShare(inter, sc.fr.NeighborCount())
+			})
 			sc.fr.AccelInto(ax, ay, az)
 			break
 		}
@@ -727,47 +698,31 @@ func (s *Simulation) kickShort(w float64) {
 			sc.tr = tree.New(s.Cfg.LeafSize)
 		}
 		tr := sc.tr
-		t0 := time.Now()
-		sp := obs.Begin()
-		tr.Rebuild(x, y, z)
-		s.Timers.Add("build", time.Since(t0))
-		obs.End(s.Comm.Rank(), obs.SpanBuild, sp)
-		t0 = time.Now()
-		sp = obs.Begin()
-		if s.Cfg.StealWalks {
-			s.Counters.StolenLeaves += tr.ComputeForcesStealRanges(s.Kernel.ApplyRanges, s.Cfg.RCut, s.pool)
-		} else {
-			tr.ComputeForcesPoolRanges(s.Kernel.ApplyRanges, s.Cfg.RCut, s.pool)
-		}
-		obs.End(s.Comm.Rank(), obs.SpanWalk, sp)
-		walkAndKernel := time.Since(t0)
-		inter := tr.Interactions.Load()
-		s.Counters.KernelInteractions += inter
-		s.Counters.WalkNodes += tr.NodesVisited.Load()
+		s.Timers.Time(obs.SpanBuild, func() { tr.Rebuild(x, y, z) })
 		// Split the measured time by the modeled kernel rate: the kernel
 		// share is interactions at the sustained per-pair cost; remainder
 		// is the walk. (Direct per-leaf timing would serialize the
 		// goroutines' clocks; the paper reports the same split from
 		// hardware counters.)
-		kshare := kernelShare(walkAndKernel, inter, tr.NeighborCount.Load())
-		s.Timers.Add("kernel", kshare)
-		s.Timers.Add("walk", walkAndKernel-kshare)
+		s.Timers.Split(obs.SpanKernel, obs.SpanWalk, func() float64 {
+			if s.Cfg.StealWalks {
+				s.Counters.StolenLeaves += tr.ComputeForcesStealRanges(s.Kernel.ApplyRanges, s.Cfg.RCut, s.pool)
+			} else {
+				tr.ComputeForcesPoolRanges(s.Kernel.ApplyRanges, s.Cfg.RCut, s.pool)
+			}
+			inter := tr.Interactions.Load()
+			s.Counters.KernelInteractions += inter
+			s.Counters.WalkNodes += tr.NodesVisited.Load()
+			return kernelShare(inter, tr.NeighborCount.Load())
+		})
 		tr.AccelInto(ax, ay, az)
 	case P3M:
 		if sc.cm == nil {
 			sc.cm = shortrange.NewMesh(s.Cfg.RCut)
 		}
 		cm := sc.cm
-		t0 := time.Now()
-		sp := obs.Begin()
-		cm.Rebuild(x, y, z)
-		s.Timers.Add("build", time.Since(t0))
-		obs.End(s.Comm.Rank(), obs.SpanBuild, sp)
-		t0 = time.Now()
-		sp = obs.Begin()
-		cm.ComputeForcesPoolRanges(s.Kernel.ApplyRanges, s.pool)
-		s.Timers.Add("kernel", time.Since(t0))
-		obs.End(s.Comm.Rank(), obs.SpanWalk, sp)
+		s.Timers.Time(obs.SpanBuild, func() { cm.Rebuild(x, y, z) })
+		s.Timers.Time(obs.SpanKernel, func() { cm.ComputeForcesPoolRanges(s.Kernel.ApplyRanges, s.pool) })
 		s.Counters.KernelInteractions += cm.Interactions.Load()
 		cm.AccelInto(ax, ay, az)
 	}
@@ -809,23 +764,22 @@ func splitAtActive(na, lo, hi int) (aEnd, pBegin int) {
 	return
 }
 
-// kernelShare estimates the kernel's share of the combined walk+kernel
+// kernelShare estimates the kernel's fraction of the combined walk+kernel
 // time from the interaction-to-gather ratio.
-func kernelShare(total time.Duration, interactions, gathered int64) time.Duration {
+func kernelShare(interactions, gathered int64) float64 {
 	if interactions <= 0 {
 		return 0
 	}
 	// Gather cost per neighbor copied is ~1/8 of a pair interaction.
 	k := float64(interactions)
 	g := float64(gathered) / 8
-	return time.Duration(float64(total) * k / (k + g))
+	return k / (k + g)
 }
 
 // stream advances positions x += w·p for actives and passives, sharded
 // across the worker pool (per-particle independent, so identical to
 // serial).
 func (s *Simulation) stream(w float64) {
-	t0 := time.Now()
 	wv := float32(w)
 	act, pas := &s.Dom.Active, &s.Dom.Passive
 	na := act.Len()
@@ -843,7 +797,6 @@ func (s *Simulation) stream(w float64) {
 			pas.Z[j] += wv * pas.Vz[j]
 		}
 	})
-	s.Timers.Add("stream", time.Since(t0))
 }
 
 // PowerSpectrum measures P(k) of the current particle distribution on the

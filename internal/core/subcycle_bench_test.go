@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"hacc/internal/domain"
 	"hacc/internal/mpi"
 )
 
@@ -52,8 +53,9 @@ func BenchmarkSubCycle(b *testing.B) {
 }
 
 // BenchmarkGridKick measures the PM-kick interpolation/momentum-update path
-// (applyGridKick over actives+passives) with ReportAllocs; the persistent
-// gather buffer keeps it allocation-free after warmup.
+// (applyGridKickComponent over all three components of actives+passives)
+// with ReportAllocs; the persistent gather buffer keeps it allocation-free
+// after warmup.
 func BenchmarkGridKick(b *testing.B) {
 	err := mpi.Run(1, func(c *mpi.Comm) {
 		s, err := New(c, benchSubCycleCfg(PMOnly, 2))
@@ -61,12 +63,17 @@ func BenchmarkGridKick(b *testing.B) {
 			panic(err)
 		}
 		const w = 1e-3
-		s.applyGridKick(&s.Dom.Active, w)
+		kick := func(p *domain.Particles) {
+			for d := 0; d < 3; d++ {
+				s.applyGridKickComponent(p, d, w)
+			}
+		}
+		kick(&s.Dom.Active)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			s.applyGridKick(&s.Dom.Active, w)
-			s.applyGridKick(&s.Dom.Passive, w)
+			kick(&s.Dom.Active)
+			kick(&s.Dom.Passive)
 		}
 		b.StopTimer()
 	})

@@ -2,8 +2,6 @@ package machine
 
 import (
 	"math"
-	"sort"
-	"sync"
 	"time"
 )
 
@@ -199,98 +197,10 @@ func BGQTimePerSubstep(flops float64, nodes int) time.Duration {
 	return time.Duration(flops / rate * float64(time.Second))
 }
 
-// Timers accumulates named phase durations (kernel, walk, fft, cic, build,
-// comm, …). Safe for concurrent Add.
-type Timers struct {
-	mu sync.Mutex
-	m  map[string]time.Duration
-}
-
-// NewTimers creates an empty timer set.
-func NewTimers() *Timers { return &Timers{m: make(map[string]time.Duration)} }
-
-// Add accumulates d into the named phase.
-func (t *Timers) Add(name string, d time.Duration) {
-	t.mu.Lock()
-	t.m[name] += d
-	t.mu.Unlock()
-}
-
-// Time runs fn and accumulates its duration into the named phase.
-func (t *Timers) Time(name string, fn func()) {
-	start := time.Now()
-	fn()
-	t.Add(name, time.Since(start))
-}
-
-// Get returns the accumulated duration of a phase.
-func (t *Timers) Get(name string) time.Duration {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.m[name]
-}
-
-// Communication phase names. The overlapped stepping pipeline splits comm
-// time into the posted share (pack + post of non-blocking legs, charged to
-// CommPost) and the exposed share (blocking wait + unpack, charged to
-// CommWait). Exposed wait is what communication actually costs the step —
-// overlap hides latency by shrinking CommWait (hidden communication shows
-// up in neither phase; it is absorbed into the compute phases it ran
-// behind), while CommPost is local pack work that overlap cannot remove.
+// CommPost and CommWait are the names of the obs.SpanCommPost (pack + post)
+// and obs.SpanCommWait (exposed wait + unpack) phases, for callers that
+// read phases by name.
 const (
 	CommPost = "commpost"
 	CommWait = "commwait"
 )
-
-// CommSplit returns the posted and exposed communication time.
-func (t *Timers) CommSplit() (post, wait time.Duration) {
-	return t.Get(CommPost), t.Get(CommWait)
-}
-
-// Busy returns the total time across phases minus the exposed communication
-// wait: the rank's working share of the step. Imbalance shows up as a
-// spread of Busy across ranks — an idle rank parks in CommWait while the
-// overloaded one computes — so max/mean/min of per-rank Busy is the
-// step-time imbalance column of the phase report.
-func (t *Timers) Busy() time.Duration {
-	return t.Total() - t.Get(CommWait)
-}
-
-// Total returns the sum over all phases.
-func (t *Timers) Total() time.Duration {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	var s time.Duration
-	for _, d := range t.m {
-		s += d
-	}
-	return s
-}
-
-// Fractions returns each phase's share of the total, sorted descending —
-// the paper's "80% kernel, 10% walk, 5% FFT" breakdown (§III).
-func (t *Timers) Fractions() []PhaseFraction {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	var tot time.Duration
-	for _, d := range t.m {
-		tot += d
-	}
-	out := make([]PhaseFraction, 0, len(t.m))
-	for n, d := range t.m {
-		f := 0.0
-		if tot > 0 {
-			f = float64(d) / float64(tot)
-		}
-		out = append(out, PhaseFraction{Name: n, Seconds: d.Seconds(), Fraction: f})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Fraction > out[j].Fraction })
-	return out
-}
-
-// PhaseFraction is one row of the time-split report.
-type PhaseFraction struct {
-	Name     string
-	Seconds  float64
-	Fraction float64
-}

@@ -48,25 +48,6 @@ func TestProjection(t *testing.T) {
 	}
 }
 
-func TestTimers(t *testing.T) {
-	tm := NewTimers()
-	tm.Add("kernel", 80*time.Millisecond)
-	tm.Add("walk", 10*time.Millisecond)
-	tm.Add("fft", 5*time.Millisecond)
-	tm.Add("other", 5*time.Millisecond)
-	tm.Time("other", func() {}) // ~0
-	if tm.Get("kernel") != 80*time.Millisecond {
-		t.Errorf("Get kernel %v", tm.Get("kernel"))
-	}
-	fr := tm.Fractions()
-	if fr[0].Name != "kernel" || math.Abs(fr[0].Fraction-0.8) > 0.01 {
-		t.Errorf("top phase %+v", fr[0])
-	}
-	if tm.Total() < 100*time.Millisecond {
-		t.Errorf("total %v", tm.Total())
-	}
-}
-
 // TestCounterCheckpointWords pins the checkpoint counter-block contract:
 // Encode/Decode round-trip exactly, and MergeRestored folds adopted blocks
 // with per-rank sums adding while the global transform count and grid
@@ -110,15 +91,5 @@ func TestCounterCheckpointWords(t *testing.T) {
 	noR := Counters{KernelInteractions: 100}
 	if withR.Flops() != noR.Flops() {
 		t.Fatalf("resilience counters leak into Flops: %g != %g", withR.Flops(), noR.Flops())
-	}
-}
-
-func TestTimersBusy(t *testing.T) {
-	tm := NewTimers()
-	tm.Add("kernel", 70*time.Millisecond)
-	tm.Add(CommPost, 10*time.Millisecond)
-	tm.Add(CommWait, 20*time.Millisecond)
-	if got, want := tm.Busy(), 80*time.Millisecond; got != want {
-		t.Fatalf("Busy() = %v, want %v", got, want)
 	}
 }

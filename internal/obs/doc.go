@@ -1,6 +1,17 @@
-// Package obs is the run-wide observability layer: a low-overhead span
-// tracer, a typed metrics registry, a structured per-rank run journal, and
-// an opt-in live debug HTTP endpoint.
+// Package obs is the run-wide observability layer: a per-rank phase clock, a
+// low-overhead span tracer, a typed metrics registry, a structured per-rank
+// run journal, and an opt-in live debug HTTP endpoint.
+//
+// # Phase clock
+//
+// SpanID is the one phase-name table. Phases is a rank's phase clock: Time
+// runs a phase, reads the clock once at each end, adds the interval to a
+// fixed per-SpanID sum and, when tracing is armed, writes the same interval
+// into the rank's trace ring, so the phase split, the journal's per-step
+// phase_ms and the trace agree to the nanosecond. Split records one
+// measured interval as two adjacent phases (the tree walk's modeled kernel
+// share, then the walk). PhaseSums.Fractions and Busy report the leaf
+// phases; the enclosing step and kick phases are not summed into them.
 //
 // # Span tracer
 //

@@ -10,52 +10,67 @@ import (
 	"time"
 )
 
-// SpanID identifies one instrumented phase. The IDs are stable small
-// integers so a span record is two words of payload plus two int64
-// timestamps — cheap enough to record at sub-cycle granularity.
+// SpanID identifies one instrumented phase. The IDs are small integers
+// (only their names leave the process) so a span record is two words of
+// payload plus two int64 timestamps — cheap enough to record at sub-cycle
+// granularity — and a per-phase sum is one array slot.
 type SpanID uint8
 
-// Instrumented phases. Core's step loop emits the physics spans; the mpi
-// runtime emits SpanRecv/SpanWait around its blocking operations; gio emits
-// SpanGioWrite around container writes.
+// Instrumented phases. Core times the step, kick and leaf phases on its
+// phase clock (Phases); the mpi runtime emits SpanRecv/SpanWait around its
+// blocking operations and gio emits SpanGioWrite around container writes,
+// both into the trace ring only.
 const (
+	// Enclosing phases: each contains leaf phases, so the phase split does
+	// not sum them.
 	SpanStep SpanID = iota
 	SpanKickLong
 	SpanKickShort
-	SpanStream
-	SpanBuild
+
+	// Leaf phases: the phase split and the journal's per-step phase_ms.
+	SpanKernel
 	SpanWalk
+	SpanBuild
 	SpanFFT
 	SpanCIC
 	SpanCommPost
 	SpanCommWait
-	SpanRebalance
+	SpanStream
 	SpanAnalysis
 	SpanCheckpoint
+	SpanRebalance
+
+	// Trace-only spans.
 	SpanRecv
 	SpanWait
 	SpanGioWrite
 	numSpans
 )
 
+// spanNames is the one phase-name table: trace event names, journal
+// phase_ms keys and Phases.Get all read it.
 var spanNames = [numSpans]string{
 	SpanStep:       "step",
 	SpanKickLong:   "kick-long",
 	SpanKickShort:  "kick-short",
-	SpanStream:     "stream",
-	SpanBuild:      "tree-build",
+	SpanKernel:     "kernel",
 	SpanWalk:       "walk",
+	SpanBuild:      "build",
 	SpanFFT:        "fft",
 	SpanCIC:        "cic",
-	SpanCommPost:   "comm-post",
-	SpanCommWait:   "comm-wait",
-	SpanRebalance:  "rebalance",
+	SpanCommPost:   "commpost",
+	SpanCommWait:   "commwait",
+	SpanStream:     "stream",
 	SpanAnalysis:   "analysis",
 	SpanCheckpoint: "checkpoint",
+	SpanRebalance:  "rebalance",
 	SpanRecv:       "recv",
 	SpanWait:       "wait",
 	SpanGioWrite:   "gio-write",
 }
+
+// leaf reports whether id is a leaf phase of the phase split.
+func (id SpanID) leaf() bool { return id >= SpanKernel && id < SpanRecv }
 
 func (id SpanID) String() string {
 	if int(id) < len(spanNames) {
@@ -163,15 +178,21 @@ func EndWorker(rank, worker int, id SpanID, start int64) {
 	if start == 0 {
 		return
 	}
-	t := armed.Load()
-	if t == nil || rank < 0 || rank >= len(t.rings) {
+	if t := armed.Load(); t != nil {
+		t.record(rank, worker, id, start, time.Now().UnixNano()-start)
+	}
+}
+
+// record writes one span into rank's ring; out-of-range ranks are dropped.
+func (t *Tracer) record(rank, worker int, id SpanID, start, dur int64) {
+	if rank < 0 || rank >= len(t.rings) {
 		return
 	}
 	r := t.rings[rank]
 	slot := (r.n.Add(1) - 1) & (ringCap - 1)
 	rec := &r.recs[slot]
 	rec.start = start
-	rec.dur = time.Now().UnixNano() - start
+	rec.dur = dur
 	rec.id = uint32(id)
 	rec.tid = uint32(worker)
 }
