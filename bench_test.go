@@ -259,12 +259,11 @@ func BenchmarkFig11_Halos(b *testing.B) {
 }
 
 // imbalanceResult captures one load-balancing run: the max/mean per-rank
-// short-range work of the final (most clustered) step, plus balancer and
-// stealing diagnostics.
+// short-range work of the final (most clustered) step, plus the balancer's
+// rebalance count.
 type imbalanceResult struct {
 	LastStepImb float64
 	Rebalances  int64
-	Stolen      int64
 }
 
 // runImbalance evolves the clustered halo IC on 8 ranks and measures the
@@ -275,9 +274,9 @@ func runImbalance(rebalance bool) (imbalanceResult, error) {
 	// The schedule (z = 3 → 1 in 6 steps) and the clustered IC defaults are
 	// matched: per-step drift stays within the ~1-cell overload margin, which
 	// narrow rebalanced slabs require (see ic.ClusteredOptions.ScaleRad).
-	// Threads is pinned (not left to the single-core default) so the steal
-	// dispatch actually has workers to balance; both knobs are documented
-	// bitwise-neutral, so the work counters compare exactly across runs.
+	// Threads is pinned (not left to the single-core default) so the walk
+	// has several workers; it is bitwise-neutral, so the work counters
+	// compare exactly across hosts.
 	cfg := core.Config{
 		NGrid: 24, NParticles: 24, BoxMpc: 8 * 24,
 		ZInit: 3, ZFinal: 1, Steps: 6, SubCycles: 2,
@@ -287,7 +286,6 @@ func runImbalance(rebalance bool) (imbalanceResult, error) {
 	if rebalance {
 		cfg.RebalanceThreshold = 1.1
 		cfg.RebalanceMinSteps = 1
-		cfg.StealWalks = true
 	}
 	err := mpi.Run(8, func(c *mpi.Comm) {
 		s, err := core.New(c, cfg)
@@ -311,11 +309,9 @@ func runImbalance(rebalance bool) (imbalanceResult, error) {
 			}
 			imb = max / (sum / float64(len(work)))
 		}
-		stolen := mpi.AllReduce(c, []int64{s.Counters.StolenLeaves}, mpi.SumI64)
 		if c.Rank() == 0 {
 			res.LastStepImb = imb
 			res.Rebalances = s.Counters.Rebalances
-			res.Stolen = stolen[0]
 		}
 	})
 	return res, err
@@ -323,9 +319,9 @@ func runImbalance(rebalance bool) (imbalanceResult, error) {
 
 // BenchmarkLoadImbalance is the late-time load-balancing acceptance
 // experiment: the deliberately clustered IC (one deep Plummer halo) on 8
-// ranks, static uniform decomposition vs cost-driven rebalancing + leaf
-// stealing. The reported metric is the final step's max/mean per-rank work;
-// the balancer must improve it ≥ 2×.
+// ranks, static uniform decomposition vs cost-driven rebalancing. The
+// reported metric is the final step's max/mean per-rank work; the balancer
+// must improve it ≥ 2×.
 func BenchmarkLoadImbalance(b *testing.B) {
 	static, err := runImbalance(false)
 	if err != nil {
@@ -341,8 +337,8 @@ func BenchmarkLoadImbalance(b *testing.B) {
 	once("imbalance", func() {
 		fmt.Println("\n=== Load imbalance (clustered halo IC, 8 ranks, final step) ===")
 		fmt.Printf("static     max/mean work: %.2f\n", static.LastStepImb)
-		fmt.Printf("rebalanced max/mean work: %.2f  (%d rebalances, %d stolen leaves)\n",
-			balanced.LastStepImb, balanced.Rebalances, balanced.Stolen)
+		fmt.Printf("rebalanced max/mean work: %.2f  (%d rebalances)\n",
+			balanced.LastStepImb, balanced.Rebalances)
 		fmt.Printf("improvement: %.1fx (acceptance: >= 2x)\n", static.LastStepImb/balanced.LastStepImb)
 	})
 	b.ReportMetric(static.LastStepImb, "static_max/mean")
@@ -382,25 +378,6 @@ func BenchmarkAblation_SolverBackends(b *testing.B) {
 				if _, err := bench.RunFull(bench.FullOptions{
 					Ranks: 2, NpPerDim: 24, Solver: s, Steps: 1, SubCycles: 3,
 				}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkAblation_MultiTree compares the single-tree default to the §VI
-// multi-tree (forest) configuration.
-func BenchmarkAblation_MultiTree(b *testing.B) {
-	for _, nTrees := range []int{1, 2, 4, 8} {
-		nTrees := nTrees
-		b.Run(fmt.Sprintf("trees%d", nTrees), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				_, err := bench.RunFullWithConfig(bench.FullOptions{
-					Ranks: 1, NpPerDim: 32, Solver: core.PPTreePM,
-					Steps: 1, SubCycles: 3, Threads: 8, LeafSize: 64,
-				}, func(c *core.Config) { c.NTrees = nTrees })
-				if err != nil {
 					b.Fatal(err)
 				}
 			}

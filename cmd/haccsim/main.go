@@ -27,12 +27,13 @@
 //	        -max-restarts 3 -fault "kill rank 2 at step 5"
 //
 // Late-time load balancing: -rebalance arms cost-driven domain rebalancing
-// (slab cuts follow the measured work distribution), -steal turns on
-// bitwise-neutral intra-rank leaf stealing, and -ic halo generates the
-// deliberately clustered stress workload:
+// (slab cuts follow the measured work distribution) and -ic halo generates
+// the deliberately clustered stress workload. Within a rank, tree leaves
+// are handed to the -threads workers from one shared cursor, so the result
+// is bitwise independent of -threads:
 //
 //	haccsim -ranks 8 -np 24 -box 192 -zinit 3 -zfinal 1 -steps 6 \
-//	        -ic halo -rebalance 1.1 -steal
+//	        -ic halo -rebalance 1.1
 //
 // Multi-process execution: -par N spawns N OS processes, one rank each,
 // connected through the mpi wire transport (-transport tcp|unix|auto; rank 0
@@ -100,7 +101,6 @@ func main() {
 		icKind      = flag.String("ic", "zeldovich", "initial conditions: zeldovich|halo (clustered load-balancing stress)")
 		rebalance   = flag.Float64("rebalance", 0, "cost-driven rebalancing: smoothed max/mean work threshold > 1 (0 = static decomposition)")
 		rebMinSteps = flag.Int("rebalance-min-steps", 0, "minimum steps between rebalances (default 2)")
-		steal       = flag.Bool("steal", false, "deque-based intra-rank leaf stealing for tree walks (bitwise-neutral)")
 		par         = flag.Int("par", 0, "spawn N OS processes, one wire-transport rank each (0 = in-process goroutine ranks)")
 		transport   = flag.String("transport", "auto", "wire socket family under -par: tcp|unix|auto")
 		traceDir    = flag.String("trace", "", "write per-rank Chrome trace timelines and JSONL run journals under this directory")
@@ -168,8 +168,7 @@ func main() {
 			Cosmo: cosmology.Default(), Transfer: *transfer,
 			ZInit: *zInit, ZFinal: *zFinal, Steps: *steps, SubCycles: *nc,
 			Seed: *seed, FixedAmp: *fixed, Solver: kind, Threads: *threads,
-			CheckpointDir: *ckptDir, CheckpointEvery: *ckptEvery,
-			ICKind: *icKind, StealWalks: *steal,
+			CheckpointDir: *ckptDir, CheckpointEvery: *ckptEvery, ICKind: *icKind,
 			RebalanceThreshold: *rebalance, RebalanceMinSteps: *rebMinSteps,
 			TraceDir: *traceDir, DebugAddr: *debugAddr,
 		}
@@ -178,9 +177,6 @@ func main() {
 		// Only explicitly-set neutral knobs override the checkpoint.
 		if explicit["threads"] {
 			c.Threads = *threads
-		}
-		if explicit["steal"] {
-			c.StealWalks = *steal
 		}
 		if explicit["ckpt-dir"] || explicit["ckpt-every"] {
 			c.CheckpointDir = *ckptDir
@@ -312,8 +308,8 @@ func drive(s *core.Simulation, pkBins int, snapPath string, start time.Time) err
 		// and eyeballs always find the same lines in the same place.
 		fmt.Printf("resilience: %d restarts, %d checkpoint retries, %d quarantined\n",
 			gc.Restarts, gc.CkptRetries, gc.CkptQuarantined)
-		fmt.Printf("balance: %d rebalances, %d stolen leaves, final max/mean %.2f\n",
-			gc.Rebalances, gc.StolenLeaves, s.Imbalance())
+		fmt.Printf("balance: %d rebalances, final max/mean %.2f\n",
+			gc.Rebalances, s.Imbalance())
 		if gc.MsgsSent > 0 {
 			fmt.Printf("communication: %d msgs, %.1f MB payload", gc.MsgsSent, float64(gc.BytesSent)/(1<<20))
 			if gc.WireMsgs > 0 {

@@ -43,9 +43,8 @@ type FullResult struct {
 	BusyMaxSec  float64
 	BusyMeanSec float64
 	BusyMinSec  float64
-	// Balancer and stealing diagnostics (global counters).
-	Rebalances   int64
-	StolenLeaves int64
+	// Balancer diagnostic (global counter).
+	Rebalances int64
 	// WorkImbalance is max/mean across ranks of the deterministic per-rank
 	// short-range work (kernel interactions + tree-walk node visits) — the
 	// machine-noise-free view of the same imbalance BusyMaxSec/BusyMeanSec
@@ -161,7 +160,6 @@ func runFullCfg(o FullOptions, cfg core.Config) (FullResult, error) {
 		}
 		res.BusyMeanSec /= float64(len(busy))
 		res.Rebalances = gc.Rebalances
-		res.StolenLeaves = gc.StolenLeaves
 		var wmax, wsum float64
 		for _, v := range work {
 			wmax = math.Max(wmax, v)
@@ -220,12 +218,12 @@ func PrintPhaseSplit(w io.Writer, r FullResult) {
 			r.CommPostSec, r.CommWaitSec, 100*r.CommWaitSec/tot)
 	}
 	if r.BusyMeanSec > 0 {
-		fmt.Fprintf(w, "rank busy max/mean/min: %.3fs / %.3fs / %.3fs  (imbalance %s; rebalances %d, stolen leaves %d)\n",
+		fmt.Fprintf(w, "rank busy max/mean/min: %.3fs / %.3fs / %.3fs  (imbalance %s; rebalances %d)\n",
 			r.BusyMaxSec, r.BusyMeanSec, r.BusyMinSec, orDash(r.BusyMaxSec/r.BusyMeanSec, "%.2f"),
-			r.Rebalances, r.StolenLeaves)
+			r.Rebalances)
 	} else {
-		fmt.Fprintf(w, "rank busy max/mean/min: -- / -- / --  (imbalance --; rebalances %d, stolen leaves %d)\n",
-			r.Rebalances, r.StolenLeaves)
+		fmt.Fprintf(w, "rank busy max/mean/min: -- / -- / --  (imbalance --; rebalances %d)\n",
+			r.Rebalances)
 	}
 	if r.WireLatCount > 0 {
 		fmt.Fprintf(w, "wire latency: %d frames, p50 %s, p99 %s (send-stamp to match, merged across ranks)\n",

@@ -61,8 +61,6 @@ type Config struct {
 	DisableFilter bool    // ablation: no isotropizing filter
 	SlabFFT       bool    // use the slab FFT decomposition
 	FitGridN      int     // grid used for the kernel fit (default 32)
-	NTrees        int     // RCB trees per rank (default 1; §VI load balancing)
-	ThreadedCIC   bool    // threaded forward-CIC deposit (§VI)
 
 	// In-situ analysis (the paper's sky-survey data products, produced
 	// without raw particle dumps). All four knobs are validated centrally in
@@ -117,14 +115,6 @@ type Config struct {
 	// bitwise trajectory, so both are fingerprinted.
 	RebalanceThreshold float64
 	RebalanceMinSteps  int
-
-	// StealWalks dispatches tree force walks through the pool's
-	// deque-stealing scheduler (par.ForSteal) instead of the static
-	// per-tree split, so a clustered leaf population self-balances across
-	// workers. Bitwise-neutral (accumulation is per-target; pinned by the
-	// steal equivalence tests), hence excluded from the fingerprint like
-	// Threads.
-	StealWalks bool
 
 	// ICKind selects the initial-condition generator: "zeldovich" (default)
 	// is the linear-theory realization; "halo" is the deliberately
@@ -191,9 +181,6 @@ func (c Config) WithDefaults() Config {
 	}
 	if c.FitGridN == 0 {
 		c.FitGridN = 32
-	}
-	if c.NTrees == 0 {
-		c.NTrees = 1
 	}
 	if c.Cosmo == (cosmology.Params{}) {
 		c.Cosmo = cosmology.Default()
@@ -310,8 +297,7 @@ func (c Config) Validate() error {
 
 // Fingerprint hashes every configuration field that affects the bitwise
 // trajectory of the run — the problem definition, the integrator schedule,
-// and the solver parameters (including ThreadedCIC, whose deposit order
-// differs from the serial one). Output knobs and thread counts are
+// and the solver parameters. Output knobs and thread counts are
 // excluded: they are bitwise-neutral (pinned by the PR 1–3 equivalence
 // tests), so a restart may legally change them. A
 // checkpoint stores the fingerprint of the config that produced it, and
@@ -330,14 +316,14 @@ func (c Config) Fingerprint() uint64 {
 	mix(fmt.Sprintf("%d %d %g %#v %q %g %g %d %d %d %t",
 		c.NGrid, c.NParticles, c.BoxMpc, c.Cosmo, c.Transfer,
 		c.ZInit, c.ZFinal, c.Steps, c.SubCycles, c.Seed, c.FixedAmp))
+	// The literal 1 and false fill the retired tree-count and threaded-deposit
+	// slots, so checkpoints written before their removal still restore.
 	mix(fmt.Sprintf("%d %g %d %g %g %g %d %t %t %d %d %t",
 		c.Solver, c.RCut, c.LeafSize, c.Overload, c.Eps, c.Sigma,
-		c.NsFilter, c.DisableFilter, c.SlabFFT, c.FitGridN, c.NTrees,
-		c.ThreadedCIC))
+		c.NsFilter, c.DisableFilter, c.SlabFFT, c.FitGridN, 1, false))
 	// Load-balancing schedule and IC family (PR 8): which geometry a step
 	// runs under — and which universe it starts from — is physics for
-	// restart-exactness purposes. StealWalks is deliberately absent: the
-	// stealing dispatch is bitwise ≡ the static one.
+	// restart-exactness purposes.
 	mix(fmt.Sprintf("%g %d %q", c.RebalanceThreshold, c.RebalanceMinSteps, c.ICKind))
 	return h
 }

@@ -264,6 +264,38 @@ func TestRankCountIndependence(t *testing.T) {
 	}
 }
 
+// TestDensityStatsRankIndependent checks every DensityStats field is a
+// global reduction: the same initial state measured on 1 and 4 ranks gives
+// the same negative-cell fraction and extrema exactly (cell counts and
+// max/min are order-free) and the same variance up to summation order.
+func TestDensityStatsRankIndependent(t *testing.T) {
+	measure := func(procs int) analysis.DensityStats {
+		var st analysis.DensityStats
+		err := mpi.Run(procs, func(c *mpi.Comm) {
+			s, err := New(c, baseConfig())
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			out := s.DensityStats()
+			if c.Rank() == 0 {
+				st = out
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	one, four := measure(1), measure(4)
+	if one.NegFrac != four.NegFrac || one.Max != four.Max || one.Min != four.Min {
+		t.Errorf("1 rank %+v vs 4 ranks %+v: NegFrac, Max and Min must match exactly", one, four)
+	}
+	if rel := math.Abs(one.Variance-four.Variance) / one.Variance; rel > 1e-12 {
+		t.Errorf("variance 1 rank %g vs 4 ranks %g (rel %.2g)", one.Variance, four.Variance, rel)
+	}
+}
+
 func TestNonlinearGrowthExceedsLinear(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-step simulation; skipped under -short (race CI)")

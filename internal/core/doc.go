@@ -16,6 +16,11 @@
 // obs.Phases), which feeds the phase split, the journal's step records and,
 // when Config.TraceDir arms tracing, the trace timeline.
 //
+// Each force job has one path. The PPTreePM short-range force is always the
+// shared-cursor leaf walk on the rank's pool (tree.ComputeForcesPoolRanges),
+// and the density deposit is always the serial grid.DepositCIC; both are
+// bitwise independent of Config.Threads.
+//
 // Checkpoint/Restore make the run durable: a checkpoint captures the
 // complete run state (active and replica particles, counters, schedule
 // position, scale factor, seed, and config fingerprint) in gio containers,

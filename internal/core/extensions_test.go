@@ -8,88 +8,6 @@ import (
 	"hacc/internal/mpi"
 )
 
-// TestMultiTreeMatchesSingleTree verifies the §VI multi-tree configuration
-// produces the same physics as the single-tree default.
-func TestMultiTreeMatchesSingleTree(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-step simulation; skipped under -short (race CI)")
-	}
-	run := func(nTrees int) []float64 {
-		cfg := baseConfig()
-		cfg.Solver = PPTreePM
-		cfg.Steps = 2
-		cfg.NTrees = nTrees
-		var out []float64
-		err := mpi.Run(2, func(c *mpi.Comm) {
-			s, err := New(c, cfg)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			if err := s.Run(nil); err != nil {
-				t.Error(err)
-				return
-			}
-			ps := s.PowerSpectrum(8, false)
-			if c.Rank() == 0 {
-				out = ps.P
-			}
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-	single := run(1)
-	multi := run(4)
-	for i := range single {
-		rel := math.Abs(single[i]-multi[i]) / math.Abs(single[i])
-		if rel > 1e-3 {
-			t.Errorf("bin %d: single %g multi %g (%.2e)", i, single[i], multi[i], rel)
-		}
-	}
-}
-
-// TestThreadedCICMatchesSerial verifies the §VI threaded deposit leaves the
-// physics unchanged.
-func TestThreadedCICMatchesSerial(t *testing.T) {
-	run := func(threaded bool) []float64 {
-		cfg := baseConfig()
-		cfg.Solver = PMOnly
-		cfg.Steps = 2
-		cfg.ThreadedCIC = threaded
-		cfg.Threads = 4
-		var out []float64
-		err := mpi.Run(2, func(c *mpi.Comm) {
-			s, err := New(c, cfg)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			if err := s.Run(nil); err != nil {
-				t.Error(err)
-				return
-			}
-			ps := s.PowerSpectrum(8, false)
-			if c.Rank() == 0 {
-				out = ps.P
-			}
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-	serial := run(false)
-	threaded := run(true)
-	for i := range serial {
-		rel := math.Abs(serial[i]-threaded[i]) / math.Abs(serial[i])
-		if rel > 1e-5 {
-			t.Errorf("bin %d: serial %g threaded %g", i, serial[i], threaded[i])
-		}
-	}
-}
-
 // TestDarkEnergyModelSpace runs the same realization under ΛCDM, a
 // quintessence model, and a CPL model — the paper's §V science program —
 // and checks the measured growth ordering matches linear theory.

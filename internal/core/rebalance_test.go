@@ -262,55 +262,41 @@ func TestRebalanceCheckpointCompose(t *testing.T) {
 	}
 }
 
-// TestStealWalksBitwise pins the stealing dispatch's scheduling neutrality
-// end to end: a full clustered run with StealWalks on is bitwise identical
-// to the static dispatch, at several worker counts, for both the forest and
-// the single-tree backend.
-func TestStealWalksBitwise(t *testing.T) {
+// TestThreadsBitwiseHalo pins the tree walk's scheduling neutrality end to
+// end on the clustered workload, where deep leaves make per-worker loads
+// most unequal: the shared-cursor dispatch hands leaves to whichever worker
+// is free, yet a full run is bitwise identical at every worker count.
+func TestThreadsBitwiseHalo(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-step simulation")
 	}
 	const ranks = 2
-	base := haloCfg()
-	base.Steps = 2
-	for _, trees := range []int{1, 4} {
-		var ref []pcopy
-		for _, variant := range []struct {
-			steal   bool
-			threads int
-		}{
-			{false, 2},
-			{true, 1},
-			{true, 2},
-			{true, 4},
-		} {
-			cfg := base
-			cfg.NTrees = trees
-			cfg.StealWalks = variant.steal
-			cfg.Threads = variant.threads
-			final := make([]pcopy, ranks)
-			err := mpi.Run(ranks, func(c *mpi.Comm) {
-				s, err := New(c, cfg)
-				if err != nil {
-					panic(err)
-				}
-				if err := s.Run(nil); err != nil {
-					panic(err)
-				}
-				final[c.Rank()] = capture(&s.Dom.Active)
-			})
+	var ref []pcopy
+	for _, threads := range []int{1, 2, 4} {
+		cfg := haloCfg()
+		cfg.Steps = 2
+		cfg.Threads = threads
+		final := make([]pcopy, ranks)
+		err := mpi.Run(ranks, func(c *mpi.Comm) {
+			s, err := New(c, cfg)
 			if err != nil {
-				t.Fatal(err)
+				panic(err)
 			}
-			if ref == nil {
-				ref = final
-				continue
+			if err := s.Run(nil); err != nil {
+				panic(err)
 			}
-			for r := range final {
-				if !equalBits(final[r], ref[r]) {
-					t.Fatalf("ntrees=%d steal=%v threads=%d: rank %d diverged from the static dispatch",
-						trees, variant.steal, variant.threads, r)
-				}
+			final[c.Rank()] = capture(&s.Dom.Active)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ref == nil {
+			ref = final
+			continue
+		}
+		for r := range final {
+			if !equalBits(final[r], ref[r]) {
+				t.Fatalf("threads=%d: rank %d diverged from the 1-thread run", threads, r)
 			}
 		}
 	}
@@ -318,7 +304,7 @@ func TestStealWalksBitwise(t *testing.T) {
 
 // TestRebalanceConfigValidation covers the new knobs' validation and their
 // fingerprint semantics: the trigger knobs and IC kind define the run,
-// StealWalks is bitwise-neutral and restart-compatible.
+// Threads is bitwise-neutral and restart-compatible.
 func TestRebalanceConfigValidation(t *testing.T) {
 	ok := haloCfg().WithDefaults()
 	if err := ok.Validate(); err != nil {
@@ -338,10 +324,9 @@ func TestRebalanceConfigValidation(t *testing.T) {
 
 	fp := ok.Fingerprint()
 	neutral := ok
-	neutral.StealWalks = true
 	neutral.Threads = 7
 	if neutral.Fingerprint() != fp {
-		t.Error("StealWalks/Threads must not change the fingerprint (bitwise-neutral knobs)")
+		t.Error("Threads must not change the fingerprint (bitwise-neutral knob)")
 	}
 	for name, mut := range map[string]func(*Config){
 		"threshold": func(c *Config) { c.RebalanceThreshold = 1.5 },
@@ -352,6 +337,25 @@ func TestRebalanceConfigValidation(t *testing.T) {
 		mut(&cfg)
 		if cfg.Fingerprint() == fp {
 			t.Errorf("%s must change the fingerprint", name)
+		}
+	}
+}
+
+// TestFingerprintPinned pins the fingerprint of two defaulted configs to
+// literal values. A checkpoint stores its config's fingerprint and Restore
+// refuses any mismatch, so a change here orphans every checkpoint already
+// written; a Config field removal must keep the hashed string intact.
+func TestFingerprintPinned(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		cfg  Config
+		want uint64
+	}{
+		{"baseConfig", baseConfig(), 0xd9df9e6ab7ed2226},
+		{"haloCfg", haloCfg(), 0x140557c88f7e75d7},
+	} {
+		if got := c.cfg.WithDefaults().Fingerprint(); got != c.want {
+			t.Errorf("%s: fingerprint %#x, want %#x", c.name, got, c.want)
 		}
 	}
 }

@@ -123,7 +123,6 @@ type shortScratch struct {
 	x, y, z    []float32
 	ax, ay, az []float32
 	tr         *tree.Tree
-	fr         *tree.Forest
 	cm         *shortrange.ChainingMesh
 }
 
@@ -548,11 +547,7 @@ func (s *Simulation) kickLong(w float64) error {
 	}
 	s.Timers.Time(obs.SpanCIC, func() {
 		s.rho.Fill(0)
-		if s.Cfg.ThreadedCIC {
-			grid.DepositCICParallel(s.rho, s.Dom.Active.X, s.Dom.Active.Y, s.Dom.Active.Z, s.ParticleMass, s.Cfg.Threads)
-		} else {
-			grid.DepositCIC(s.rho, s.Dom.Active.X, s.Dom.Active.Y, s.Dom.Active.Z, s.ParticleMass)
-		}
+		grid.DepositCIC(s.rho, s.Dom.Active.X, s.Dom.Active.Y, s.Dom.Active.Z, s.ParticleMass)
 		s.Counters.CICOps += int64(s.Dom.Active.Len())
 	})
 	var rhoOp *grid.GhostOp
@@ -673,27 +668,6 @@ func (s *Simulation) kickShort(w float64) {
 
 	switch s.Cfg.Solver {
 	case PPTreePM:
-		if s.Cfg.NTrees > 1 {
-			if sc.fr == nil {
-				sc.fr = tree.NewForest(s.Cfg.LeafSize, s.Cfg.NTrees, s.Cfg.RCut)
-			}
-			s.Timers.Time(obs.SpanBuild, func() { sc.fr.Rebuild(x, y, z) })
-			s.Timers.Split(obs.SpanKernel, obs.SpanWalk, func() float64 {
-				if s.Cfg.StealWalks {
-					s.Counters.StolenLeaves += sc.fr.ComputeForcesStealRanges(s.Kernel.ApplyRanges, s.Cfg.RCut, s.pool)
-				} else {
-					// Forest threading splits goroutines across sub-trees
-					// itself; it does not use the flat worker pool.
-					sc.fr.ComputeForcesRanges(s.Kernel.ApplyRanges, s.Cfg.RCut, s.Cfg.Threads)
-				}
-				inter := sc.fr.Interactions()
-				s.Counters.KernelInteractions += inter
-				s.Counters.WalkNodes += sc.fr.NodesVisited()
-				return kernelShare(inter, sc.fr.NeighborCount())
-			})
-			sc.fr.AccelInto(ax, ay, az)
-			break
-		}
 		if sc.tr == nil {
 			sc.tr = tree.New(s.Cfg.LeafSize)
 		}
@@ -705,11 +679,7 @@ func (s *Simulation) kickShort(w float64) {
 		// goroutines' clocks; the paper reports the same split from
 		// hardware counters.)
 		s.Timers.Split(obs.SpanKernel, obs.SpanWalk, func() float64 {
-			if s.Cfg.StealWalks {
-				s.Counters.StolenLeaves += tr.ComputeForcesStealRanges(s.Kernel.ApplyRanges, s.Cfg.RCut, s.pool)
-			} else {
-				tr.ComputeForcesPoolRanges(s.Kernel.ApplyRanges, s.Cfg.RCut, s.pool)
-			}
+			tr.ComputeForcesPoolRanges(s.Kernel.ApplyRanges, s.Cfg.RCut, s.pool)
 			inter := tr.Interactions.Load()
 			s.Counters.KernelInteractions += inter
 			s.Counters.WalkNodes += tr.NodesVisited.Load()
@@ -847,17 +817,20 @@ func (s *Simulation) DensityStats() analysis.DensityStats {
 	s.rho.Fill(0)
 	grid.DepositCIC(s.rho, s.Dom.Active.X, s.Dom.Active.Y, s.Dom.Active.Z, s.ParticleMass)
 	s.rhoEx.Accumulate(s.rho)
+	owned := float64(len(s.rho.Owned()))
 	local := analysis.MeasureDensityStats(s.rho.Owned())
-	// Combine across ranks.
-	v := mpi.AllReduce(s.Comm, []float64{local.Variance * float64(len(s.rho.Owned()))}, mpi.SumF64)
-	n := mpi.AllReduce(s.Comm, []float64{float64(len(s.rho.Owned()))}, mpi.SumF64)
+	// Combine across ranks: the variance sum, the cell count and the
+	// negative-cell count (integral, so exact in float64) in one reduction.
+	sum := mpi.AllReduce(s.Comm, []float64{
+		local.Variance * owned, owned, math.Round(local.NegFrac * owned),
+	}, mpi.SumF64)
 	mx := mpi.AllReduce(s.Comm, []float64{local.Max}, mpi.MaxF64)
 	mn := mpi.AllReduce(s.Comm, []float64{local.Min}, mpi.MinF64)
 	return analysis.DensityStats{
-		Variance: v[0] / n[0],
+		Variance: sum[0] / sum[1],
 		Max:      mx[0],
 		Min:      mn[0],
-		NegFrac:  local.NegFrac,
+		NegFrac:  sum[2] / sum[1],
 	}
 }
 
@@ -868,8 +841,7 @@ func (s *Simulation) DensityStats() analysis.DensityStats {
 func (s *Simulation) GlobalCounters() machine.Counters {
 	cs := s.Comm.Stats()
 	vals := []int64{s.Counters.KernelInteractions, s.Counters.FFT3D, s.Counters.CICOps,
-		s.Counters.WalkNodes, s.Counters.StolenLeaves,
-		cs.Msgs, cs.Bytes, cs.WireMsgs, cs.WireBytes}
+		s.Counters.WalkNodes, cs.Msgs, cs.Bytes, cs.WireMsgs, cs.WireBytes}
 	tot := mpi.AllReduce(s.Comm, vals, mpi.SumI64)
 	return machine.Counters{
 		KernelInteractions: tot[0],
@@ -877,11 +849,10 @@ func (s *Simulation) GlobalCounters() machine.Counters {
 		FFTGridN:           s.Counters.FFTGridN,
 		CICOps:             tot[2],
 		WalkNodes:          tot[3],
-		StolenLeaves:       tot[4],
-		MsgsSent:           tot[5],
-		BytesSent:          tot[6],
-		WireMsgs:           tot[7],
-		WireBytes:          tot[8],
+		MsgsSent:           tot[4],
+		BytesSent:          tot[5],
+		WireMsgs:           tot[6],
+		WireBytes:          tot[7],
 		// Collective events, identical on every rank: kept, not summed.
 		Restarts:        s.Counters.Restarts,
 		CkptRetries:     s.Counters.CkptRetries,

@@ -1,7 +1,6 @@
 package grid
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 
@@ -18,64 +17,6 @@ func randomCloud(n int, lo, span float64, rng *rand.Rand) (xs, ys, zs []float32)
 		zs[i] = float32(lo + rng.Float64()*span)
 	}
 	return
-}
-
-func TestDepositParallelMatchesSerial(t *testing.T) {
-	n := [3]int{24, 24, 24}
-	d := NewDecomp(n, 1)
-	rng := rand.New(rand.NewSource(7))
-	xs, ys, zs := randomCloud(20000, 0, 24, rng)
-	ser := NewField(n, d.Box(0), 3)
-	DepositCIC(ser, xs, ys, zs, 1.25)
-	for _, threads := range []int{2, 4, 8} {
-		par := NewField(n, d.Box(0), 3)
-		DepositCICParallel(par, xs, ys, zs, 1.25, threads)
-		for i := range ser.Data {
-			if math.Abs(ser.Data[i]-par.Data[i]) > 1e-9 {
-				t.Fatalf("threads=%d: cell %d differs: %g vs %g", threads, i, ser.Data[i], par.Data[i])
-			}
-		}
-	}
-}
-
-func TestDepositParallelMultiRankBox(t *testing.T) {
-	// A sub-box (rank 1 of 2) with strays into the halo.
-	n := [3]int{16, 16, 16}
-	d := NewDecomp(n, 2)
-	box := d.Box(1)
-	rng := rand.New(rand.NewSource(8))
-	// Particles in the box plus strays up to 2 cells outside.
-	xs, ys, zs := randomCloud(9000, float64(box.Lo[0])-2, float64(box.Size(0))+4, rng)
-	for i := range ys {
-		ys[i] = float32(rng.Float64() * 16)
-		zs[i] = float32(rng.Float64() * 16)
-	}
-	ser := NewField(n, box, 4)
-	DepositCIC(ser, xs, ys, zs, 1)
-	par := NewField(n, box, 4)
-	DepositCICParallel(par, xs, ys, zs, 1, 4)
-	for i := range ser.Data {
-		if math.Abs(ser.Data[i]-par.Data[i]) > 1e-9 {
-			t.Fatalf("cell %d differs: %g vs %g", i, ser.Data[i], par.Data[i])
-		}
-	}
-}
-
-func TestDepositParallelSmallFallsBack(t *testing.T) {
-	// Few particles: must still be correct (serial fallback).
-	n := [3]int{16, 16, 16}
-	d := NewDecomp(n, 1)
-	rng := rand.New(rand.NewSource(9))
-	xs, ys, zs := randomCloud(100, 0, 16, rng)
-	ser := NewField(n, d.Box(0), 1)
-	DepositCIC(ser, xs, ys, zs, 2)
-	par := NewField(n, d.Box(0), 1)
-	DepositCICParallel(par, xs, ys, zs, 2, 8)
-	for i := range ser.Data {
-		if ser.Data[i] != par.Data[i] {
-			t.Fatalf("fallback differs at %d", i)
-		}
-	}
 }
 
 func TestInterpParallelMatchesSerial(t *testing.T) {
@@ -131,17 +72,5 @@ func BenchmarkDepositSerial(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		DepositCIC(f, xs, ys, zs, 1)
-	}
-}
-
-func BenchmarkDepositParallel(b *testing.B) {
-	n := [3]int{48, 48, 48}
-	d := NewDecomp(n, 1)
-	f := NewField(n, d.Box(0), 2)
-	rng := rand.New(rand.NewSource(1))
-	xs, ys, zs := randomCloud(200000, 0, 48, rng)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		DepositCICParallel(f, xs, ys, zs, 1, 8)
 	}
 }

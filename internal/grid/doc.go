@@ -9,6 +9,8 @@
 // traffic flows over neighbor legs only, and both directions (Accumulate
 // for deposit spill, Fill for interpolation halos) split into Begin/End
 // with pooled GhostOp handles; the dense paths survive as oracles. The
-// threaded deposit/gather kernels (PR 1) shard by x-plane slabs and
-// particle ranges over par.Pool.
+// deposit is the one serial DepositCIC: a threaded x-slab deposit measured
+// slower than it (200 k particles on 48³, 2 cores), allocated on every call
+// and made the density depend on summation order. The gather is threaded by particle
+// range over par.Pool (InterpCICParallel), bitwise equal to InterpCIC.
 package grid

@@ -57,11 +57,9 @@ type Counters struct {
 	// Load-balancing accounting (PR 8). WalkNodes counts tree-walk node
 	// visits — the balancer's "walk time" term, a deterministic stand-in for
 	// wall-clock. Rebalances counts cost-driven domain-geometry rebuilds (a
-	// collective event); StolenLeaves counts force-walk leaves executed by a
-	// worker other than their static owner. None are flop sources.
-	WalkNodes    int64
-	Rebalances   int64
-	StolenLeaves int64
+	// collective event). Neither is a flop source.
+	WalkNodes  int64
+	Rebalances int64
 
 	// Communication accounting (PR 9). Per-rank message/byte totals from the
 	// mpi runtime, merged across ranks via a collective at report time —
@@ -97,7 +95,6 @@ func (c *Counters) Add(o Counters) {
 	c.CkptQuarantined += o.CkptQuarantined
 	c.WalkNodes += o.WalkNodes
 	c.Rebalances += o.Rebalances
-	c.StolenLeaves += o.StolenLeaves
 	c.MsgsSent += o.MsgsSent
 	c.BytesSent += o.BytesSent
 	c.WireMsgs += o.WireMsgs
@@ -105,7 +102,9 @@ func (c *Counters) Add(o Counters) {
 }
 
 // CounterWords is the number of int64 words Encode packs — the per-rank
-// counter block a checkpoint stores for each rank.
+// counter block a checkpoint stores for each rank. Word 9 is retired (it
+// held a leaf-stealing diagnostic): Encode writes 0 there and readers
+// ignore it, so the block size and checkpoint format are unchanged.
 const CounterWords = 10
 
 // Encode packs the counters into the first CounterWords entries of w, for
@@ -121,7 +120,7 @@ func (c *Counters) Encode(w []int64) {
 	w[6] = c.CkptQuarantined
 	w[7] = c.WalkNodes
 	w[8] = c.Rebalances
-	w[9] = c.StolenLeaves
+	w[9] = 0
 }
 
 // Decode replaces the counters with an encoded block.
@@ -135,7 +134,6 @@ func (c *Counters) Decode(w []int64) {
 	c.CkptQuarantined = w[6]
 	c.WalkNodes = w[7]
 	c.Rebalances = w[8]
-	c.StolenLeaves = w[9]
 }
 
 // MergeRestored folds a counter block adopted from another rank's
@@ -168,14 +166,9 @@ func (c *Counters) MergeRestored(w []int64) {
 	// WalkNodes is per-rank partial work like KernelInteractions: it adds.
 	c.WalkNodes += w[7]
 	// Rebalances records collective geometry rebuilds (every rank counts the
-	// same event) and StolenLeaves is an intra-rank scheduling diagnostic
-	// whose blocks would double-count under addition across adopted ranks;
-	// both keep-once like the resilience counters.
+	// same event), so it keeps-once like the resilience counters.
 	if c.Rebalances == 0 {
 		c.Rebalances = w[8]
-	}
-	if c.StolenLeaves == 0 {
-		c.StolenLeaves = w[9]
 	}
 }
 

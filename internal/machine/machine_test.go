@@ -56,7 +56,7 @@ func TestCounterCheckpointWords(t *testing.T) {
 	orig := Counters{
 		KernelInteractions: 123456, FFT3D: 48, FFTGridN: 256, CICOps: 7890,
 		Restarts: 2, CkptRetries: 3, CkptQuarantined: 1,
-		WalkNodes: 5555, Rebalances: 4, StolenLeaves: 77,
+		WalkNodes: 5555, Rebalances: 4,
 	}
 	w := make([]int64, CounterWords)
 	orig.Encode(w)
@@ -64,6 +64,17 @@ func TestCounterCheckpointWords(t *testing.T) {
 	back.Decode(w)
 	if back != orig {
 		t.Fatalf("Decode(Encode(c)) = %+v, want %+v", back, orig)
+	}
+	// Word 9 is retired: written as 0, and a nonzero value left there by an
+	// older writer is ignored on read.
+	if w[9] != 0 {
+		t.Fatalf("retired word 9 = %d, want 0", w[9])
+	}
+	w[9] = 77
+	back = Counters{}
+	back.Decode(w)
+	if back != orig {
+		t.Fatalf("Decode with retired word set = %+v, want %+v", back, orig)
 	}
 	// A reader rank adopting two writer blocks: additive fields (per-rank
 	// partial work: interactions, CIC, walk nodes) sum; FFT3D, FFTGridN, the
@@ -73,7 +84,7 @@ func TestCounterCheckpointWords(t *testing.T) {
 	(&Counters{
 		KernelInteractions: 1000, FFT3D: 48, FFTGridN: 256, CICOps: 10,
 		Restarts: 2, CkptRetries: 3, CkptQuarantined: 1,
-		WalkNodes: 45, Rebalances: 4, StolenLeaves: 33,
+		WalkNodes: 45, Rebalances: 4,
 	}).Encode(w2)
 	var merged Counters
 	merged.MergeRestored(w)
@@ -81,7 +92,7 @@ func TestCounterCheckpointWords(t *testing.T) {
 	want := Counters{
 		KernelInteractions: 124456, FFT3D: 48, FFTGridN: 256, CICOps: 7900,
 		Restarts: 2, CkptRetries: 3, CkptQuarantined: 1,
-		WalkNodes: 5600, Rebalances: 4, StolenLeaves: 77,
+		WalkNodes: 5600, Rebalances: 4,
 	}
 	if merged != want {
 		t.Fatalf("merged = %+v, want %+v", merged, want)

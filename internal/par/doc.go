@@ -6,6 +6,9 @@
 // design avoids. A Pool keeps its workers parked on channels between
 // regions, so dispatching a sharded loop allocates only the loop closure
 // itself; plans that must dispatch allocation-free store persistent bodies
-// and publish per-call parameters through plan fields. Resize is the shared
+// and publish per-call parameters through plan fields. There are two
+// dispatches: For/ForGrain hand each worker one contiguous shard, and Run
+// starts every worker on a body that pulls work from a shared atomic
+// cursor (the tree and mesh force walks). Resize is the shared
 // grow-in-place policy for every persistent scratch buffer in the codebase.
 package par

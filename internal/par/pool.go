@@ -1,43 +1,19 @@
 package par
 
 import (
-	"fmt"
-	"math"
 	"runtime"
 	"sync"
-	"sync/atomic"
 )
 
 type span struct{ lo, hi int }
-
-// deque is one worker's chunk range for ForSteal: a packed head|tail word
-// (each 32 bits, half-open [head, tail) over global chunk indices). The
-// owner CASes the head forward; thieves CAS the tail backward, so both ends
-// shrink monotonically and every chunk is claimed exactly once. Padding
-// keeps neighboring deques off the same cache line.
-type deque struct {
-	hb atomic.Uint64
-	_  [56]byte
-}
-
-// stealState is the reusable ForSteal dispatch state (no allocation on the
-// warm path beyond the caller's body closure).
-type stealState struct {
-	n, grain int
-	body     func(w, lo, hi int)
-	stolen   atomic.Int64
-	deq      []deque
-}
 
 // state is the part of the pool the workers reference. It deliberately
 // excludes the Pool handle itself so that an abandoned Pool becomes
 // unreachable and its finalizer can shut the workers down.
 type state struct {
-	body     func(lo, hi int) // set by For
-	runBody  func(w int)      // set by Run
-	stealRun func(w int)      // bound stealLoop, created once in NewPool
-	steal    stealState
-	wg       sync.WaitGroup
+	body    func(lo, hi int) // set by For
+	runBody func(w int)      // set by Run
+	wg      sync.WaitGroup
 }
 
 // Pool is a fixed set of persistent worker goroutines. Dispatch is not
@@ -55,7 +31,6 @@ func NewPool(workers int) *Pool {
 		workers = 1
 	}
 	st := &state{}
-	st.stealRun = func(w int) { st.stealLoop(w) }
 	p := &Pool{st: st, chans: make([]chan span, workers)}
 	for w := 0; w < workers; w++ {
 		ch := make(chan span, 1)
@@ -137,98 +112,4 @@ func (p *Pool) Run(k int, body func(w int)) {
 	}
 	st.wg.Wait()
 	st.runBody = nil
-}
-
-// ForSteal runs body over [0,n) in chunks of `grain`, distributed by
-// work stealing: each worker starts with a contiguous shard of chunks (same
-// split as ForGrain, so owner-processed work keeps its locality) and, once
-// drained, steals trailing chunks from the busiest-looking neighbors. Use it
-// when per-index cost varies wildly (tree leaves in a clustered region cost
-// 100× the mean) and a static split would leave workers idle.
-//
-// body receives the executing worker id w for scratch indexing; a given
-// index range runs exactly once, but on an unpredictable worker. Callers
-// whose accumulation is per-target (disjoint output slices per index) stay
-// bitwise independent of the worker count and of which chunks were stolen.
-//
-// Returns the number of stolen chunks (0 when the range ran serially).
-func (p *Pool) ForSteal(n, grain int, body func(w, lo, hi int)) int64 {
-	if grain < 1 {
-		grain = 1
-	}
-	nchunks := (n + grain - 1) / grain
-	if nchunks > math.MaxInt32 {
-		panic(fmt.Sprintf("par: ForSteal range %d/%d overflows chunk index", n, grain))
-	}
-	w := len(p.chans)
-	if w > nchunks {
-		w = nchunks
-	}
-	if w <= 1 {
-		if n > 0 {
-			body(0, 0, n)
-		}
-		return 0
-	}
-	ss := &p.st.steal
-	if cap(ss.deq) < w {
-		ss.deq = make([]deque, len(p.chans))
-	}
-	ss.deq = ss.deq[:w]
-	ss.n, ss.grain, ss.body = n, grain, body
-	ss.stolen.Store(0)
-	for t := 0; t < w; t++ {
-		lo := nchunks * t / w
-		hi := nchunks * (t + 1) / w
-		ss.deq[t].hb.Store(uint64(lo)<<32 | uint64(hi))
-	}
-	p.Run(w, p.st.stealRun)
-	ss.body = nil
-	return ss.stolen.Load()
-}
-
-// stealLoop is one worker's ForSteal schedule: drain the own deque from the
-// head (ascending, cache-friendly), then sweep the other deques once in ring
-// order stealing from their tails. Deques never refill, so a single sweep
-// terminates with every chunk claimed exactly once.
-func (st *state) stealLoop(w int) {
-	ss := &st.steal
-	nw := len(ss.deq)
-	for off := 0; off < nw; off++ {
-		v := w + off
-		if v >= nw {
-			v -= nw
-		}
-		own := off == 0
-		d := &ss.deq[v]
-		for {
-			hb := d.hb.Load()
-			h := uint32(hb >> 32)
-			t := uint32(hb)
-			if h >= t {
-				break
-			}
-			var c uint32
-			var nhb uint64
-			if own {
-				c = h
-				nhb = uint64(h+1)<<32 | uint64(t)
-			} else {
-				c = t - 1
-				nhb = uint64(h)<<32 | uint64(t-1)
-			}
-			if !d.hb.CompareAndSwap(hb, nhb) {
-				continue
-			}
-			lo := int(c) * ss.grain
-			hi := lo + ss.grain
-			if hi > ss.n {
-				hi = ss.n
-			}
-			ss.body(w, lo, hi)
-			if !own {
-				ss.stolen.Add(1)
-			}
-		}
-	}
 }

@@ -1,10 +1,8 @@
 package par
 
 import (
-	"math"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 func TestForCoversRangeExactlyOnce(t *testing.T) {
@@ -96,96 +94,5 @@ func BenchmarkPoolForAllocs(b *testing.B) {
 				data[j] += 1
 			}
 		})
-	}
-}
-
-func TestForStealCoversRangeExactlyOnce(t *testing.T) {
-	for _, workers := range []int{1, 2, 3, 4, 7} {
-		for _, n := range []int{0, 1, 5, 100, 1000} {
-			for _, grain := range []int{1, 3, 64} {
-				p := NewPool(workers)
-				counts := make([]int32, n)
-				p.ForSteal(n, grain, func(w, lo, hi int) {
-					if w < 0 || w >= workers {
-						t.Errorf("worker id %d out of range [0,%d)", w, workers)
-					}
-					for i := lo; i < hi; i++ {
-						atomic.AddInt32(&counts[i], 1)
-					}
-				})
-				for i, c := range counts {
-					if c != 1 {
-						t.Fatalf("workers=%d n=%d grain=%d: index %d visited %d times", workers, n, grain, i, c)
-					}
-				}
-			}
-		}
-	}
-}
-
-func TestForStealSerialFallback(t *testing.T) {
-	p := NewPool(4)
-	// A single chunk cannot be split: must run inline with w=0, no steals.
-	ran := false
-	stolen := p.ForSteal(10, 100, func(w, lo, hi int) {
-		ran = true
-		if w != 0 || lo != 0 || hi != 10 {
-			t.Errorf("serial fallback got (w=%d,[%d,%d)), want (0,[0,10))", w, lo, hi)
-		}
-	})
-	if !ran || stolen != 0 {
-		t.Errorf("ran=%v stolen=%d, want true/0", ran, stolen)
-	}
-	if got := NewPool(1).ForSteal(1000, 1, func(w, lo, hi int) {}); got != 0 {
-		t.Errorf("1-worker pool stole %d chunks", got)
-	}
-}
-
-// TestForStealBalancesSkewedLoad pins the point of the dispatch: with all
-// the cost piled onto one worker's static shard, the other workers must
-// steal from it rather than idle.
-func TestForStealBalancesSkewedLoad(t *testing.T) {
-	p := NewPool(4)
-	const n = 64
-	var stolen int64
-	for try := 0; try < 20 && stolen == 0; try++ {
-		stolen = p.ForSteal(n, 1, func(w, lo, hi int) {
-			if lo < n/4 {
-				// Worker 0's shard is 100× the cost of everyone else's.
-				time.Sleep(2 * time.Millisecond)
-			}
-		})
-	}
-	if stolen == 0 {
-		t.Fatal("no chunks stolen from the overloaded shard")
-	}
-}
-
-// TestForStealMatchesFor pins ForSteal ≡ For: per-target accumulation gives
-// bit-identical results regardless of worker count or stealing schedule.
-func TestForStealMatchesFor(t *testing.T) {
-	const n = 4096
-	in := make([]float64, n)
-	for i := range in {
-		in[i] = math.Sin(float64(i))
-	}
-	want := make([]float64, n)
-	NewPool(1).For(n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			want[i] = math.Sqrt(in[i]*in[i]+1) * float64(i%7)
-		}
-	})
-	for _, workers := range []int{1, 2, 3, 8} {
-		got := make([]float64, n)
-		NewPool(workers).ForSteal(n, 16, func(w, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				got[i] = math.Sqrt(in[i]*in[i]+1) * float64(i%7)
-			}
-		})
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("workers=%d: index %d got %v want %v", workers, i, got[i], want[i])
-			}
-		}
 	}
 }

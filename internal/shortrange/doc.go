@@ -8,8 +8,9 @@
 // procedure), and a P3M chaining-mesh evaluator (the Roadrunner-style
 // direct particle-particle solver used as the second short-range backend).
 // PR 1 made the mesh persistent: Rebuild re-bins in place (retaining CSR
-// offsets, accumulators, and per-worker walk scratch) and ComputeForcesPool
-// runs the pair kernel over par.Pool with a shared atomic cell cursor.
+// offsets, accumulators, and per-worker walk scratch) and
+// ComputeForcesPoolRanges runs the pair kernel over par.Pool with a shared
+// atomic cell cursor.
 //
 // PR 7 made the kernel copy-free and vector-shaped (the paper's §III BG/Q
 // shaping, on x86 terms): production walks call Kernel.ApplyRanges with

@@ -295,14 +295,6 @@ func (m *ChainingMesh) ComputeForces(kern func(lx, ly, lz, nx, ny, nz, ax, ay, a
 	wg.Wait()
 }
 
-// ComputeForcesPool is ComputeForces dispatched on a persistent worker
-// pool: no goroutine spawns, no per-call scratch.
-func (m *ChainingMesh) ComputeForcesPool(kern func(lx, ly, lz, nx, ny, nz, ax, ay, az []float32) int64, pool *par.Pool) {
-	m.prepForces()
-	m.ensureWalk(pool.Workers())
-	pool.Run(0, func(w int) { m.cellLoop(w, kern) })
-}
-
 // ComputeForcesRanges is ComputeForces on the copy-free range walk (see
 // cellLoopRanges). The production force path; the copy path remains as the
 // equivalence oracle.

@@ -92,22 +92,26 @@ func TestMeshRebuildMatchesBuild(t *testing.T) {
 	}
 }
 
-// TestMeshComputeForcesPoolMatches checks the pooled dispatch against the
-// serial path (bitwise: cells own disjoint output ranges).
+// TestMeshComputeForcesPoolMatches checks the production pooled range
+// dispatch against the spawning range walk on one goroutine (bitwise:
+// cells own disjoint output ranges).
 func TestMeshComputeForcesPoolMatches(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	x, y, z := randomMeshParticles(800, 18, rng)
-	pool := par.NewPool(4)
-	a := BuildMesh(x, y, z, 3.0)
-	a.ComputeForcesPool(simpleKernel, pool)
+	kern := meshCopyAdapter(simpleKernel)
 	b := BuildMesh(x, y, z, 3.0)
-	b.ComputeForces(simpleKernel, 1)
-	for i := range a.AX {
-		if a.AX[i] != b.AX[i] || a.AY[i] != b.AY[i] || a.AZ[i] != b.AZ[i] {
-			t.Fatalf("pooled force %d differs", i)
+	b.ComputeForcesRanges(kern, 1)
+	for _, workers := range []int{1, 2, 4} {
+		a := BuildMesh(x, y, z, 3.0)
+		a.ComputeForcesPoolRanges(kern, par.NewPool(workers))
+		for i := range a.AX {
+			if a.AX[i] != b.AX[i] || a.AY[i] != b.AY[i] || a.AZ[i] != b.AZ[i] {
+				t.Fatalf("workers=%d: pooled force %d differs", workers, i)
+			}
 		}
-	}
-	if a.Interactions.Load() != b.Interactions.Load() {
-		t.Fatalf("interaction counts differ: %d vs %d", a.Interactions.Load(), b.Interactions.Load())
+		if a.Interactions.Load() != b.Interactions.Load() {
+			t.Fatalf("workers=%d: interaction counts differ: %d vs %d",
+				workers, a.Interactions.Load(), b.Interactions.Load())
+		}
 	}
 }

@@ -11,15 +11,16 @@
 //
 // The short-range force is compact (zero beyond RCut), and periodic images
 // are materialized as overloaded replica particles by package domain, so
-// the tree is strictly local with open boundaries and no multipoles. PR 1
-// made Tree and the multi-tree Forest persistent: Rebuild re-partitions in
-// place (retaining coordinate copies, accumulators, the node pool, the
-// leaf cache, and per-worker walk scratch) and ComputeForcesPool walks
-// leaves over par.Pool with a shared atomic cursor.
+// the tree is strictly local with open boundaries and no multipoles. One
+// tree per rank is persistent: Rebuild re-partitions in place (retaining
+// coordinate copies, accumulators, the node pool, the leaf cache, and
+// per-worker walk scratch).
 //
-// PR 7 made the walk copy-free: ComputeForcesRanges (and the Pool/Forest
-// variants) hands the kernel ordered (start,end) spans over the tree's
-// leaf-contiguous SoA arrays instead of gathering neighbor coordinates.
+// The force walk is copy-free and has one production dispatch:
+// ComputeForcesPoolRanges pulls leaves from a shared atomic cursor on the
+// rank's par.Pool and hands the kernel ordered (start,end) spans over the
+// tree's leaf-contiguous SoA arrays instead of gathering neighbor
+// coordinates. ComputeForcesRanges is the same walk on spawned goroutines.
 // Leaves are visited in ascending index order so adjacent spans coalesce,
 // and a subtree entirely inside the search box is emitted as one span
 // without descending — both invisible to the kernel, because span order

@@ -61,38 +61,6 @@ func TestRangeWalkMatchesCopyWalk(t *testing.T) {
 	}
 }
 
-// TestForestRangeWalkMatchesCopyWalk extends the walk oracle across the
-// multi-tree forest path (halo construction included).
-func TestForestRangeWalkMatchesCopyWalk(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	x, y, z := randomParticles(900, 20, rng)
-	kern := testKernel(4)
-	const rcut = 2.0
-
-	f0 := BuildForest(x, y, z, 16, 3, rcut)
-	f0.ComputeForces(kern, rcut, 3)
-	ax0 := make([]float32, len(x))
-	ay0 := make([]float32, len(x))
-	az0 := make([]float32, len(x))
-	f0.AccelInto(ax0, ay0, az0)
-
-	f1 := BuildForest(x, y, z, 16, 3, rcut)
-	f1.ComputeForcesRanges(copyAdapter(kern), rcut, 3)
-	ax1 := make([]float32, len(x))
-	ay1 := make([]float32, len(x))
-	az1 := make([]float32, len(x))
-	f1.AccelInto(ax1, ay1, az1)
-
-	for i := range ax0 {
-		if math.Float32bits(ax1[i]) != math.Float32bits(ax0[i]) ||
-			math.Float32bits(ay1[i]) != math.Float32bits(ay0[i]) ||
-			math.Float32bits(az1[i]) != math.Float32bits(az0[i]) {
-			t.Fatalf("particle %d differs: (%v %v %v) vs (%v %v %v)",
-				i, ax1[i], ay1[i], az1[i], ax0[i], ay0[i], az0[i])
-		}
-	}
-}
-
 // TestRangeWalkThreadInvariance: the range walk partitions leaves over
 // workers dynamically, but per-leaf spans are deterministic, so results
 // must be independent of thread count and of goroutine-vs-pool dispatch.

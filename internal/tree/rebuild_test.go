@@ -1,6 +1,7 @@
 package tree
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -68,55 +69,33 @@ func TestRebuildResetsStats(t *testing.T) {
 	}
 }
 
-// TestComputeForcesPoolMatches checks the pooled dispatch against the
-// spawning path (bitwise: leaves own disjoint output ranges).
+// TestComputeForcesPoolMatches pins the production dispatch — the shared
+// leaf cursor on a persistent pool — against the spawning range walk on one
+// goroutine: bitwise-identical accelerations and identical walk statistics
+// for every pool size (leaves own disjoint output ranges).
 func TestComputeForcesPoolMatches(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
-	x, y, z := randomParticles(600, 12, rng)
-	pool := par.NewPool(4)
-	a := Build(x, y, z, 24)
-	a.ComputeForcesPool(testKernel(9), 3, pool)
-	b := Build(x, y, z, 24)
-	b.ComputeForces(testKernel(9), 3, 1)
-	for i := range a.AX {
-		if a.AX[i] != b.AX[i] || a.AY[i] != b.AY[i] || a.AZ[i] != b.AZ[i] {
-			t.Fatalf("pooled force %d differs", i)
+	x, y, z := randomParticles(800, 16, rng)
+	kern := copyAdapter(testKernel(4))
+	const rcut = 2.0
+	b := Build(x, y, z, 16)
+	b.ComputeForcesRanges(kern, rcut, 1)
+	for _, workers := range []int{1, 2, 3, 5} {
+		a := Build(x, y, z, 16)
+		a.ComputeForcesPoolRanges(kern, rcut, par.NewPool(workers))
+		if a.Interactions.Load() != b.Interactions.Load() ||
+			a.NodesVisited.Load() != b.NodesVisited.Load() ||
+			a.NeighborCount.Load() != b.NeighborCount.Load() {
+			t.Fatalf("workers=%d: stats (%d,%d,%d) differ from spawning walk (%d,%d,%d)", workers,
+				a.Interactions.Load(), a.NodesVisited.Load(), a.NeighborCount.Load(),
+				b.Interactions.Load(), b.NodesVisited.Load(), b.NeighborCount.Load())
 		}
-	}
-	if a.Interactions.Load() != b.Interactions.Load() {
-		t.Fatalf("interaction counts differ: %d vs %d", a.Interactions.Load(), b.Interactions.Load())
-	}
-}
-
-// TestForestRebuildMatchesBuild reuses one Forest across particle sets and
-// compares against fresh BuildForest results.
-func TestForestRebuildMatchesBuild(t *testing.T) {
-	rng := rand.New(rand.NewSource(20))
-	persistent := NewForest(16, 4, 2)
-	for _, n := range []int{800, 250, 0, 1200} {
-		x, y, z := randomParticles(n, 20, rng)
-		persistent.Rebuild(x, y, z)
-		fresh := BuildForest(x, y, z, 16, 4, 2)
-		if len(persistent.Trees) != len(fresh.Trees) {
-			t.Fatalf("n=%d: tree counts differ: %d vs %d", n, len(persistent.Trees), len(fresh.Trees))
-		}
-		persistent.ComputeForces(testKernel(4), 2, 3)
-		fresh.ComputeForces(testKernel(4), 2, 3)
-		pax := make([]float32, n)
-		pay := make([]float32, n)
-		paz := make([]float32, n)
-		fax := make([]float32, n)
-		fay := make([]float32, n)
-		faz := make([]float32, n)
-		persistent.AccelInto(pax, pay, paz)
-		fresh.AccelInto(fax, fay, faz)
-		for i := 0; i < n; i++ {
-			if pax[i] != fax[i] || pay[i] != fay[i] || paz[i] != faz[i] {
-				t.Fatalf("n=%d: forest force %d differs", n, i)
+		for i := range a.AX {
+			if math.Float32bits(a.AX[i]) != math.Float32bits(b.AX[i]) ||
+				math.Float32bits(a.AY[i]) != math.Float32bits(b.AY[i]) ||
+				math.Float32bits(a.AZ[i]) != math.Float32bits(b.AZ[i]) {
+				t.Fatalf("workers=%d: pooled force %d differs", workers, i)
 			}
-		}
-		if persistent.Interactions() != fresh.Interactions() {
-			t.Fatalf("n=%d: interactions differ: %d vs %d", n, persistent.Interactions(), fresh.Interactions())
 		}
 	}
 }

@@ -320,73 +320,62 @@ func (t *Tree) leafLoop(w int, kern LeafKernel, rc float32) {
 // descending — its particle range [start,end) is contiguous by RCB
 // construction, and the span order equals the copy walk's leaf-by-leaf
 // concatenation order, so both short-cuts are invisible to the kernel.
+// Results are bitwise independent of which worker runs a leaf because
+// accumulation targets only that leaf's span.
 func (t *Tree) leafLoopRanges(w int, kern RangeLeafKernel, rc float32) {
 	ws := &t.walk[w]
+	ranges := ws.ranges
+	stack := ws.stack
 	var inter, visited, nbrSum int64
 	for {
 		li := t.next.Add(1) - 1
 		if li >= int64(len(t.leaves)) {
 			break
 		}
-		i, v, s := t.walkLeafRanges(ws, int(li), kern, rc)
-		inter += i
-		visited += v
-		nbrSum += s
+		leaf := &t.nodes[t.leaves[li]]
+		// Expanded search box.
+		var lo, hi [3]float32
+		for d := 0; d < 3; d++ {
+			lo[d] = leaf.lo[d] - rc
+			hi[d] = leaf.hi[d] + rc
+		}
+		ranges = ranges[:0]
+		stack = append(stack[:0], 0)
+		for len(stack) > 0 {
+			ni := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			nd := &t.nodes[ni]
+			visited++
+			if nd.lo[0] > hi[0] || nd.hi[0] < lo[0] ||
+				nd.lo[1] > hi[1] || nd.hi[1] < lo[1] ||
+				nd.lo[2] > hi[2] || nd.hi[2] < lo[2] {
+				continue
+			}
+			if nd.left < 0 ||
+				(nd.lo[0] >= lo[0] && nd.hi[0] <= hi[0] &&
+					nd.lo[1] >= lo[1] && nd.hi[1] <= hi[1] &&
+					nd.lo[2] >= lo[2] && nd.hi[2] <= hi[2]) {
+				// Leaf, or interior node fully inside the search box.
+				if k := len(ranges); k > 0 && ranges[k-1][1] == nd.start {
+					ranges[k-1][1] = nd.end
+				} else {
+					ranges = append(ranges, [2]int32{nd.start, nd.end})
+				}
+				nbrSum += int64(nd.end - nd.start)
+				continue
+			}
+			stack = append(stack, nd.right, nd.left)
+		}
+		s, e := leaf.start, leaf.end
+		inter += kern(t.X[s:e], t.Y[s:e], t.Z[s:e],
+			t.X, t.Y, t.Z, ranges,
+			t.AX[s:e], t.AY[s:e], t.AZ[s:e])
 	}
+	ws.ranges = ranges
+	ws.stack = stack
 	t.Interactions.Add(inter)
 	t.NodesVisited.Add(visited)
 	t.NeighborCount.Add(nbrSum)
-}
-
-// walkLeafRanges performs the range walk and kernel call for one leaf using
-// the given scratch. It is the per-leaf unit of work shared by the cursor
-// dispatch (leafLoopRanges) and the stealing dispatch
-// (ComputeForcesStealRanges); results are bitwise independent of which
-// worker runs a leaf because accumulation targets only that leaf's span.
-func (t *Tree) walkLeafRanges(ws *walkScratch, li int, kern RangeLeafKernel, rc float32) (inter, visited, nbrSum int64) {
-	ranges := ws.ranges
-	stack := ws.stack
-	leaf := &t.nodes[t.leaves[li]]
-	// Expanded search box.
-	var lo, hi [3]float32
-	for d := 0; d < 3; d++ {
-		lo[d] = leaf.lo[d] - rc
-		hi[d] = leaf.hi[d] + rc
-	}
-	ranges = ranges[:0]
-	stack = append(stack[:0], 0)
-	for len(stack) > 0 {
-		ni := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		nd := &t.nodes[ni]
-		visited++
-		if nd.lo[0] > hi[0] || nd.hi[0] < lo[0] ||
-			nd.lo[1] > hi[1] || nd.hi[1] < lo[1] ||
-			nd.lo[2] > hi[2] || nd.hi[2] < lo[2] {
-			continue
-		}
-		if nd.left < 0 ||
-			(nd.lo[0] >= lo[0] && nd.hi[0] <= hi[0] &&
-				nd.lo[1] >= lo[1] && nd.hi[1] <= hi[1] &&
-				nd.lo[2] >= lo[2] && nd.hi[2] <= hi[2]) {
-			// Leaf, or interior node fully inside the search box.
-			if k := len(ranges); k > 0 && ranges[k-1][1] == nd.start {
-				ranges[k-1][1] = nd.end
-			} else {
-				ranges = append(ranges, [2]int32{nd.start, nd.end})
-			}
-			nbrSum += int64(nd.end - nd.start)
-			continue
-		}
-		stack = append(stack, nd.right, nd.left)
-	}
-	s, e := leaf.start, leaf.end
-	inter = kern(t.X[s:e], t.Y[s:e], t.Z[s:e],
-		t.X, t.Y, t.Z, ranges,
-		t.AX[s:e], t.AY[s:e], t.AZ[s:e])
-	ws.ranges = ranges
-	ws.stack = stack
-	return inter, visited, nbrSum
 }
 
 // ComputeForces walks the tree once per leaf, gathers that leaf's shared
@@ -418,23 +407,11 @@ func (t *Tree) ComputeForces(kern LeafKernel, rcut float64, threads int) {
 	wg.Wait()
 }
 
-// ComputeForcesPool is ComputeForces dispatched on a persistent worker
-// pool: no goroutine spawns, no per-call scratch — the zero-allocation
-// sub-cycling configuration.
-func (t *Tree) ComputeForcesPool(kern LeafKernel, rcut float64, pool *par.Pool) {
-	t.prepForces()
-	if len(t.nodes) == 0 {
-		return
-	}
-	t.ensureWalk(pool.Workers())
-	rc := float32(rcut)
-	pool.Run(0, func(w int) { t.leafLoop(w, kern, rc) })
-}
-
 // ComputeForcesRanges is ComputeForces on the copy-free range walk: the
 // kernel receives (start,end) spans over the tree's SoA arrays instead of a
-// gathered neighbor copy. The production force path; ComputeForces with a
-// copy kernel remains as the equivalence oracle.
+// gathered neighbor copy. Production runs the same walk on the rank's pool
+// (ComputeForcesPoolRanges); ComputeForces with a copy kernel remains as the
+// equivalence oracle.
 func (t *Tree) ComputeForcesRanges(kern RangeLeafKernel, rcut float64, threads int) {
 	t.prepForces()
 	if len(t.nodes) == 0 {
@@ -461,7 +438,8 @@ func (t *Tree) ComputeForcesRanges(kern RangeLeafKernel, rcut float64, threads i
 }
 
 // ComputeForcesPoolRanges is ComputeForcesRanges dispatched on a persistent
-// worker pool: the zero-allocation sub-cycling configuration.
+// worker pool: the production force walk and the zero-allocation
+// sub-cycling configuration.
 func (t *Tree) ComputeForcesPoolRanges(kern RangeLeafKernel, rcut float64, pool *par.Pool) {
 	t.prepForces()
 	if len(t.nodes) == 0 {
@@ -470,34 +448,6 @@ func (t *Tree) ComputeForcesPoolRanges(kern RangeLeafKernel, rcut float64, pool 
 	t.ensureWalk(pool.Workers())
 	rc := float32(rcut)
 	pool.Run(0, func(w int) { t.leafLoopRanges(w, kern, rc) })
-}
-
-// ComputeForcesStealRanges is ComputeForcesPoolRanges on the pool's
-// deque-stealing dispatch (par.ForSteal): workers start with contiguous
-// leaf shards and steal trailing leaves from overloaded neighbors, so a
-// clustered region parked on one worker self-balances. Bitwise ≡ the cursor
-// and static dispatches for any worker count (per-leaf accumulation).
-// Returns the number of stolen leaves.
-func (t *Tree) ComputeForcesStealRanges(kern RangeLeafKernel, rcut float64, pool *par.Pool) int64 {
-	t.prepForces()
-	if len(t.nodes) == 0 {
-		return 0
-	}
-	t.ensureWalk(pool.Workers())
-	rc := float32(rcut)
-	return pool.ForSteal(len(t.leaves), 1, func(w, lo, hi int) {
-		ws := &t.walk[w]
-		var inter, visited, nbrSum int64
-		for li := lo; li < hi; li++ {
-			i, v, s := t.walkLeafRanges(ws, li, kern, rc)
-			inter += i
-			visited += v
-			nbrSum += s
-		}
-		t.Interactions.Add(inter)
-		t.NodesVisited.Add(visited)
-		t.NeighborCount.Add(nbrSum)
-	})
 }
 
 // AccelInto scatters the computed accelerations back to the caller's
