@@ -10,6 +10,7 @@
 //	haccbench evolve   [-np 32] [-steps 10]           Fig. 9
 //	haccbench power    [-np 32] [-steps 12]           Fig. 10
 //	haccbench halos    [-np 32] [-steps 12]           Fig. 11 / §V
+//	haccbench ablate                                  leaf, solver, threads, overload, filter
 //	haccbench all                                     everything above
 package main
 
@@ -59,9 +60,10 @@ func main() {
 		"evolve":  func() error { return evolveExp(*np, orDefault(*steps, 10), orDefaultF(*box, 120)) },
 		"power":   func() error { return powerExp(*np, orDefault(*steps, 12), orDefaultF(*box, 150)) },
 		"halos":   func() error { return halosExp(*np, orDefault(*steps, 12), orDefaultF(*box, 100)) },
+		"ablate":  ablateExp,
 	}
 	if cmd == "all" {
-		for _, name := range []string{"fft", "kernel", "poisson", "weak", "strong", "evolve", "power", "halos"} {
+		for _, name := range []string{"fft", "kernel", "poisson", "weak", "strong", "evolve", "power", "halos", "ablate"} {
 			run(name, dispatch[name])
 		}
 		return
@@ -89,7 +91,7 @@ func orDefaultF(v, d float64) float64 {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: haccbench {fft|kernel|poisson|weak|strong|evolve|power|halos|all} [flags]")
+	fmt.Fprintln(os.Stderr, "usage: haccbench {fft|kernel|poisson|weak|strong|evolve|power|halos|ablate|all} [flags]")
 }
 
 func fftExp(n, maxRanks int) error {
@@ -223,5 +225,67 @@ func halosExp(np, steps int, box float64) error {
 		return err
 	}
 	bench.PrintHalos(os.Stdout, r)
+	return nil
+}
+
+// ablation is one variant of a design-choice sweep: a full-code point and
+// the config change that selects the variant.
+type ablation struct {
+	sweep, variant string
+	opts           bench.FullOptions
+	mod            func(*core.Config)
+}
+
+// ablateExp sweeps the design choices the paper argues for, one row per
+// variant: the RCB fat-leaf capacity (§III's walk-minimization
+// trade-off), the interchangeable short-range backends (§II), intra-rank
+// threading on the Table II point (§VI), the overload shell width (§II:
+// memory and redundant work against refresh frequency), and the spectral
+// filter against bare PM (§II, eq. 5; its accuracy gain is pinned by
+// TestFilterReducesAnisotropy, its run-time cost should be nil).
+func ablateExp() error {
+	fmt.Println("Ablations: leaf size, solver backend, threads, overload width, spectral filter")
+	tree := func(ranks, np int) bench.FullOptions {
+		return bench.FullOptions{Ranks: ranks, NpPerDim: np, Solver: core.PPTreePM, Steps: 1, SubCycles: 3}
+	}
+	var runs []ablation
+	for _, leaf := range []int{8, 24, 64, 128, 256} {
+		o := tree(2, 24)
+		o.LeafSize = leaf
+		runs = append(runs, ablation{"leaf", fmt.Sprint(leaf), o, nil})
+	}
+	for _, solver := range []core.SolverKind{core.PPTreePM, core.P3M, core.PMOnly} {
+		o := tree(2, 24)
+		o.Solver = solver
+		runs = append(runs, ablation{"solver", solver.String(), o, nil})
+	}
+	for _, threads := range []int{1, 2, 4} {
+		o := tree(4, 26)
+		o.Threads = threads
+		runs = append(runs, ablation{"threads", fmt.Sprint(threads), o, nil})
+	}
+	for _, ov := range []float64{3.5, 4, 5, 6} {
+		runs = append(runs, ablation{"overload", fmt.Sprint(ov), tree(4, 24),
+			func(c *core.Config) { c.Overload = ov }})
+	}
+	for _, bare := range []bool{false, true} {
+		variant := "filter"
+		if bare {
+			variant = "bare"
+		}
+		o := bench.FullOptions{Ranks: 2, NpPerDim: 24, Solver: core.PMOnly, Steps: 1, SubCycles: 2}
+		runs = append(runs, ablation{"filter", variant, o,
+			func(c *core.Config) { c.DisableFilter = bare }})
+	}
+	fmt.Printf("%-10s %-10s %-14s %-14s %-10s %s\n",
+		"Sweep", "Variant", "Time/Sub [s]", "Interactions", "Overload", "MB/rank")
+	for _, a := range runs {
+		r, err := bench.RunFullWithConfig(a.opts, a.mod)
+		if err != nil {
+			return fmt.Errorf("%s %s: %w", a.sweep, a.variant, err)
+		}
+		fmt.Printf("%-10s %-10s %-14.4f %-14d %-10.2f %.1f\n",
+			a.sweep, a.variant, r.SecPerSub, r.Interactions, r.OverloadFrac, r.MemMBPerRank)
+	}
 	return nil
 }

@@ -56,7 +56,6 @@ import (
 	"hacc/internal/core"
 	"hacc/internal/cosmology"
 	"hacc/internal/fault"
-	"hacc/internal/machine"
 	"hacc/internal/mpi"
 	"hacc/internal/shortrange"
 )
@@ -221,13 +220,6 @@ func main() {
 		exe, xerr := os.Executable()
 		if xerr != nil {
 			log.Fatalf("-par: cannot re-exec: %v", xerr)
-		}
-		// Report the modeled torus placement: ranks map row-major onto the
-		// BG/Q rack wiring, the layout the paper's comm-pattern estimates
-		// assume.
-		torus := machine.RackTorus()
-		for r := 0; r < *par; r++ {
-			log.Printf("torus map: rank %d -> node %v", r, torus.Coords(r))
 		}
 		rep, err = core.SuperviseProcs(core.ProcOptions{
 			Ranks:          *par,

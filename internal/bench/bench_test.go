@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"hacc/internal/core"
+	"hacc/internal/shortrange"
 )
 
 func TestRunFFTSmoke(t *testing.T) {
@@ -32,6 +33,9 @@ func TestRunKernelSmoke(t *testing.T) {
 	PrintKernelTable(&sb, []KernelResult{r})
 	if !strings.Contains(sb.String(), "128") {
 		t.Error("kernel table missing row")
+	}
+	if !strings.Contains(sb.String(), "kernel body: "+shortrange.KernelISA()) {
+		t.Errorf("kernel table header does not name the body: %q", sb.String())
 	}
 }
 

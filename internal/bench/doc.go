@@ -2,7 +2,6 @@
 // table and figure of the paper's evaluation (§IV–V), scaled to a single
 // machine: ranks are goroutines, problem sizes are laptop-sized, and the
 // BG/Q columns are model projections from counted work (see
-// internal/machine). The same runners back the root benchmark suite and
-// the haccbench command. Seed-era package, extended per PR as new
-// experiments land (the per-experiment index lives in DESIGN.md).
+// internal/machine). cmd/haccbench is their only caller (the
+// per-experiment index lives in DESIGN.md).
 package bench

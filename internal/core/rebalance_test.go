@@ -262,6 +262,66 @@ func TestRebalanceCheckpointCompose(t *testing.T) {
 	}
 }
 
+// TestRebalanceHalvesHaloImbalance is the balancer's end-to-end
+// acceptance: on the clustered halo workload over 8 ranks, cost-driven
+// rebalancing must cut the final (most clustered) step's max/mean per-rank
+// short-range work — kernel interactions plus walk node visits, the
+// deterministic stand-in for step time — at least 2× below the static
+// uniform decomposition's, and must actually fire.
+func TestRebalanceHalvesHaloImbalance(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-step simulation")
+	}
+	const ranks = 8
+	run := func(rebalance bool) (imb float64, rebalances int64) {
+		cfg := haloCfg()
+		cfg.Seed = 77
+		// Threads is pinned so the walk has several workers; it is
+		// bitwise-neutral, so the work counters compare exactly across hosts.
+		cfg.Threads = 4
+		if rebalance {
+			cfg.RebalanceThreshold = 1.1
+			cfg.RebalanceMinSteps = 1
+		}
+		err := mpi.Run(ranks, func(c *mpi.Comm) {
+			s, err := New(c, cfg)
+			if err != nil {
+				panic(err)
+			}
+			var last float64
+			for s.StepIndex < cfg.Steps {
+				prev := s.Counters.KernelInteractions + s.Counters.WalkNodes
+				if err := s.Step(); err != nil {
+					panic(err)
+				}
+				d := float64(s.Counters.KernelInteractions + s.Counters.WalkNodes - prev)
+				var max, sum float64
+				for _, w := range mpi.AllGather(c, []float64{d}) {
+					max = math.Max(max, w)
+					sum += w
+				}
+				last = max / (sum / ranks)
+			}
+			if c.Rank() == 0 {
+				imb, rebalances = last, s.Counters.Rebalances
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return imb, rebalances
+	}
+	static, _ := run(false)
+	balanced, n := run(true)
+	t.Logf("final-step max/mean work: static %.2f, rebalanced %.2f (%d rebalances)", static, balanced, n)
+	if n == 0 {
+		t.Fatal("balancer never fired on the clustered IC")
+	}
+	if static < 2*balanced {
+		t.Errorf("rebalancing cut the imbalance %.2fx (%.2f -> %.2f), want >= 2x", static/balanced, static, balanced)
+	}
+}
+
 // TestThreadsBitwiseHalo pins the tree walk's scheduling neutrality end to
 // end on the clustered workload, where deep leaves make per-worker loads
 // most unequal: the shared-cursor dispatch hands leaves to whichever worker

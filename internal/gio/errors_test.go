@@ -128,7 +128,4 @@ func TestGarbageInput(t *testing.T) {
 	if _, err := openBytes(nil); err == nil {
 		t.Error("accepted empty input")
 	}
-	if _, err := ReadIndexOnly(bytes.NewReader([]byte{1, 2, 3})); err == nil {
-		t.Error("ReadIndexOnly accepted garbage")
-	}
 }

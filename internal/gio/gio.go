@@ -40,8 +40,8 @@ const (
 	chunkBytes = 1 << 18
 )
 
-// magic identifies a container file. Deliberately distinct from the legacy
-// snapshot magic so v1 files fail with a clear migration error.
+// magic identifies a container file; any other prefix fails to open with a
+// "bad magic" error.
 var magic = [8]byte{'H', 'A', 'C', 'C', 'G', 'I', 'O', '1'}
 
 // castagnoli is the CRC32-C polynomial table shared by index and block

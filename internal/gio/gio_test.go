@@ -128,25 +128,6 @@ func TestEmptyColumnsRoundTrip(t *testing.T) {
 	}
 }
 
-func TestReadIndexOnly(t *testing.T) {
-	vars := testVars(55, 9)
-	meta := []byte("hdr")
-	var buf bytes.Buffer
-	if err := WriteTo(&buf, meta, vars); err != nil {
-		t.Fatal(err)
-	}
-	ix, err := ReadIndexOnly(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(ix.Meta(), meta) || ix.NumRanks() != 1 {
-		t.Fatalf("index: meta %q ranks %d", ix.Meta(), ix.NumRanks())
-	}
-	if rows, _ := ix.Rows(0, "x"); rows != 55 {
-		t.Fatalf("rows = %d", rows)
-	}
-}
-
 func TestParallelRoundTrip(t *testing.T) {
 	for _, p := range []int{1, 3, 8} {
 		p := p

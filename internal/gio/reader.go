@@ -78,11 +78,11 @@ func (ix *Index) blockAt(rank, vi int) (off int64, rows uint64) {
 	return off, ix.rows[rank][vi]
 }
 
-// parseIndex validates and parses a complete index region. actualSize is
-// the real readable container size, or -1 when unknown (sequential readers
-// that cannot stat their source); when known it must match the declared
-// file size exactly, which catches truncation before any data read.
-func parseIndex(hdr []byte, rest func(n int64) ([]byte, error), actualSize int64) (*Index, error) {
+// parseIndex validates and parses a complete index region, reading the
+// part past the fixed header from ra. actualSize is the real readable
+// container size; it must match the declared file size exactly, which
+// catches truncation before any data read.
+func parseIndex(hdr []byte, ra io.ReaderAt, actualSize int64) (*Index, error) {
 	if len(hdr) < headerSize {
 		return nil, fmt.Errorf("gio: container too small: %d bytes, need at least the %d-byte header", len(hdr), headerSize)
 	}
@@ -111,13 +111,13 @@ func parseIndex(hdr []byte, rest func(n int64) ([]byte, error), actualSize int64
 	if fileSize < dataStart {
 		return nil, fmt.Errorf("gio: corrupt header: file size %d smaller than index %d", fileSize, dataStart)
 	}
-	if actualSize >= 0 && int64(fileSize) != actualSize {
+	if int64(fileSize) != actualSize {
 		return nil, fmt.Errorf("gio: truncated container: header declares %d bytes, have %d", fileSize, actualSize)
 	}
-	// Fetch the remainder of the index; its size is now structurally bounded
-	// (and, when actualSize is known, bounded by real bytes on disk).
-	body, err := rest(int64(dataStart) - headerSize)
-	if err != nil {
+	// Fetch the remainder of the index; its size is now bounded by real
+	// bytes on disk.
+	body := make([]byte, int64(dataStart)-headerSize)
+	if _, err := ra.ReadAt(body, headerSize); err != nil {
 		return nil, fmt.Errorf("gio: truncated container index: %w", err)
 	}
 	// Verify the index CRC with the stored CRC field zeroed.
@@ -194,40 +194,6 @@ func parseIndex(hdr []byte, rest func(n int64) ([]byte, error), actualSize int64
 	return ix, nil
 }
 
-// ReadIndexOnly reads just the container index from a sequential stream —
-// for callers that need counts and metadata without decoding (or even
-// having random access to) the data region. The stream is left positioned
-// at the first data block. The source's true size is unknown here, so the
-// index is read in bounded chunks: allocation grows only with bytes the
-// stream actually delivers, and a header declaring a huge index against a
-// short file fails at the first missing chunk instead of over-allocating.
-func ReadIndexOnly(r io.Reader) (*Index, error) {
-	hdr := make([]byte, headerSize)
-	if _, err := io.ReadFull(r, hdr); err != nil {
-		return nil, fmt.Errorf("gio: reading container header: %w", err)
-	}
-	return parseIndex(hdr, func(n int64) ([]byte, error) {
-		const chunk = 1 << 20
-		first := n
-		if first > chunk {
-			first = chunk
-		}
-		b := make([]byte, 0, first)
-		for int64(len(b)) < n {
-			c := n - int64(len(b))
-			if c > chunk {
-				c = chunk
-			}
-			off := len(b)
-			b = append(b, make([]byte, c)...)
-			if _, err := io.ReadFull(r, b[off:]); err != nil {
-				return nil, err
-			}
-		}
-		return b, nil
-	}, -1)
-}
-
 // Reader is an open container with O(1) random access to any writer rank's
 // column blocks.
 type Reader struct {
@@ -277,11 +243,7 @@ func NewReader(ra io.ReaderAt, size int64) (*Reader, error) {
 	} else {
 		hdr = nil
 	}
-	ix, err := parseIndex(hdr, func(n int64) ([]byte, error) {
-		b := make([]byte, n)
-		_, err := ra.ReadAt(b, headerSize)
-		return b, err
-	}, size)
+	ix, err := parseIndex(hdr, ra, size)
 	if err != nil {
 		return nil, err
 	}

@@ -1,9 +1,6 @@
 package machine
 
-import (
-	"math"
-	"time"
-)
+import "math"
 
 // BG/Q hardware constants (paper §III).
 const (
@@ -80,25 +77,6 @@ func (c *Counters) Flops() float64 {
 	return float64(c.KernelInteractions)*FlopsPerInteraction +
 		float64(c.FFT3D)*FFT3Flops(c.FFTGridN) +
 		float64(c.CICOps)*FlopsPerCIC
-}
-
-// Add merges another counter set.
-func (c *Counters) Add(o Counters) {
-	c.KernelInteractions += o.KernelInteractions
-	c.FFT3D += o.FFT3D
-	if o.FFTGridN != 0 {
-		c.FFTGridN = o.FFTGridN
-	}
-	c.CICOps += o.CICOps
-	c.Restarts += o.Restarts
-	c.CkptRetries += o.CkptRetries
-	c.CkptQuarantined += o.CkptQuarantined
-	c.WalkNodes += o.WalkNodes
-	c.Rebalances += o.Rebalances
-	c.MsgsSent += o.MsgsSent
-	c.BytesSent += o.BytesSent
-	c.WireMsgs += o.WireMsgs
-	c.WireBytes += o.WireBytes
 }
 
 // CounterWords is the number of int64 words Encode packs — the per-rank
@@ -180,14 +158,6 @@ func (c *Counters) MergeRestored(w []int64) {
 func ProjectedBGQ(nodes int) (tflops float64, peakPct float64) {
 	peak := PeakGFlopsPerNode * 1e9 * float64(nodes)
 	return peak * SustainedPeakFraction / 1e12, SustainedPeakFraction * 100
-}
-
-// BGQTimePerSubstep converts counted flops into the wall-clock one substep
-// would take on `nodes` BG/Q nodes at the sustained rate — the model for
-// the paper's time/substep/particle column.
-func BGQTimePerSubstep(flops float64, nodes int) time.Duration {
-	rate := PeakGFlopsPerNode * 1e9 * float64(nodes) * SustainedPeakFraction
-	return time.Duration(flops / rate * float64(time.Second))
 }
 
 // CommPost and CommWait are the names of the obs.SpanCommPost (pack + post)

@@ -3,7 +3,6 @@ package machine
 import (
 	"math"
 	"testing"
-	"time"
 )
 
 func TestFFTFlops(t *testing.T) {
@@ -25,12 +24,6 @@ func TestCountersFlops(t *testing.T) {
 	if got := c.Flops(); math.Abs(got-want) > 1e-9 {
 		t.Errorf("Flops=%g want %g", got, want)
 	}
-	var d Counters
-	d.Add(c)
-	d.Add(c)
-	if d.KernelInteractions != 2000 || d.FFT3D != 4 || d.FFTGridN != 32 {
-		t.Errorf("Add broken: %+v", d)
-	}
 }
 
 func TestProjection(t *testing.T) {
@@ -41,10 +34,6 @@ func TestProjection(t *testing.T) {
 	}
 	if math.Abs(pct-69.2) > 0.1 {
 		t.Errorf("peak pct %g", pct)
-	}
-	d := BGQTimePerSubstep(1e15, 96*1024)
-	if d <= 0 || d > time.Minute {
-		t.Errorf("substep projection %v", d)
 	}
 }
 

@@ -2,8 +2,6 @@ package snapshot
 
 import (
 	"fmt"
-	"io"
-	"os"
 
 	"hacc/internal/analysis"
 	"hacc/internal/gio"
@@ -14,8 +12,8 @@ import (
 // the paper's survey product, not particle dumps — halo Members stay in
 // memory.
 
-// WriteHalos stores one rank's halo catalog to w.
-func WriteHalos(w io.Writer, h Header, halos []analysis.Halo) error {
+// SaveHalos writes one rank's halo catalog to path.
+func SaveHalos(path string, h Header, halos []analysis.Halo) error {
 	n := len(halos)
 	cols := struct {
 		gid  []uint64
@@ -49,16 +47,7 @@ func WriteHalos(w io.Writer, h Header, halos []analysis.Halo) error {
 		{Name: "vz", Type: gio.Float64, F64: cols.f[6]},
 		{Name: "rmax", Type: gio.Float64, F64: cols.f[7]},
 	}
-	return gio.WriteTo(w, encodeMeta(nil, kindHalos, h, 0), vars)
-}
-
-// ReadHalos loads a halo catalog from r.
-func ReadHalos(r io.Reader) (Header, []analysis.Halo, error) {
-	gr, err := openStream(r)
-	if err != nil {
-		return Header{}, nil, err
-	}
-	return readHalos(gr)
+	return saveContainer(path, encodeMeta(nil, kindHalos, h, 0), vars)
 }
 
 // readHalos decodes a halo catalog from an open container.
@@ -109,24 +98,15 @@ func readHalos(gr *gio.Reader) (Header, []analysis.Halo, error) {
 	return h, halos, nil
 }
 
-// WriteSpectrum stores a binned power spectrum to w; the shot-noise level
+// SaveSpectrum writes a binned power spectrum to path; the shot-noise level
 // rides in the meta blob.
-func WriteSpectrum(w io.Writer, h Header, ps *analysis.PowerSpectrum) error {
+func SaveSpectrum(path string, h Header, ps *analysis.PowerSpectrum) error {
 	vars := []gio.Var{
 		{Name: "k", Type: gio.Float64, F64: ps.K},
 		{Name: "p", Type: gio.Float64, F64: ps.P},
 		{Name: "nmodes", Type: gio.Int64, I64: ps.NModes},
 	}
-	return gio.WriteTo(w, encodeMeta(nil, kindSpectrum, h, ps.ShotNoise), vars)
-}
-
-// ReadSpectrum loads a binned power spectrum from r.
-func ReadSpectrum(r io.Reader) (Header, *analysis.PowerSpectrum, error) {
-	gr, err := openStream(r)
-	if err != nil {
-		return Header{}, nil, err
-	}
-	return readSpectrum(gr)
+	return saveContainer(path, encodeMeta(nil, kindSpectrum, h, ps.ShotNoise), vars)
 }
 
 // readSpectrum decodes a spectrum from an open container.
@@ -154,21 +134,7 @@ func readSpectrum(gr *gio.Reader) (Header, *analysis.PowerSpectrum, error) {
 	return h, ps, nil
 }
 
-// SaveHalos writes one rank's halo catalog to path.
-func SaveHalos(path string, h Header, halos []analysis.Halo) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := WriteHalos(f, h, halos); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// LoadHalos reads a halo catalog from path with O(1) index access (no
-// whole-file slurp, like LoadFile).
+// LoadHalos reads a halo catalog from path with O(1) index access.
 func LoadHalos(path string) (Header, []analysis.Halo, error) {
 	gr, err := openContainer(path)
 	if err != nil {
@@ -176,19 +142,6 @@ func LoadHalos(path string) (Header, []analysis.Halo, error) {
 	}
 	defer gr.Close()
 	return readHalos(gr)
-}
-
-// SaveSpectrum writes a power spectrum to path.
-func SaveSpectrum(path string, h Header, ps *analysis.PowerSpectrum) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := WriteSpectrum(f, h, ps); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // LoadSpectrum reads a power spectrum from path with O(1) index access.

@@ -1,7 +1,7 @@
 package snapshot
 
 import (
-	"bytes"
+	"path/filepath"
 	"testing"
 
 	"hacc/internal/analysis"
@@ -14,11 +14,11 @@ func TestHaloCatalogRoundTrip(t *testing.T) {
 			Members: []int32{1, 2, 3}}, // Members intentionally not persisted
 		{GID: 9000000007, N: 10, Mass: 2.5e13, X: 32, Y: 32, Z: 32, RMax: 0.8},
 	}
-	var buf bytes.Buffer
-	if err := WriteHalos(&buf, h, halos); err != nil {
+	path := filepath.Join(t.TempDir(), "halos.hacc")
+	if err := SaveHalos(path, h, halos); err != nil {
 		t.Fatal(err)
 	}
-	h2, got, err := ReadHalos(&buf)
+	h2, got, err := LoadHalos(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,11 +50,11 @@ func TestSpectrumRoundTrip(t *testing.T) {
 		NModes:    []int64{12, 88, 420},
 		ShotNoise: 3.7,
 	}
-	var buf bytes.Buffer
-	if err := WriteSpectrum(&buf, h, ps); err != nil {
+	path := filepath.Join(t.TempDir(), "pk.hacc")
+	if err := SaveSpectrum(path, h, ps); err != nil {
 		t.Fatal(err)
 	}
-	h2, got, err := ReadSpectrum(&buf)
+	h2, got, err := LoadSpectrum(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,11 +72,11 @@ func TestSpectrumRoundTrip(t *testing.T) {
 }
 
 func TestCatalogBadMagic(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteSpectrum(&buf, Header{}, &analysis.PowerSpectrum{}); err != nil {
+	path := filepath.Join(t.TempDir(), "pk.hacc")
+	if err := SaveSpectrum(path, Header{}, &analysis.PowerSpectrum{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := ReadHalos(&buf); err == nil {
+	if _, _, err := LoadHalos(path); err == nil {
 		t.Error("spectrum file accepted as a halo catalog")
 	}
 }

@@ -9,10 +9,12 @@
 // columns, per-block CRC32-C, an index validated against the real file
 // size), so snapshots, catalogs, spectra, and checkpoints share one
 // durable, versioned, checksummed layout; the meta blob carries the
-// product kind, the schema Version, and the run Header. Reads bound every
-// allocation by verified sizes — a truncated or corrupt file (or a legacy
-// pre-container version-1 snapshot) fails with a descriptive error instead
-// of over-allocating. AppendParticleVars/ReadParticleRank define the
-// canonical particle column schema shared with core's checkpoint state
+// product kind, the schema Version, and the run Header. Every product is
+// written by a Save* and read back from its file by the matching Load*
+// (LoadHeader reads only the index and meta blob); reads bound every
+// allocation by sizes gio.Open has checked against the file, so a
+// truncated, corrupt or non-container file fails with a descriptive error
+// instead of over-allocating. AppendParticleVars/ReadParticleRank define
+// the canonical particle column schema shared with core's checkpoint state
 // containers.
 package snapshot

@@ -4,10 +4,8 @@
 package snapshot
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
 	"os"
 
@@ -28,10 +26,6 @@ const (
 	kindHalos     = 2
 	kindSpectrum  = 3
 )
-
-// legacyMagic is the on-disk prefix of pre-container (version 1) snapshot
-// files, recognized only to produce a clear migration error.
-var legacyMagic = []byte{0x43, 0x43, 0x41, 0x48} // uint32 LE 0x48414343 "HACC"
 
 // Header describes a snapshot. It rides in the container's meta blob; NP is
 // filled from the container's row counts on read.
@@ -106,38 +100,6 @@ func AppendParticleVars(vars []gio.Var, p *domain.Particles) []gio.Var {
 	)
 }
 
-// particleVars declares the particle column schema over p's storage.
-func particleVars(p *domain.Particles) []gio.Var {
-	return AppendParticleVars(nil, p)
-}
-
-// Write stores the particles to w as a single-rank container. The header's
-// NP field is ignored: record counts live in the container's rank table and
-// are re-derived (and size-validated) on read.
-func Write(w io.Writer, h Header, p *domain.Particles) error {
-	return gio.WriteTo(w, encodeMeta(nil, kindParticles, h, 0), particleVars(p))
-}
-
-// openStream parses a whole container from a sequential reader. Allocation
-// is bounded by the bytes actually present (io.ReadAll grows with real
-// input), and every header-declared count is validated against the true
-// size before it is trusted — a truncated or corrupt stream fails loudly
-// instead of over-allocating.
-func openStream(r io.Reader) (*gio.Reader, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("snapshot: reading container: %w", err)
-	}
-	if bytes.HasPrefix(data, legacyMagic) {
-		return nil, fmt.Errorf("snapshot: legacy version-1 snapshot (pre-container raw blocks); regenerate it with this build")
-	}
-	gr, err := gio.NewReader(bytes.NewReader(data), int64(len(data)))
-	if err != nil {
-		return nil, fmt.Errorf("snapshot: %w", err)
-	}
-	return gr, nil
-}
-
 // readParticles decodes every writer rank's particle columns from an open
 // container, appending into a fresh Particles store.
 func readParticles(gr *gio.Reader, wantKind uint32) (Header, *domain.Particles, error) {
@@ -196,72 +158,38 @@ func ReadParticleRank(gr *gio.Reader, rank int, dst *domain.Particles) error {
 	return nil
 }
 
-// Read loads a particle snapshot from r.
-func Read(r io.Reader) (Header, *domain.Particles, error) {
-	gr, err := openStream(r)
-	if err != nil {
-		return Header{}, nil, err
-	}
-	return readParticles(gr, kindParticles)
-}
-
-// ReadHeader reads only the container index and meta blob of a particle
-// snapshot, without decoding the particle payload — for callers that need
-// counts and run metadata up front (haccpower's file scan). The stream is
-// consumed up to the start of the data region.
-func ReadHeader(r io.Reader) (Header, error) {
-	hdr := make([]byte, 4)
-	if _, err := io.ReadFull(r, hdr); err != nil {
-		return Header{}, fmt.Errorf("snapshot: reading magic: %w", err)
-	}
-	if bytes.Equal(hdr, legacyMagic) {
-		return Header{}, fmt.Errorf("snapshot: legacy version-1 snapshot (pre-container raw blocks); regenerate it with this build")
-	}
-	ix, err := gio.ReadIndexOnly(io.MultiReader(bytes.NewReader(hdr), r))
-	if err != nil {
-		return Header{}, fmt.Errorf("snapshot: %w", err)
-	}
-	h, _, err := decodeMeta(ix.Meta(), kindParticles, "particle snapshot")
-	if err != nil {
-		return h, err
-	}
-	var np uint64
-	for r := 0; r < ix.NumRanks(); r++ {
-		rows, err := ix.Rows(r, "x")
-		if err != nil {
-			return h, fmt.Errorf("snapshot: %w", err)
-		}
-		np += uint64(rows)
-	}
-	h.NP = np
-	return h, nil
-}
-
-// LoadHeader reads only the snapshot header from path.
+// LoadHeader reads only the index and meta blob of the particle snapshot at
+// path, without decoding the particle payload — for callers that need
+// counts and run metadata up front (haccpower's file scan). Opening the
+// container already validates the index against the file size.
 func LoadHeader(path string) (Header, error) {
-	f, err := os.Open(path)
+	gr, err := openContainer(path)
 	if err != nil {
 		return Header{}, err
 	}
-	defer f.Close()
-	return ReadHeader(f)
-}
-
-// SaveFile writes the particles to path.
-func SaveFile(path string, h Header, p *domain.Particles) error {
-	f, err := os.Create(path)
+	defer gr.Close()
+	h, _, err := decodeMeta(gr.Meta(), kindParticles, "particle snapshot")
 	if err != nil {
-		return err
+		return h, err
 	}
-	if err := Write(f, h, p); err != nil {
-		f.Close()
-		return err
+	for r := 0; r < gr.NumRanks(); r++ {
+		rows, err := gr.Rows(r, "x")
+		if err != nil {
+			return h, fmt.Errorf("snapshot: %w", err)
+		}
+		h.NP += uint64(rows)
 	}
-	return f.Close()
+	return h, nil
 }
 
-// LoadFile reads a snapshot from path with O(1) index access (the file is
-// not slurped into memory first, unlike the io.Reader path).
+// SaveFile writes the particles to path as a single-rank container. The
+// header's NP field is ignored: record counts live in the container's rank
+// table and are re-derived (and size-validated) on read.
+func SaveFile(path string, h Header, p *domain.Particles) error {
+	return saveContainer(path, encodeMeta(nil, kindParticles, h, 0), AppendParticleVars(nil, p))
+}
+
+// LoadFile reads a snapshot from path with O(1) index access.
 func LoadFile(path string) (Header, *domain.Particles, error) {
 	gr, err := openContainer(path)
 	if err != nil {
@@ -271,20 +199,26 @@ func LoadFile(path string) (Header, *domain.Particles, error) {
 	return readParticles(gr, kindParticles)
 }
 
-// openContainer opens a container file, translating a legacy-format prefix
-// into the migration error.
+// saveContainer writes one single-rank product container to path.
+func saveContainer(path string, meta []byte, vars []gio.Var) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := gio.WriteTo(f, meta, vars); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+// openContainer opens a product container file. Every read allocation is
+// bounded by the index, which gio.Open has checked against the real file
+// size.
 func openContainer(path string) (*gio.Reader, error) {
 	gr, err := gio.Open(path)
-	if err == nil {
-		return gr, nil
+	if err != nil {
+		return nil, fmt.Errorf("snapshot: %w", err)
 	}
-	if f, ferr := os.Open(path); ferr == nil {
-		var pre [4]byte
-		if _, rerr := io.ReadFull(f, pre[:]); rerr == nil && bytes.Equal(pre[:], legacyMagic) {
-			f.Close()
-			return nil, fmt.Errorf("snapshot: %s is a legacy version-1 snapshot (pre-container raw blocks); regenerate it with this build", path)
-		}
-		f.Close()
-	}
-	return nil, fmt.Errorf("snapshot: %w", err)
+	return gr, nil
 }
