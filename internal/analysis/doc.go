@@ -6,14 +6,15 @@
 //
 // The two production paths are persistent plans in the style of the
 // exchange and spectral layers (PR 4): analysis.Plan runs rank-local FOF
-// over a chaining mesh, stitches halos that cross rank boundaries by
-// sending boundary-replica (particle ID, group key) pairs back to their
-// owners over the domain's 26-stencil neighbor legs, and resolves global
-// group IDs with a small gathered union-find; analysis.Power bins P(k)
+// over z-sorted (x, y) columns of side ≥ b, with O(n + columns) scratch,
+// stitches halos that cross rank boundaries by sending boundary-replica
+// (particle ID, group key) pairs back to their owners over the domain's
+// 26-stencil neighbor legs, and resolves global group IDs with a small
+// gathered union-find; analysis.Power bins P(k)
 // directly on the pencil-r2c half spectrum, so a measurement costs one
 // planned real-to-complex transform. Both plans are built once, hold all
 // their scratch, and allocate nothing warm on one rank. The serial
-// implementations survive as equivalence oracles (FOFDense, powerSerial),
-// and the pre-plan single-rank finder (FOF, FindHalos) remains for
-// overload-local use.
+// implementations survive as equivalence oracles: powerSerial, and the
+// test-only FOF finders (FOF, FindHalos, FOFDense), which link all pairs
+// by brute force and so share no binning logic with the Plan.
 package analysis

@@ -2,10 +2,7 @@ package analysis
 
 import (
 	"math"
-	"sort"
 
-	"hacc/internal/domain"
-	"hacc/internal/grid"
 	"hacc/internal/mpi"
 )
 
@@ -18,209 +15,6 @@ type Halo struct {
 	VX, VY, VZ float64 // mean velocity
 	RMax       float64 // max particle distance from center (grid units)
 	Members    []int32 // indices into the particle arrays passed to the finder
-}
-
-// FOF runs friends-of-friends with linking length b (grid units) over the
-// given positions (open boundaries: pass actives + overloaded replicas so
-// halos crossing rank boundaries are complete). Groups with fewer than minN
-// members are discarded. Union-find over a chaining mesh of cell size b.
-func FOF(x, y, z []float32, b float64, minN int) []Halo {
-	n := len(x)
-	if n == 0 {
-		return nil
-	}
-	parent := make([]int32, n)
-	for i := range parent {
-		parent[i] = int32(i)
-	}
-	var find func(i int32) int32
-	find = func(i int32) int32 {
-		for parent[i] != i {
-			parent[i] = parent[parent[i]] // path halving
-			i = parent[i]
-		}
-		return i
-	}
-	union := func(i, j int32) {
-		ri, rj := find(i), find(j)
-		if ri != rj {
-			parent[rj] = ri
-		}
-	}
-
-	// Chaining mesh with cell size b.
-	var lo, hi [3]float32
-	lo = [3]float32{x[0], y[0], z[0]}
-	hi = lo
-	for i := 0; i < n; i++ {
-		lo[0] = minf(lo[0], x[i])
-		lo[1] = minf(lo[1], y[i])
-		lo[2] = minf(lo[2], z[i])
-		hi[0] = maxf(hi[0], x[i])
-		hi[1] = maxf(hi[1], y[i])
-		hi[2] = maxf(hi[2], z[i])
-	}
-	inv := float32(1 / b)
-	var dims [3]int
-	for d := 0; d < 3; d++ {
-		dims[d] = int(float64(hi[d]-lo[d])*float64(inv)) + 2
-	}
-	ncell := dims[0] * dims[1] * dims[2]
-	cellOf := make([]int32, n)
-	counts := make([]int32, ncell+1)
-	cell := func(i int) int32 {
-		cx := int((x[i] - lo[0]) * inv)
-		cy := int((y[i] - lo[1]) * inv)
-		cz := int((z[i] - lo[2]) * inv)
-		return int32((cx*dims[1]+cy)*dims[2] + cz)
-	}
-	for i := 0; i < n; i++ {
-		c := cell(i)
-		cellOf[i] = c
-		counts[c+1]++
-	}
-	for c := 0; c < ncell; c++ {
-		counts[c+1] += counts[c]
-	}
-	order := make([]int32, n)
-	cursor := make([]int32, ncell)
-	copy(cursor, counts[:ncell])
-	for i := 0; i < n; i++ {
-		c := cellOf[i]
-		order[cursor[c]] = int32(i)
-		cursor[c]++
-	}
-
-	b2 := float32(b * b)
-	// Link within each cell and to forward half of the 26 neighbors (each
-	// unordered cell pair visited once).
-	fwd := [][3]int{
-		{0, 0, 1}, {0, 1, -1}, {0, 1, 0}, {0, 1, 1},
-		{1, -1, -1}, {1, -1, 0}, {1, -1, 1},
-		{1, 0, -1}, {1, 0, 0}, {1, 0, 1},
-		{1, 1, -1}, {1, 1, 0}, {1, 1, 1},
-	}
-	linkCells := func(c1, c2 int32, same bool) {
-		s1, e1 := counts[c1], counts[c1+1]
-		s2, e2 := counts[c2], counts[c2+1]
-		for a := s1; a < e1; a++ {
-			i := order[a]
-			start := s2
-			if same {
-				start = a + 1
-			}
-			for bb := start; bb < e2; bb++ {
-				j := order[bb]
-				dx := x[i] - x[j]
-				dy := y[i] - y[j]
-				dz := z[i] - z[j]
-				if dx*dx+dy*dy+dz*dz <= b2 {
-					union(i, j)
-				}
-			}
-		}
-	}
-	for cx := 0; cx < dims[0]; cx++ {
-		for cy := 0; cy < dims[1]; cy++ {
-			for cz := 0; cz < dims[2]; cz++ {
-				c1 := int32((cx*dims[1]+cy)*dims[2] + cz)
-				linkCells(c1, c1, true)
-				for _, d := range fwd {
-					nx, ny, nz := cx+d[0], cy+d[1], cz+d[2]
-					if nx < 0 || nx >= dims[0] || ny < 0 || ny >= dims[1] || nz < 0 || nz >= dims[2] {
-						continue
-					}
-					linkCells(c1, int32((nx*dims[1]+ny)*dims[2]+nz), false)
-				}
-			}
-		}
-	}
-
-	// Collect groups.
-	groups := map[int32][]int32{}
-	for i := int32(0); i < int32(n); i++ {
-		r := find(i)
-		groups[r] = append(groups[r], i)
-	}
-	var halos []Halo
-	for _, members := range groups {
-		if len(members) < minN {
-			continue
-		}
-		halos = append(halos, haloFromMembers(x, y, z, nil, nil, nil, members))
-	}
-	sort.Slice(halos, func(i, j int) bool { return halos[i].N > halos[j].N })
-	return halos
-}
-
-func haloFromMembers(x, y, z, vx, vy, vz []float32, members []int32) Halo {
-	h := Halo{N: len(members), Members: members}
-	for _, i := range members {
-		h.X += float64(x[i])
-		h.Y += float64(y[i])
-		h.Z += float64(z[i])
-		if vx != nil {
-			h.VX += float64(vx[i])
-			h.VY += float64(vy[i])
-			h.VZ += float64(vz[i])
-		}
-	}
-	inv := 1 / float64(h.N)
-	h.X *= inv
-	h.Y *= inv
-	h.Z *= inv
-	h.VX *= inv
-	h.VY *= inv
-	h.VZ *= inv
-	for _, i := range members {
-		dx := float64(x[i]) - h.X
-		dy := float64(y[i]) - h.Y
-		dz := float64(z[i]) - h.Z
-		if r := math.Sqrt(dx*dx + dy*dy + dz*dz); r > h.RMax {
-			h.RMax = r
-		}
-	}
-	h.Mass = float64(h.N)
-	return h
-}
-
-// FindHalos runs FOF over this rank's actives plus overloaded replicas and
-// keeps only halos whose center of mass lies in the rank's own sub-box —
-// the overloading trick that makes halo finding embarrassingly local
-// (each boundary-crossing halo is complete on exactly one rank, provided
-// halo radius < overload width). Collective only in the trivial sense that
-// every rank calls it; no communication is needed.
-func FindHalos(dom *domain.Domain, dec *grid.Decomp, b float64, minN int, particleMass float64) []Halo {
-	na := dom.Active.Len()
-	npass := dom.Passive.Len()
-	x := make([]float32, 0, na+npass)
-	y := make([]float32, 0, na+npass)
-	z := make([]float32, 0, na+npass)
-	vx := make([]float32, 0, na+npass)
-	vy := make([]float32, 0, na+npass)
-	vz := make([]float32, 0, na+npass)
-	x = append(append(x, dom.Active.X...), dom.Passive.X...)
-	y = append(append(y, dom.Active.Y...), dom.Passive.Y...)
-	z = append(append(z, dom.Active.Z...), dom.Passive.Z...)
-	vx = append(append(vx, dom.Active.Vx...), dom.Passive.Vx...)
-	vy = append(append(vy, dom.Active.Vy...), dom.Passive.Vy...)
-	vz = append(append(vz, dom.Active.Vz...), dom.Passive.Vz...)
-
-	raw := FOF(x, y, z, b, minN)
-	box := dom.Box
-	var out []Halo
-	for _, h := range raw {
-		h2 := haloFromMembers(x, y, z, vx, vy, vz, h.Members)
-		h2.Mass = float64(h2.N) * particleMass
-		// Ownership: center of mass inside my box (half-open test matches
-		// the particle ownership rule, so exactly one rank keeps it).
-		if h2.X >= float64(box.Lo[0]) && h2.X < float64(box.Hi[0]) &&
-			h2.Y >= float64(box.Lo[1]) && h2.Y < float64(box.Hi[1]) &&
-			h2.Z >= float64(box.Lo[2]) && h2.Z < float64(box.Hi[2]) {
-			out = append(out, h2)
-		}
-	}
-	return out
 }
 
 // MassFunctionBins histograms halo masses into logarithmic bins, returning
@@ -246,181 +40,6 @@ func MassFunctionBins(c *mpi.Comm, halos []Halo, volMpc3 float64, mMin, mMax flo
 		dndlnm[b] = counts[b] / (volMpc3 * dln)
 	}
 	return
-}
-
-// FOFDense is the serial periodic friends-of-friends oracle: it links the
-// full (global) particle set with minimum-image distances on the periodic
-// n-cell box and returns halos with ≥ minN members, computed with the same
-// reference-frame formulas as the distributed Plan — the center of mass is
-// the minimum-ID member's position plus the mean minimum-image offset,
-// wrapped into the box; GID is the minimum member particle ID; Mass is the
-// member count (unit particle mass). Velocities may be nil. Retained as the
-// equivalence oracle for Plan.FindHalos; O(N) memory on one rank, so test
-// scale only.
-func FOFDense(x, y, z, vx, vy, vz []float32, ids []uint64, n [3]int, b float64, minN int) []Halo {
-	np := len(x)
-	if np == 0 {
-		return nil
-	}
-	parent := make([]int32, np)
-	for i := range parent {
-		parent[i] = int32(i)
-	}
-	var find func(i int32) int32
-	find = func(i int32) int32 {
-		for parent[i] != i {
-			parent[i] = parent[parent[i]]
-			i = parent[i]
-		}
-		return i
-	}
-	union := func(i, j int32) {
-		ri, rj := find(i), find(j)
-		if ri != rj {
-			parent[rj] = ri
-		}
-	}
-
-	// Periodic chaining mesh: cell width ≥ b per axis, neighbor cells wrap.
-	// With very coarse meshes (≤2 cells per axis) the wrapped forward
-	// stencil revisits pairs; unions are idempotent, so only completeness
-	// matters — every pair within b lies in the same or adjacent cells.
-	var dims [3]int
-	for d := 0; d < 3; d++ {
-		dims[d] = int(float64(n[d]) / b)
-		if dims[d] < 1 {
-			dims[d] = 1
-		}
-	}
-	ncell := dims[0] * dims[1] * dims[2]
-	cellOf := make([]int32, np)
-	counts := make([]int32, ncell+1)
-	for i := 0; i < np; i++ {
-		var c [3]int
-		pos := [3]float32{x[i], y[i], z[i]}
-		for d := 0; d < 3; d++ {
-			c[d] = int(float64(pos[d]) * float64(dims[d]) / float64(n[d]))
-			if c[d] >= dims[d] {
-				c[d] = dims[d] - 1
-			}
-			if c[d] < 0 {
-				c[d] = 0
-			}
-		}
-		cellOf[i] = int32((c[0]*dims[1]+c[1])*dims[2] + c[2])
-		counts[cellOf[i]+1]++
-	}
-	for c := 0; c < ncell; c++ {
-		counts[c+1] += counts[c]
-	}
-	order := make([]int32, np)
-	cursor := make([]int32, ncell)
-	copy(cursor, counts[:ncell])
-	for i := 0; i < np; i++ {
-		c := cellOf[i]
-		order[cursor[c]] = int32(i)
-		cursor[c]++
-	}
-
-	fn := [3]float64{float64(n[0]), float64(n[1]), float64(n[2])}
-	near := func(i, j int32) bool {
-		dx := minImage(float64(x[i])-float64(x[j]), fn[0])
-		dy := minImage(float64(y[i])-float64(y[j]), fn[1])
-		dz := minImage(float64(z[i])-float64(z[j]), fn[2])
-		return dx*dx+dy*dy+dz*dz <= b*b
-	}
-	linkCells := func(c1, c2 int32, same bool) {
-		s1, e1 := counts[c1], counts[c1+1]
-		s2, e2 := counts[c2], counts[c2+1]
-		for a := s1; a < e1; a++ {
-			i := order[a]
-			start := s2
-			if same {
-				start = a + 1
-			}
-			for bb := start; bb < e2; bb++ {
-				j := order[bb]
-				if i != j && near(i, j) {
-					union(i, j)
-				}
-			}
-		}
-	}
-	for cx := 0; cx < dims[0]; cx++ {
-		for cy := 0; cy < dims[1]; cy++ {
-			for cz := 0; cz < dims[2]; cz++ {
-				c1 := int32((cx*dims[1]+cy)*dims[2] + cz)
-				linkCells(c1, c1, true)
-				for _, s := range fwdStencil {
-					nx := (cx + s[0] + dims[0]) % dims[0]
-					ny := (cy + s[1] + dims[1]) % dims[1]
-					nz := (cz + s[2] + dims[2]) % dims[2]
-					linkCells(c1, int32((nx*dims[1]+ny)*dims[2]+nz), false)
-				}
-			}
-		}
-	}
-
-	// Collect groups and compute properties in the minimum-ID frame.
-	groups := map[int32][]int32{}
-	for i := int32(0); i < int32(np); i++ {
-		groups[find(i)] = append(groups[find(i)], i)
-	}
-	var halos []Halo
-	for _, members := range groups {
-		if len(members) < minN {
-			continue
-		}
-		mi := members[0]
-		var gid uint64 = math.MaxUint64
-		for _, m := range members {
-			id := uint64(m)
-			if ids != nil {
-				id = ids[m]
-			}
-			if id < gid {
-				gid = id
-				mi = m
-			}
-		}
-		ref := [3]float64{float64(x[mi]), float64(y[mi]), float64(z[mi])}
-		h := Halo{N: len(members), GID: gid, Mass: float64(len(members)), Members: members}
-		var sx, sy, sz float64
-		for _, m := range members {
-			sx += minImage(float64(x[m])-ref[0], fn[0])
-			sy += minImage(float64(y[m])-ref[1], fn[1])
-			sz += minImage(float64(z[m])-ref[2], fn[2])
-			if vx != nil {
-				h.VX += float64(vx[m])
-				h.VY += float64(vy[m])
-				h.VZ += float64(vz[m])
-			}
-		}
-		inv := 1 / float64(h.N)
-		mx, my, mz := sx*inv, sy*inv, sz*inv
-		h.X = wrapF64(ref[0]+mx, fn[0])
-		h.Y = wrapF64(ref[1]+my, fn[1])
-		h.Z = wrapF64(ref[2]+mz, fn[2])
-		h.VX *= inv
-		h.VY *= inv
-		h.VZ *= inv
-		for _, m := range members {
-			dx := minImage(float64(x[m])-ref[0], fn[0]) - mx
-			dy := minImage(float64(y[m])-ref[1], fn[1]) - my
-			dz := minImage(float64(z[m])-ref[2], fn[2]) - mz
-			if r := math.Sqrt(dx*dx + dy*dy + dz*dz); r > h.RMax {
-				h.RMax = r
-			}
-		}
-		halos = append(halos, h)
-	}
-	sort.Slice(halos, func(i, j int) bool {
-		if halos[i].N != halos[j].N {
-			return halos[i].N > halos[j].N
-		}
-		return halos[i].GID < halos[j].GID
-	})
-	return halos
 }
 
 func minf(a, b float32) float32 {

@@ -51,7 +51,7 @@ const recWords = 6
 // allocates nothing on one rank (multi-rank calls add only the mpi
 // runtime's per-message copies).
 //
-// The algorithm: rank-local FOF over a chaining mesh of cell size ≥ b links
+// The algorithm: rank-local FOF over z-sorted columns of side ≥ b links
 // this rank's actives plus the overloaded passive replicas (open boundaries
 // — replicas carry unwrapped coordinates, so periodic links appear as plain
 // spatial links to a self-image, which are glued back to their active
@@ -85,24 +85,27 @@ type Plan struct {
 	x, y, z []float32
 	na, n   int
 
-	// Chaining mesh + lock-free union-find scratch. The link phase shards
-	// cells over the pool and unions with CAS; union-by-minimum-index makes
-	// the final root of every component its smallest member index, so the
-	// result is bitwise independent of the thread count.
-	parent []int32
-	cellOf []int32
-	counts []int32
-	order  []int32
-	cursor []int32
-	dims   [3]int
-	mlo    [3]float32
-	invB   float32
-	b2     float32
+	// Column mesh + lock-free union-find scratch, O(n + columns): particles
+	// are binned on a 2-D (x, y) grid of cell side ≥ b and each column is
+	// sorted by z. The link phase shards columns over the pool and unions
+	// with CAS; union-by-minimum-index makes the final root of every
+	// component its smallest member index, so the result is bitwise
+	// independent of the thread count and of the order pairs are found in.
+	parent     []int32
+	colOf      []int32   // combined index -> column
+	colStart   []int32   // column -> first slot; ncol+1 entries
+	keys       []uint64  // slot -> zKey<<32 | combined index, z-sorted per column
+	xs, ys, zs []float32 // positions in slot order
+	cdims      [2]int
+	mlo        [2]float64
+	invB       float64
+	b2, win    float32
 
 	// Persistent pool-dispatch bodies (the spectral-solver pattern): per-call
 	// parameters live in the fields above, published to the workers by the
 	// pool's channel send, so dispatch allocates nothing.
-	cellBody func(lo, hi int)
+	colBody  func(lo, hi int)
+	sortBody func(lo, hi int)
 	linkBody func(lo, hi int)
 
 	idMap map[uint64]int32 // active particle ID -> active index
@@ -164,20 +167,44 @@ func NewPlan(d *domain.Domain, pool *par.Pool) *Plan {
 		p.rankLeg[r] = int32(len(p.legs))
 		p.legs = append(p.legs, stitchLeg{rank: r})
 	}
-	p.cellBody = func(lo, hi int) {
-		x, y, z := p.x, p.y, p.z
+	p.colBody = func(lo, hi int) {
+		x, y := p.x, p.y
 		mlo, inv := p.mlo, p.invB
-		d1, d2 := p.dims[1], p.dims[2]
+		d1 := p.cdims[1]
 		for i := lo; i < hi; i++ {
-			cx := int((x[i] - mlo[0]) * inv)
-			cy := int((y[i] - mlo[1]) * inv)
-			cz := int((z[i] - mlo[2]) * inv)
-			p.cellOf[i] = int32((cx*d1+cy)*d2 + cz)
+			cx := int((float64(x[i]) - mlo[0]) * inv)
+			cy := int((float64(y[i]) - mlo[1]) * inv)
+			p.colOf[i] = int32(cx*d1 + cy)
+		}
+	}
+	p.sortBody = func(clo, chi int) {
+		keys, x, y, z := p.keys, p.x, p.y, p.z
+		for c := clo; c < chi; c++ {
+			s, e := p.colStart[c], p.colStart[c+1]
+			if e-s > 1 {
+				slices.Sort(keys[s:e])
+			}
+			for k := s; k < e; k++ {
+				i := uint32(keys[k])
+				p.xs[k], p.ys[k], p.zs[k] = x[i], y[i], z[i]
+			}
 		}
 	}
 	p.linkBody = func(clo, chi int) {
+		d0, d1 := p.cdims[0], p.cdims[1]
 		for c := clo; c < chi; c++ {
-			p.linkCell(int32(c))
+			if p.colStart[c] == p.colStart[c+1] {
+				continue // empty column: no pair has its lower column here
+			}
+			cx, cy := c/d1, c%d1
+			p.linkColumns(c, c)
+			for _, s := range fwdColumns {
+				nx, ny := cx+s[0], cy+s[1]
+				if nx >= d0 || ny < 0 || ny >= d1 {
+					continue
+				}
+				p.linkColumns(c, nx*d1+ny)
+			}
 		}
 	}
 	return p
@@ -229,57 +256,57 @@ func unionAtomic(parent []int32, a, b int32) {
 	}
 }
 
-// fwdStencil is the forward half of the 26 neighbor cells (each unordered
-// cell pair visited by exactly one worker, whichever owns the lower cell).
-var fwdStencil = [13][3]int{
-	{0, 0, 1}, {0, 1, -1}, {0, 1, 0}, {0, 1, 1},
-	{1, -1, -1}, {1, -1, 0}, {1, -1, 1},
-	{1, 0, -1}, {1, 0, 0}, {1, 0, 1},
-	{1, 1, -1}, {1, 1, 0}, {1, 1, 1},
-}
+// fwdColumns is the forward half of the 8 neighbor columns (each unordered
+// column pair visited by exactly one worker, whichever owns the lower
+// column).
+var fwdColumns = [4][2]int{{0, 1}, {1, -1}, {1, 0}, {1, 1}}
 
-// linkCell links all pairs within cell c1 and between c1 and its forward
-// neighbor cells.
-func (p *Plan) linkCell(c1 int32) {
-	if p.counts[c1] == p.counts[c1+1] {
-		return // empty cell: no pair has its lower cell here
-	}
-	d0, d1, d2 := p.dims[0], p.dims[1], p.dims[2]
-	cz := int(c1) % d2
-	cy := int(c1) / d2 % d1
-	cx := int(c1) / (d1 * d2)
-	p.linkPair(c1, c1, true)
-	for _, s := range fwdStencil {
-		nx, ny, nz := cx+s[0], cy+s[1], cz+s[2]
-		if nx < 0 || nx >= d0 || ny < 0 || ny >= d1 || nz < 0 || nz >= d2 {
-			continue
-		}
-		p.linkPair(c1, int32((nx*d1+ny)*d2+nz), false)
-	}
-}
-
-func (p *Plan) linkPair(c1, c2 int32, same bool) {
-	x, y, z := p.x, p.y, p.z
-	counts, order, parent := p.counts, p.order, p.parent
-	b2 := p.b2
-	s1, e1 := counts[c1], counts[c1+1]
-	s2, e2 := counts[c2], counts[c2+1]
+// linkColumns unions every pair within distance b between columns c1 and
+// c2 (each pair once when c1 == c2). Both columns are z-sorted, so for each
+// particle of c1 the candidates in c2 are one contiguous z window, swept
+// with a lower cursor that only advances. The window is tested on the same
+// float32 difference the distance predicate squares: rounding is monotone,
+// so zs[j]-za only grows along the column, and a pair passing the predicate
+// has |zs[j]-za| ≤ b·(1+6e-8) < win.
+func (p *Plan) linkColumns(c1, c2 int) {
+	xs, ys, zs, keys, parent := p.xs, p.ys, p.zs, p.keys, p.parent
+	b2, win := p.b2, p.win
+	s1, e1 := p.colStart[c1], p.colStart[c1+1]
+	lo, e2 := p.colStart[c2], p.colStart[c2+1]
 	for a := s1; a < e1; a++ {
-		i := order[a]
-		start := s2
-		if same {
-			start = a + 1
+		xa, ya, za := xs[a], ys[a], zs[a]
+		if c1 == c2 {
+			lo = a + 1
 		}
-		for bb := start; bb < e2; bb++ {
-			j := order[bb]
-			dx := x[i] - x[j]
-			dy := y[i] - y[j]
-			dz := z[i] - z[j]
+		for lo < e2 && zs[lo]-za < -win {
+			lo++
+		}
+		for j := lo; j < e2; j++ {
+			dz := zs[j] - za
+			if dz > win {
+				break
+			}
+			dx := xa - xs[j]
+			dy := ya - ys[j]
 			if dx*dx+dy*dy+dz*dz <= b2 {
-				unionAtomic(parent, i, j)
+				unionAtomic(parent, int32(uint32(keys[a])), int32(uint32(keys[j])))
 			}
 		}
 	}
+}
+
+// columnSide is the column side for linking length b, padded a hair above
+// b (see localFOF).
+func columnSide(b float64) float64 { return b * (1 + 1e-6) }
+
+// zKey maps a float32 to a uint32 (widened for packing) whose unsigned
+// order is the float order, so one integer sort orders a column by z.
+func zKey(z float32) uint64 {
+	b := math.Float32bits(z)
+	if b>>31 != 0 {
+		return uint64(^b)
+	}
+	return uint64(b | 1<<31)
 }
 
 // groupKey packs (rank, local group) into the globally unique stitch key.
@@ -342,8 +369,8 @@ func compareHalos(a, b Halo) int {
 // equivalence tests. Plan-owned, valid until the next call.
 func (p *Plan) GroupIDs() []uint64 { return p.gids }
 
-// localFOF gathers the combined particle arrays, bins them on a chaining
-// mesh of cell size ≥ b, and unions all pairs within distance b.
+// localFOF gathers the combined particle arrays, bins them into z-sorted
+// (x, y) columns of side ≥ b, and unions all pairs within distance b.
 func (p *Plan) localFOF(b float64) {
 	act, pas := &p.d.Active, &p.d.Passive
 	na, n := p.na, p.n
@@ -365,52 +392,60 @@ func (p *Plan) localFOF(b float64) {
 		return
 	}
 
-	// Mesh bounds. The cell size is padded a hair above b so no pair within
-	// b can ever span two cells after float32 rounding of the inverse.
-	lo := [3]float32{p.x[0], p.y[0], p.z[0]}
+	// Column bounds. A pair passing the float32 predicate is at most
+	// b·(1+2e-7) apart; the column side is padded to b·(1+1e-6) and column
+	// coordinates are taken in float64 (exact differences, 1e-16 relative
+	// products), so such a pair always lands in the same or adjacent
+	// columns, at any coordinate magnitude.
+	lo := [2]float32{p.x[0], p.y[0]}
 	hi := lo
 	for i := 0; i < n; i++ {
 		lo[0], hi[0] = minf(lo[0], p.x[i]), maxf(hi[0], p.x[i])
 		lo[1], hi[1] = minf(lo[1], p.y[i]), maxf(hi[1], p.y[i])
-		lo[2], hi[2] = minf(lo[2], p.z[i]), maxf(hi[2], p.z[i])
 	}
-	p.mlo = lo
-	p.invB = float32(1 / (b * (1 + 1e-6)))
+	side := columnSide(b)
+	p.invB = 1 / side
 	p.b2 = float32(b * b)
-	for d := 0; d < 3; d++ {
-		p.dims[d] = int(float64(hi[d]-lo[d])*float64(p.invB)) + 2
+	p.win = float32(side)
+	for d := 0; d < 2; d++ {
+		p.mlo[d] = float64(lo[d])
+		p.cdims[d] = int((float64(hi[d])-p.mlo[d])*p.invB) + 2
 	}
-	ncell := p.dims[0] * p.dims[1] * p.dims[2]
+	ncol := p.cdims[0] * p.cdims[1]
 
-	p.cellOf = par.Resize(p.cellOf, n)
+	p.colOf = par.Resize(p.colOf, n)
 	if p.pool != nil {
-		p.pool.For(n, p.cellBody)
+		p.pool.For(n, p.colBody)
 	} else {
-		p.cellBody(0, n)
+		p.colBody(0, n)
 	}
-	p.counts = par.Resize(p.counts, ncell+1)
-	for c := range p.counts {
-		p.counts[c] = 0
+	// Counting sort into columns. The fill advances each column's start to
+	// the next column's start, so one shift restores the starts.
+	p.colStart = par.Resize(p.colStart, ncol+1)
+	clear(p.colStart)
+	for _, c := range p.colOf {
+		p.colStart[c+1]++
 	}
-	for i := 0; i < n; i++ {
-		p.counts[p.cellOf[i]+1]++
+	for c := 0; c < ncol; c++ {
+		p.colStart[c+1] += p.colStart[c]
 	}
-	for c := 0; c < ncell; c++ {
-		p.counts[c+1] += p.counts[c]
+	p.keys = par.Resize(p.keys, n)
+	for i, c := range p.colOf {
+		p.keys[p.colStart[c]] = zKey(p.z[i])<<32 | uint64(i)
+		p.colStart[c]++
 	}
-	p.order = par.Resize(p.order, n)
-	p.cursor = par.Resize(p.cursor, ncell)
-	copy(p.cursor, p.counts[:ncell])
-	for i := 0; i < n; i++ {
-		c := p.cellOf[i]
-		p.order[p.cursor[c]] = int32(i)
-		p.cursor[c]++
-	}
+	copy(p.colStart[1:], p.colStart[:ncol])
+	p.colStart[0] = 0
 
+	p.xs = par.Resize(p.xs, n)
+	p.ys = par.Resize(p.ys, n)
+	p.zs = par.Resize(p.zs, n)
 	if p.pool != nil {
-		p.pool.ForGrain(ncell, 64, p.linkBody)
+		p.pool.ForGrain(ncol, 64, p.sortBody)
+		p.pool.ForGrain(ncol, 64, p.linkBody)
 	} else {
-		p.linkBody(0, ncell)
+		p.sortBody(0, ncol)
+		p.linkBody(0, ncol)
 	}
 
 	// Glue periodic self-images and prepare the owner lookup for the stitch:

@@ -38,31 +38,58 @@ func benchDomain(c *mpi.Comm) (*domain.Domain, *grid.Decomp) {
 	return d, dec
 }
 
+// uniformBenchDomain builds a one-rank domain with 32³ uniformly random
+// particles on a 32³ box (one per cell, the in-situ survey density),
+// refreshed and ready for warm analysis passes.
+func uniformBenchDomain(c *mpi.Comm) (*domain.Domain, *grid.Decomp) {
+	dec := grid.NewDecomp([3]int{32, 32, 32}, 1)
+	d := domain.New(c, dec, 2)
+	rng := rand.New(rand.NewSource(6))
+	for id := uint64(0); id < 32*32*32; id++ {
+		d.Active.Append(rng.Float32()*32, rng.Float32()*32, rng.Float32()*32,
+			rng.Float32(), rng.Float32(), rng.Float32(), id)
+	}
+	d.Refresh()
+	return d, dec
+}
+
 // BenchmarkFOF measures a warm distributed FindHalos pass on one rank
-// (multi-rank runs add only the mpi runtime's per-message copies). The
-// allocation column is the regression guard: a warm plan must stay at
+// (multi-rank runs add only the mpi runtime's per-message copies) on the
+// clustered set at b = 0.4 and on the uniform one-per-cell set at b = 0.2,
+// where the linking-length mesh is widest relative to the particle count.
+// The allocation column is the regression guard: a warm plan must stay at
 // 0 allocs/op.
 func BenchmarkFOF(b *testing.B) {
-	for _, threads := range []int{1, 2, 4} {
-		b.Run(map[int]string{1: "serial", 2: "pool=2", 4: "pool=4"}[threads], func(b *testing.B) {
-			err := mpi.Run(1, func(c *mpi.Comm) {
-				d, _ := benchDomain(c)
-				var pool *par.Pool
-				if threads > 1 {
-					pool = par.NewPool(threads)
-				}
-				pl := NewPlan(d, pool)
-				pl.FindHalos(0.4, 10, 1)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					pl.FindHalos(0.4, 10, 1)
+	sets := []struct {
+		name  string
+		build func(*mpi.Comm) (*domain.Domain, *grid.Decomp)
+		link  float64
+	}{
+		{"clustered", benchDomain, 0.4},
+		{"uniform", uniformBenchDomain, 0.2},
+	}
+	for _, set := range sets {
+		for _, threads := range []int{1, 2, 4} {
+			b.Run(set.name+"/"+map[int]string{1: "serial", 2: "pool=2", 4: "pool=4"}[threads], func(b *testing.B) {
+				err := mpi.Run(1, func(c *mpi.Comm) {
+					d, _ := set.build(c)
+					var pool *par.Pool
+					if threads > 1 {
+						pool = par.NewPool(threads)
+					}
+					pl := NewPlan(d, pool)
+					pl.FindHalos(set.link, 10, 1)
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						pl.FindHalos(set.link, 10, 1)
+					}
+				})
+				if err != nil {
+					b.Fatal(err)
 				}
 			})
-			if err != nil {
-				b.Fatal(err)
-			}
-		})
+		}
 	}
 }
 

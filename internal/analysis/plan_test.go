@@ -394,3 +394,319 @@ func TestAnalysisWarmAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// checkLinkPartition builds a one-rank domain on a side³ grid holding the
+// given actives, runs FindHalos with linking length b on the pool, and
+// compares the plan's local partition (actives plus their self-image
+// replicas, some at negative or ≥ side coordinates) with an all-pairs union
+// under the same float32 predicate, each replica glued to its original by
+// ID. Both roots are minimum indices, so equal roots mean equal partitions.
+// Returns the number of linked pairs the all-pairs pass found.
+func checkLinkPartition(t testing.TB, x, y, z []float32, side int, b float64, pool *par.Pool) int {
+	links := 0
+	err := mpi.Run(1, func(c *mpi.Comm) {
+		dec := grid.NewDecomp([3]int{side, side, side}, 1)
+		d := domain.New(c, dec, 2)
+		for i := range x {
+			d.Active.Append(x[i], y[i], z[i], 0, 0, 0, uint64(i))
+		}
+		d.Refresh()
+		pl := NewPlan(d, pool)
+		pl.FindHalos(b, 1, 1)
+		ids := append(append([]uint64(nil), d.Active.ID...), d.Passive.ID...)
+		b2 := float32(b * b)
+		want := bruteRoots(pl.n, func(i, j int) bool {
+			if ids[i] == ids[j] {
+				return true
+			}
+			dx := pl.x[i] - pl.x[j]
+			dy := pl.y[i] - pl.y[j]
+			dz := pl.z[i] - pl.z[j]
+			if dx*dx+dy*dy+dz*dz <= b2 {
+				links++
+				return true
+			}
+			return false
+		})
+		for i, w := range want {
+			if got := findAtomic(pl.parent, int32(i)); got != w {
+				t.Errorf("particle %d at (%v, %v, %v): root %d, all-pairs root %d",
+					i, pl.x[i], pl.y[i], pl.z[i], got, w)
+				return
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return links
+}
+
+// edgePartner returns the coordinate farthest from c in direction dir (±1)
+// that still lies within b of c under the float32 predicate, the other two
+// axes being equal: a pair at exactly float32 distance b.
+func edgePartner(c float32, b float64, dir float32) float32 {
+	b2 := float32(b * b)
+	in := func(v float32) bool { d := v - c; return d*d <= b2 }
+	away, back := float32(math.Inf(1))*dir, float32(math.Inf(-1))*dir
+	v := c + dir*float32(b)
+	for !in(v) {
+		v = math.Nextafter32(v, back)
+	}
+	for in(math.Nextafter32(v, away)) {
+		v = math.Nextafter32(v, away)
+	}
+	return v
+}
+
+// fofSet accumulates a particle set inside a periodic side³ box.
+type fofSet struct {
+	x, y, z []float32
+	side    float32
+}
+
+// add keeps a particle only when it lies in [0, side) on every axis.
+func (s *fofSet) add(p [3]float32) {
+	for _, v := range p {
+		if !(v >= 0 && v < s.side) {
+			return
+		}
+	}
+	s.x = append(s.x, p[0])
+	s.y = append(s.y, p[1])
+	s.z = append(s.z, p[2])
+}
+
+func (s *fofSet) blob(rng *rand.Rand, c [3]float64, sigma float64, count int) {
+	for i := 0; i < count; i++ {
+		var p [3]float32
+		for a := range p {
+			p[a] = float32(c[a] + rng.NormFloat64()*sigma)
+		}
+		s.add(p)
+	}
+}
+
+// edgePairs adds count pairs at exactly float32 distance b along one axis
+// (every third pair along z, the rest along x and y, which straddle column
+// edges), alternating with pairs one ulp beyond b, based at points drawn by
+// base.
+func (s *fofSet) edgePairs(rng *rand.Rand, b float64, count int, base func() [3]float32) {
+	for k := 0; k < count; k++ {
+		p := base()
+		q := p
+		axis := k % 3
+		dir := float32(1)
+		if rng.Intn(2) == 0 {
+			dir = -1
+		}
+		q[axis] = edgePartner(p[axis], b, dir)
+		if k%2 == 1 {
+			q[axis] = math.Nextafter32(q[axis], float32(math.Inf(1))*dir)
+		}
+		s.add(p)
+		s.add(q)
+	}
+}
+
+// adversarialFOFSet puts exact-b pairs and z chains near coordinate 100
+// (float32 ulp 7.6e-6), at the low faces and at the high faces (whose
+// self-images carry negative coordinates), among blobs and a uniform
+// background, in a 128³ box.
+func adversarialFOFSet(rng *rand.Rand, b float64) *fofSet {
+	s := &fofSet{side: 128}
+	at := func(lo, width float64) func() [3]float32 {
+		return func() [3]float32 {
+			return [3]float32{
+				float32(lo + rng.Float64()*width),
+				float32(lo + rng.Float64()*width),
+				float32(lo + rng.Float64()*width),
+			}
+		}
+	}
+	s.edgePairs(rng, b, 120, at(99, 2))
+	s.edgePairs(rng, b, 60, at(127.95-b, 0.04))
+	s.edgePairs(rng, b, 60, at(0, 0.05))
+	s.edgePairs(rng, b, 60, at(0, 128))
+	// Chains along z with every link at exactly float32 b.
+	for k := 0; k < 6; k++ {
+		p := at(98, 4)()
+		for i := 0; i < 12; i++ {
+			s.add(p)
+			p[2] = edgePartner(p[2], b, 1)
+		}
+	}
+	s.blob(rng, [3]float64{100, 100, 100}, 1.5*b, 150)
+	s.blob(rng, [3]float64{127.9, 127.9, 127.9}, b, 80)
+	s.blob(rng, [3]float64{0.05, 127.95, 64}, b, 80)
+	for i := 0; i < 800; i++ {
+		s.add(at(0, 128)())
+	}
+	return s
+}
+
+// columnEdgeFOFSet puts pairs on either side of the plan's column edges in
+// x (and, for half of them, in y), a float32 ulp apart there and exactly b
+// apart under the float32 predicate in z, above or below, near z = 100,
+// and pairs exactly b apart in x starting at a column edge. The
+// anchor at (10, 10) is the minimum x and y, so it fixes the column edges,
+// and nothing lies within the overload width of a face, so there are no
+// replicas to move them.
+func columnEdgeFOFSet(rng *rand.Rand, b float64) *fofSet {
+	s := &fofSet{side: 128}
+	s.add([3]float32{10, 10, 100})
+	straddle := func(k int) (below, above float32) {
+		edge := 10 + float64(k)*columnSide(b)
+		above = float32(edge)
+		for float64(above) < edge {
+			above = math.Nextafter32(above, float32(math.Inf(1)))
+		}
+		return math.Nextafter32(above, float32(math.Inf(-1))), above
+	}
+	b2 := float32(b * b)
+	for k := 0; k < 400; k++ {
+		x1, x2 := straddle(1 + rng.Intn(int(40/b)))
+		y1 := float32(12 + rng.Float64()*36)
+		y2 := y1
+		if k%2 == 1 {
+			y2, y1 = straddle(1 + rng.Intn(int(36/b)))
+		}
+		z1 := float32(99 + 2*rng.Float64())
+		dir := float32(1)
+		if rng.Intn(2) == 0 {
+			dir = -1
+		}
+		dx, dy := x1-x2, y1-y2
+		in := func(z2 float32) bool { dz := z1 - z2; return dx*dx+dy*dy+dz*dz <= b2 }
+		z2 := z1 + dir*float32(b)
+		for !in(z2) {
+			z2 = math.Nextafter32(z2, z1)
+		}
+		for in(math.Nextafter32(z2, z2+dir)) {
+			z2 = math.Nextafter32(z2, z2+dir)
+		}
+		s.add([3]float32{x1, y1, z1})
+		s.add([3]float32{x2, y2, z2})
+	}
+	// Pairs exactly b apart along x with one end at a column edge, up to
+	// x = 120, where float32 column coordinates would err by ~3e-5 columns.
+	for k := 0; k < 400; k++ {
+		below, above := straddle(1 + rng.Intn(int(110/b)))
+		x1, dir := below, float32(-1)
+		if k%2 == 1 {
+			x1, dir = above, 1
+		}
+		y := float32(12 + rng.Float64()*36)
+		z := float32(99 + 2*rng.Float64())
+		s.add([3]float32{x1, y, z})
+		s.add([3]float32{edgePartner(x1, b, dir), y, z})
+	}
+	return s
+}
+
+// TestFOFColumnsMatchBruteForce pins the column sweep's pair set: the plan's
+// local partition must equal an all-pairs union, serial and pooled, on
+// random clustered particles and on adversarial sets: pairs at exactly
+// float32 b along z, pairs straddling x/y column edges, coordinates near
+// 100, and negative passive coordinates.
+func TestFOFColumnsMatchBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	random := &fofSet{side: 32}
+	for h := 0; h < 12; h++ {
+		random.blob(rng, [3]float64{rng.Float64() * 32, rng.Float64() * 32, rng.Float64() * 32}, 0.5, 60)
+	}
+	for i := 0; i < 600; i++ {
+		random.add([3]float32{rng.Float32() * 32, rng.Float32() * 32, rng.Float32() * 32})
+	}
+	cases := []struct {
+		name string
+		set  *fofSet
+		b    float64
+	}{
+		{"random", random, 0.7},
+		{"adversarial/b=0.2", adversarialFOFSet(rng, 0.2), 0.2},
+		{"adversarial/b=1.3", adversarialFOFSet(rng, 1.3), 1.3},
+		{"column-edges", columnEdgeFOFSet(rng, 0.2), 0.2},
+	}
+	for _, tc := range cases {
+		for _, threads := range []int{0, 2, 4} {
+			t.Run(fmt.Sprintf("%s/pool=%d", tc.name, threads), func(t *testing.T) {
+				var pool *par.Pool
+				if threads > 0 {
+					pool = par.NewPool(threads)
+				}
+				s := tc.set
+				if links := checkLinkPartition(t, s.x, s.y, s.z, int(s.side), tc.b, pool); links < 100 {
+					t.Errorf("weak set: only %d linked pairs", links)
+				}
+			})
+		}
+	}
+}
+
+// FuzzFOFLinkMatchesBruteForce checks the column sweep against the
+// all-pairs union on clustered sets with exact-b pairs, over the seed, the
+// particle count, the linking length and the box side.
+func FuzzFOFLinkMatchesBruteForce(f *testing.F) {
+	f.Add(int64(1), uint16(200), 0.2, 16.0)
+	f.Add(int64(7), uint16(60), 0.7, 8.0)
+	f.Add(int64(42), uint16(299), 1.45, 31.0)
+	f.Fuzz(func(t *testing.T, seed int64, n uint16, b, extent float64) {
+		if math.IsNaN(b) || math.IsInf(b, 0) || math.IsNaN(extent) || math.IsInf(extent, 0) {
+			t.Skip()
+		}
+		b = 0.05 + math.Mod(math.Abs(b), 1.45)          // ≤ 1.5, inside the overload width 2
+		side := 5 + int(math.Mod(math.Abs(extent), 28)) // the overload width 2 needs side > 4
+		rng := rand.New(rand.NewSource(seed))
+		s := &fofSet{side: float32(side)}
+		np := 1 + int(n)%300
+		for len(s.x) < np {
+			c := [3]float64{rng.Float64() * float64(side), rng.Float64() * float64(side), rng.Float64() * float64(side)}
+			s.blob(rng, c, b, 1+rng.Intn(20))
+			s.edgePairs(rng, b, 2, func() [3]float32 {
+				return [3]float32{float32(c[0]), float32(c[1]), float32(c[2])}
+			})
+		}
+		var pool *par.Pool
+		if seed%2 != 0 {
+			pool = par.NewPool(2)
+		}
+		checkLinkPartition(t, s.x, s.y, s.z, side, b, pool)
+	})
+}
+
+// TestFOFScratchLinear pins the mesh scratch to O(n + columns): 1 k
+// particles in a 64³ box at b = 0.2, where a 3-D linking-length mesh needs
+// tens of millions of cells.
+func TestFOFScratchLinear(t *testing.T) {
+	const (
+		np   = 1000
+		side = 64
+		b    = 0.2
+	)
+	rng := rand.New(rand.NewSource(9))
+	err := mpi.Run(1, func(c *mpi.Comm) {
+		dec := grid.NewDecomp([3]int{side, side, side}, 1)
+		d := domain.New(c, dec, 2)
+		for i := 0; i < np; i++ {
+			d.Active.Append(rng.Float32()*side, rng.Float32()*side, rng.Float32()*side, 0, 0, 0, uint64(i))
+		}
+		d.Refresh()
+		pl := NewPlan(d, nil)
+		pl.FindHalos(b, 1, 1)
+		n, ncol := pl.n, pl.cdims[0]*pl.cdims[1]
+		if got := cap(pl.keys) + cap(pl.colStart); got > n+ncol+1 {
+			t.Errorf("mesh scratch %d entries, want ≤ n + columns + 1 = %d", got, n+ncol+1)
+		}
+		for name, c := range map[string]int{"colOf": cap(pl.colOf), "xs": cap(pl.xs), "ys": cap(pl.ys), "zs": cap(pl.zs)} {
+			if c > n {
+				t.Errorf("%s holds %d entries for %d particles", name, c, n)
+			}
+		}
+		cells := pl.cdims[0] * pl.cdims[1] * pl.cdims[0]
+		t.Logf("n=%d columns=%d; a 3-D mesh of the same side would hold ~%d cells", n, ncol, cells)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}

@@ -71,6 +71,7 @@ func FitGridForce(o FitOptions) (*FitResult, error) {
 		return nil, fmt.Errorf("shortrange: grid %d too small for rcut %g", n, o.RCut)
 	}
 	rng := rand.New(rand.NewSource(o.Seed + 1))
+	probe := newSerialPM(n, o.Sigma, o.Ns)
 	var ss, fs []float64
 	for off := 0; off < o.Offsets; off++ {
 		src := [3]float64{
@@ -78,7 +79,6 @@ func FitGridForce(o FitOptions) (*FitResult, error) {
 			float64(n)/2 + rng.Float64() - 0.5,
 			float64(n)/2 + rng.Float64() - 0.5,
 		}
-		probe := newSerialPM(n, o.Sigma, o.Ns)
 		probe.solve(src)
 		for ir := 0; ir < o.Radii; ir++ {
 			frac := (float64(ir) + 0.5) / float64(o.Radii)
@@ -190,24 +190,57 @@ func polyFit5(ss, fs []float64, scale float64) ([]float64, error) {
 
 // serialPM is a single-rank spectral PM solver used only for kernel
 // construction and error analysis (it mirrors spectral.Poisson without the
-// distributed machinery).
+// distributed machinery). Its k-space tables do not depend on the source,
+// so one solver serves every source position of a fit.
 type serialPM struct {
 	n     int
-	sigma float64
-	ns    int
 	plan  *fft.Plan3
+	green []float64 // per mode: 4π·Filter/Influence6 (mode 0 unused)
+	grad  []float64 // per 1-D mode index: GradSL4
+	rho   []complex128
+	comp  []complex128
 	acc   [3][]float64
 }
 
 func newSerialPM(n int, sigma float64, ns int) *serialPM {
-	return &serialPM{n: n, sigma: sigma, ns: ns, plan: fft.NewPlan3(n, n, n)}
+	p := &serialPM{
+		n:     n,
+		plan:  fft.NewPlan3(n, n, n),
+		green: make([]float64, n*n*n),
+		grad:  make([]float64, n),
+		rho:   make([]complex128, n*n*n),
+		comp:  make([]complex128, n*n*n),
+	}
+	// Coupling 4π makes the pair force exactly r̂/r² in the far field.
+	const coupling = 4 * math.Pi
+	for mx := 0; mx < n; mx++ {
+		kx := spectral.KMode(mx, n)
+		p.grad[mx] = spectral.GradSL4(kx)
+		for my := 0; my < n; my++ {
+			ky := spectral.KMode(my, n)
+			for mz := 0; mz < n; mz++ {
+				if mx == 0 && my == 0 && mz == 0 {
+					continue
+				}
+				kz := spectral.KMode(mz, n)
+				g := 1 / spectral.Influence6(kx, ky, kz)
+				f := spectral.Filter(math.Sqrt(kx*kx+ky*ky+kz*kz), sigma, ns)
+				p.green[(mx*n+my)*n+mz] = coupling * f * g
+			}
+		}
+	}
+	for d := range p.acc {
+		p.acc[d] = make([]float64, n*n*n)
+	}
+	return p
 }
 
 // solve computes the acceleration field of a unit CIC-deposited point mass
 // with far-field normalization 1/r².
 func (p *serialPM) solve(src [3]float64) {
 	n := p.n
-	rho := make([]complex128, n*n*n)
+	rho := p.rho
+	clear(rho)
 	ix, iy, iz := int(math.Floor(src[0])), int(math.Floor(src[1])), int(math.Floor(src[2]))
 	fx, fy, fz := src[0]-float64(ix), src[1]-float64(iy), src[2]-float64(iz)
 	for dx := 0; dx < 2; dx++ {
@@ -229,28 +262,13 @@ func (p *serialPM) solve(src [3]float64) {
 		}
 	}
 	p.plan.Forward(rho)
-	// Coupling 4π makes the pair force exactly r̂/r² in the far field.
-	const coupling = 4 * math.Pi
 	psi := rho
-	for mx := 0; mx < n; mx++ {
-		kx := spectral.KMode(mx, n)
-		for my := 0; my < n; my++ {
-			ky := spectral.KMode(my, n)
-			for mz := 0; mz < n; mz++ {
-				i := (mx*n+my)*n + mz
-				if mx == 0 && my == 0 && mz == 0 {
-					psi[i] = 0
-					continue
-				}
-				kz := spectral.KMode(mz, n)
-				g := 1 / spectral.Influence6(kx, ky, kz)
-				f := spectral.Filter(math.Sqrt(kx*kx+ky*ky+kz*kz), p.sigma, p.ns)
-				psi[i] *= complex(coupling*f*g, 0)
-			}
-		}
+	psi[0] = 0
+	for i := 1; i < len(psi); i++ {
+		psi[i] *= complex(p.green[i], 0)
 	}
+	comp := p.comp
 	for d := 0; d < 3; d++ {
-		comp := make([]complex128, len(psi))
 		for mx := 0; mx < n; mx++ {
 			for my := 0; my < n; my++ {
 				for mz := 0; mz < n; mz++ {
@@ -258,11 +276,11 @@ func (p *serialPM) solve(src [3]float64) {
 					var dk float64
 					switch d {
 					case 0:
-						dk = spectral.GradSL4(spectral.KMode(mx, n))
+						dk = p.grad[mx]
 					case 1:
-						dk = spectral.GradSL4(spectral.KMode(my, n))
+						dk = p.grad[my]
 					default:
-						dk = spectral.GradSL4(spectral.KMode(mz, n))
+						dk = p.grad[mz]
 					}
 					v := psi[i]
 					comp[i] = complex(imag(v)*dk, -real(v)*dk)
@@ -270,7 +288,6 @@ func (p *serialPM) solve(src [3]float64) {
 			}
 		}
 		p.plan.Inverse(comp)
-		p.acc[d] = make([]float64, len(comp))
 		for i, v := range comp {
 			p.acc[d][i] = real(v)
 		}

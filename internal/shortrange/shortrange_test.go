@@ -128,8 +128,7 @@ func TestTotalPairForceIsNewtonian(t *testing.T) {
 		t.Fatal(err)
 	}
 	k := NewKernel(res.Poly, res.RCut, 1e-7, 1) // gm=1: unit-normalized pair
-	pm := newSerialPM(n, 0, 0)
-	pm.sigma, pm.ns = 0.8, 3
+	pm := newSerialPM(n, 0.8, 3)
 	rng := rand.New(rand.NewSource(8))
 	src := [3]float64{24.3, 23.8, 24.1}
 	pm.solve(src)
