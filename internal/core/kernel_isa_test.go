@@ -1,5 +1,3 @@
-//go:build !hacc_noasm
-
 package core
 
 import (
@@ -8,7 +6,6 @@ import (
 	_ "unsafe" // go:linkname
 
 	"hacc/internal/mpi"
-	"hacc/internal/shortrange"
 )
 
 // forceKernelISA is shortrange's unexported body-selection test hook: there
@@ -24,15 +21,15 @@ type rankState struct {
 }
 
 // runUnderISA evolves cfg on 2 ranks with ApplyRanges forced onto one body
-// and returns each rank's final particles and kernel counters.
-func runUnderISA(t *testing.T, isa string, cfg Config) [2]rankState {
+// and returns each rank's final particles and kernel counters; ok is false
+// when this host has no such body.
+func runUnderISA(t *testing.T, isa string, cfg Config) (out [2]rankState, ok bool) {
 	t.Helper()
 	restore, ok := forceKernelISA(isa)
 	if !ok {
-		t.Fatalf("cannot force kernel body %q", isa)
+		return out, false
 	}
 	defer restore()
-	var out [2]rankState
 	err := mpi.Run(2, func(c *mpi.Comm) {
 		s, err := New(c, cfg)
 		if err != nil {
@@ -62,38 +59,44 @@ func runUnderISA(t *testing.T, isa string, cfg Config) [2]rankState {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return out
+	return out, true
 }
 
 // TestKernelBodiesBitwiseEndToEnd: a short 2-rank run of each short-range
-// backend under the forced SSE2 body and under the AVX2 body ends in
-// bitwise-identical particles with identical KernelInteractions and
-// WalkNodes — the bodies are one numerics at two widths, and the early-out
-// still counts every pair it tests.
+// backend under every kernel body the host runs (the portable Go body, and
+// on amd64 SSE2 and, where the CPU has it, AVX2) ends in bitwise-identical
+// particles with identical KernelInteractions and WalkNodes — the bodies
+// are one numerics at different widths, and the assembly early-out still
+// counts every pair it tests.
 func TestKernelBodiesBitwiseEndToEnd(t *testing.T) {
-	if shortrange.KernelISA() != "avx2" {
-		t.Skipf("host kernel body is %s: no second body to compare", shortrange.KernelISA())
-	}
 	for _, solver := range []SolverKind{PPTreePM, P3M} {
 		cfg := baseConfig()
 		cfg.NGrid, cfg.NParticles, cfg.BoxMpc = 16, 16, 250
 		cfg.Solver = solver
 		cfg.Steps = 2
 		cfg.SubCycles = 2
-		sse := runUnderISA(t, "sse2", cfg)
-		avx := runUnderISA(t, "avx2", cfg)
-		for r := range sse {
-			a, b := sse[r], avx[r]
-			if a.interactions != b.interactions || a.walk != b.walk {
-				t.Errorf("%v rank %d: counters differ: sse2 %d/%d, avx2 %d/%d",
-					solver, r, a.interactions, a.walk, b.interactions, b.walk)
+		ref, ok := runUnderISA(t, "portable", cfg)
+		if !ok {
+			t.Fatal("cannot force the portable kernel body")
+		}
+		for _, isa := range []string{"sse2", "avx2"} {
+			got, ok := runUnderISA(t, isa, cfg)
+			if !ok {
+				continue // not a body of this host
 			}
-			if a.interactions == 0 {
-				t.Errorf("%v rank %d: the kernel never ran", solver, r)
-			}
-			for c := 0; c < 3; c++ {
-				if !sameBits(a.pos[c], b.pos[c]) || !sameBits(a.vel[c], b.vel[c]) {
-					t.Errorf("%v rank %d: particles differ between kernel bodies (component %d)", solver, r, c)
+			for r := range ref {
+				a, b := ref[r], got[r]
+				if a.interactions != b.interactions || a.walk != b.walk {
+					t.Errorf("%v rank %d: counters differ: portable %d/%d, %s %d/%d",
+						solver, r, a.interactions, a.walk, isa, b.interactions, b.walk)
+				}
+				if a.interactions == 0 {
+					t.Errorf("%v rank %d: the kernel never ran", solver, r)
+				}
+				for c := 0; c < 3; c++ {
+					if !sameBits(a.pos[c], b.pos[c]) || !sameBits(a.vel[c], b.vel[c]) {
+						t.Errorf("%v rank %d: particles differ between portable and %s (component %d)", solver, r, isa, c)
+					}
 				}
 			}
 		}

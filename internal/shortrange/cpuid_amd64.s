@@ -1,5 +1,3 @@
-//go:build !hacc_noasm
-
 #include "textflag.h"
 
 // func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)

@@ -16,19 +16,18 @@
 // shaping, on x86 terms): production walks call Kernel.ApplyRanges with
 // ordered (start,end) spans over the SoA working arrays instead of
 // gathering neighbor coordinates (the mesh's z-contiguous CSR layout folds
-// the 27-cell stencil into ≤9 spans, see cellLoopRanges), and the inner
-// loop dispatches to an assembly kernel on amd64 (build tag hacc_noasm opts
-// out) or a bounds-check-free 4-wide tiled Go loop elsewhere. The copy path
-// (Apply) remains as the scalar oracle.
+// the 27-cell stencil into ≤9 spans, see cellLoopRanges).
 //
-// PR 12 rebuilt the amd64 kernel as two bodies with one numerics: SSE2 (4
-// neighbors per vector) and AVX2 (8 per vector, no FMA, products folded
-// into the same four lane sums low half first), picked once at init from
-// CPUID and named by KernelISA. Each vector tests its r_cut mask before the
-// rsqrt/Horner tail and skips it when no lane is in range — exact, and a
-// deliberate departure from the paper's branch-free fsel kernel — and one
-// assembly call covers a whole leaf (targets, spans and tails). The bodies
-// are bit-identical to each other and to the previous SSE2 kernel; see
-// DESIGN.md "Short-range kernel" for the equivalence model and measured
-// ns/interaction.
+// ApplyRanges runs one of three range bodies with one numerics: the
+// portable Go body (applyRangesPortable), and on amd64 SSE2 (4 neighbors
+// per vector) and AVX2 (8 per vector, no FMA). The widest one the CPU runs
+// is picked once at init from CPUID and named by KernelISA. All three sum
+// each target's terms in the same order — four lane sums per span over its
+// 4-blocks, reduced as (l0+l2)+(l1+l3), then the tail in index order — so
+// they agree bit for bit on any span list. Each assembly vector tests its
+// r_cut mask before the rsqrt/Horner tail and skips it when no lane is in
+// range — exact, and a deliberate departure from the paper's branch-free
+// fsel kernel — and one assembly call covers a whole leaf (targets, spans
+// and tails). See DESIGN.md "Short-range kernel" for the summation order
+// and measured ns/interaction.
 package shortrange

@@ -1,5 +1,3 @@
-//go:build !hacc_noasm
-
 package shortrange
 
 import (
@@ -8,7 +6,8 @@ import (
 )
 
 // The amd64 range kernel is hand-vectorized assembly — the x86 reproduction
-// of the paper's QPX kernel (§III) — in two bodies behind one numerics:
+// of the paper's QPX kernel (§III) — in two bodies beside the portable Go
+// one, all three one numerics:
 //
 //   - fsrRangesSSE: 4 neighbors per 128-bit SSE2 vector (baseline amd64, no
 //     GOAMD64 level needed);
@@ -20,12 +19,9 @@ import (
 // three Newton refinements in rsqrt's order, the Horner poly5, and the
 // cutoff as a compare mask ANDed into the force. Both accumulate d·f into
 // the same four 128-bit lane sums — the AVX2 body folds each 8-wide product
-// low half first, then high half — so lane L sums neighbors j≡L (mod 4) in
-// index order whatever the vector width, the per-span reduce is
-// (l0+l2)+(l1+l3), and the ≤3 tail neighbors are added after it in index
-// order. The two bodies therefore agree bit for bit on every span
-// (TestRangeBodiesBitExact, TestRangeBodiesAgree); against the scalar
-// oracle only the accumulation association differs (TestApplyRangesULPBound).
+// low half first, then high half — which is the summation order
+// applyRangesPortable writes out in Go. All three bodies therefore agree
+// bit for bit on every span (TestFsrSpanBitExact, TestRangeBodiesAgree).
 //
 // Unlike the paper's branch-free fsel kernel, each vector tests its cutoff
 // mask right after s = dx²+dy²+dz² and skips the rsqrt/Horner/accumulate
@@ -38,7 +34,6 @@ import (
 //
 // One call covers a whole ApplyRanges: the target loop, the span loop and
 // the tails all run in assembly. The body is picked once at init from CPUID.
-// Build with `hacc_noasm` for the portable tiled Go kernel.
 
 // kcGroups is the layout of the broadcast-constant table both bodies read:
 // 12 groups of 8 identical float32 lanes, 32-byte aligned so either width
@@ -69,15 +64,6 @@ func buildKernelConsts(k *Kernel) {
 	k.kc = &t[0]
 }
 
-// A rangeBody is one assembly implementation of the whole-leaf range
-// kernel: for each of nt targets it walks the nr (start,end) spans over
-// px/py/pz and adds gm·Σ d·f_SR to ax/ay/az. Spans must be validated by the
-// caller; the bodies never read outside [start,end).
-type rangeBody struct {
-	isa string
-	fn  func(lx, ly, lz *float32, nt int64, px, py, pz *float32, ranges *[2]int32, nr int64, ax, ay, az, kc *float32)
-}
-
 //go:noescape
 func fsrRangesSSE(lx, ly, lz *float32, nt int64, px, py, pz *float32, ranges *[2]int32, nr int64, ax, ay, az, kc *float32)
 
@@ -106,63 +92,20 @@ func hasAVX2() bool {
 	return b&(1<<5) != 0
 }
 
-// rangeBodies lists the bodies this host can run, widest last; body is the
-// one ApplyRanges dispatches to.
-var (
-	rangeBodies = hostRangeBodies()
-	body        = rangeBodies[len(rangeBodies)-1]
-)
-
 func hostRangeBodies() []rangeBody {
-	bodies := []rangeBody{{"sse2", fsrRangesSSE}}
+	bodies := []rangeBody{{"portable", applyRangesPortable}, {"sse2", asmBody(fsrRangesSSE)}}
 	if hasAVX2() {
-		bodies = append(bodies, rangeBody{"avx2", fsrRangesAVX2})
+		bodies = append(bodies, rangeBody{"avx2", asmBody(fsrRangesAVX2)})
 	}
 	return bodies
 }
 
-// KernelISA names the short-range kernel body ApplyRanges runs on this
-// host: "avx2", "sse2", or "portable" (non-amd64 and hacc_noasm builds).
-// Every body is bit-identical to the others, so the name is provenance for
-// timings, not for results.
-func KernelISA() string { return body.isa }
-
-// forceKernelISA makes ApplyRanges run the named body until restore is
-// called; ok is false when this host cannot run it. A test hook (this
-// package's ISA-equivalence tests, and core's end-to-end one through
-// go:linkname), not a user option: it must not be called while a kernel is
-// running.
-func forceKernelISA(isa string) (restore func(), ok bool) {
-	for _, b := range rangeBodies {
-		if b.isa == isa {
-			prev := body
-			body = b
-			return func() { body = prev }, true
-		}
+// asmBody adapts an assembly body to the rangeBody signature: one call per
+// ApplyRanges, which has already checked that the target and span lists
+// are non-empty and in bounds.
+func asmBody(fn func(lx, ly, lz *float32, nt int64, px, py, pz *float32, ranges *[2]int32, nr int64, ax, ay, az, kc *float32)) func(k *Kernel, lx, ly, lz, px, py, pz []float32, ranges [][2]int32, ax, ay, az []float32) {
+	return func(k *Kernel, lx, ly, lz, px, py, pz []float32, ranges [][2]int32, ax, ay, az []float32) {
+		fn(&lx[0], &ly[0], &lz[0], int64(len(lx)), &px[0], &py[0], &pz[0],
+			&ranges[0], int64(len(ranges)), &ax[0], &ay[0], &az[0], k.kc)
 	}
-	return func() {}, false
-}
-
-// applyRangesDispatch routes ApplyRanges to the host's assembly body in one
-// call per leaf. The span list is bounds-checked here, once, so the
-// assembly can trust it.
-func applyRangesDispatch(k *Kernel, lx, ly, lz, px, py, pz []float32, ranges [][2]int32, ax, ay, az []float32) int64 {
-	nt := len(lx)
-	ly = ly[:nt]
-	lz = lz[:nt]
-	ax = ax[:nt]
-	ay = ay[:nt]
-	az = az[:nt]
-	var listLen int64
-	for _, r := range ranges {
-		listLen += int64(len(px[r[0]:r[1]]))
-		_ = py[r[0]:r[1]]
-		_ = pz[r[0]:r[1]]
-	}
-	if nt == 0 || listLen == 0 {
-		return 0
-	}
-	body.fn(&lx[0], &ly[0], &lz[0], int64(nt), &px[0], &py[0], &pz[0],
-		&ranges[0], int64(len(ranges)), &ax[0], &ay[0], &az[0], k.kc)
-	return int64(nt) * listLen
 }

@@ -1,5 +1,3 @@
-//go:build !hacc_noasm
-
 #include "textflag.h"
 #include "kernel_amd64.h"
 

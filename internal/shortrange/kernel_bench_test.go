@@ -40,15 +40,12 @@ func benchKernelSetup(nt, cell int) (k *Kernel, lx, ly, lz, px, py, pz []float32
 //
 //	scalar-copy:  the pre-PR 7 leaf evaluation — gather all 27 cells into
 //	              contiguous scratch with append copies, then the 2-way
-//	              unrolled scalar kernel (the equivalence oracle).
-//	scalar:       the scalar kernel alone on a pre-gathered list (isolates
-//	              the gather cost from the kernel cost).
-//	tiled-go:     the portable tiled range kernel (what non-amd64 and
-//	              `hacc_noasm` builds run).
-//	tiled-ranges: the production dispatch — ApplyRanges over coalesced
-//	              spans, copy-free (the KernelISA() body).
-//	ranges-<isa>: ApplyRanges forced onto each assembly body the host
-//	              supports (amd64 asm builds only; see kernelBodyBenchmarks).
+//	              unrolled scalar Apply oracle.
+//	scalar:       Apply alone on a pre-gathered list (isolates the gather
+//	              cost from the kernel cost).
+//	ranges-<isa>: ApplyRanges over coalesced spans, copy-free, forced onto
+//	              each body the host runs: portable everywhere, plus sse2
+//	              and avx2 on amd64. The last one is the KernelISA() body.
 //
 // The neighbors here are spatially incoherent (uniform random over a 9-cell
 // cube, r_cut 3), so few vectors are wholly outside r_cut: the worst case
@@ -87,25 +84,16 @@ func BenchmarkKernelInteraction(b *testing.B) {
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*perIter), "ns/interaction")
 	})
-	b.Run("tiled-go", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			applyRangesTiled(k, lx, ly, lz, px, py, pz, ranges, ax, ay, az)
-		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*perIter), "ns/interaction")
-	})
-	b.Run("tiled-ranges", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			k.ApplyRanges(lx, ly, lz, px, py, pz, ranges, ax, ay, az)
-		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*perIter), "ns/interaction")
-	})
-	kernelBodyBenchmarks(b, func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			k.ApplyRanges(lx, ly, lz, px, py, pz, ranges, ax, ay, az)
-		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*perIter), "ns/interaction")
-	})
+	for _, rb := range rangeBodies {
+		b.Run("ranges-"+rb.isa, func(b *testing.B) {
+			restore, _ := forceKernelISA(rb.isa)
+			defer restore()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				k.ApplyRanges(lx, ly, lz, px, py, pz, ranges, ax, ay, az)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*perIter), "ns/interaction")
+		})
+	}
 }

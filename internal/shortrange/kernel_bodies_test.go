@@ -1,5 +1,3 @@
-//go:build !hacc_noasm
-
 package shortrange
 
 import (
@@ -8,14 +6,15 @@ import (
 	"testing"
 )
 
-// laneModel is the scalar statement of the assembly kernels' contract for
-// one target: every pair term is dx*FSR(s) bit for bit, lane L of a span
-// sums the terms of its full 4-blocks with j≡L (mod 4) in index order, a
-// span with at least one 4-block contributes (l0+l2)+(l1+l3), its n&3 tail
-// terms follow one by one, and the target receives gm times the total. Any
-// per-lane drift in a body (FMA contraction, another rsqrt estimate,
-// reordered Newton steps, an 8-wide fold in the wrong order) fails bitwise
-// against it.
+// laneModel is the scalar statement of the range bodies' contract for one
+// target, written independently of applyRangesPortable: every pair term is
+// dx*FSR(s) bit for bit, lane L of a span sums the terms of its full
+// 4-blocks with j≡L (mod 4) in index order, a span with at least one
+// 4-block contributes (l0+l2)+(l1+l3), its n&3 tail terms follow one by
+// one, and the target receives gm times the total. Any per-lane drift in a
+// body (FMA contraction, another rsqrt estimate, reordered Newton steps, an
+// 8-wide fold in the wrong order) fails bitwise against it. Its own
+// products are rounded explicitly, so no GOARCH fuses them.
 func laneModel(k *Kernel, xi, yi, zi float32, px, py, pz []float32, ranges [][2]int32) [3]float32 {
 	var sum [3]float32
 	for _, r := range ranges {
@@ -25,8 +24,8 @@ func laneModel(k *Kernel, xi, yi, zi float32, px, py, pz []float32, ranges [][2]
 			dx := px[int(r[0])+j] - xi
 			dy := py[int(r[0])+j] - yi
 			dz := pz[int(r[0])+j] - zi
-			f := k.FSR(dx*dx + dy*dy + dz*dz)
-			return [3]float32{dx * f, dy * f, dz * f}
+			f := k.FSR(float32(dx*dx) + float32(dy*dy) + float32(dz*dz))
+			return [3]float32{float32(dx * f), float32(dy * f), float32(dz * f)}
 		}
 		var lane [4][3]float32
 		for j := 0; j < n4; j++ {
@@ -49,13 +48,14 @@ func laneModel(k *Kernel, xi, yi, zi float32, px, py, pz []float32, ranges [][2]
 	}
 	var a [3]float32
 	for c := range a {
-		a[c] += float32(k.gm * sum[c]) // explicit rounding: never fused
+		a[c] += float32(k.gm * sum[c])
 	}
 	return a
 }
 
-// withBody runs fn once per kernel body this host supports, with
-// ApplyRanges forced onto that body.
+// withBody runs fn once per kernel body this host supports (portable
+// everywhere, sse2 and avx2 where the CPU has them), with ApplyRanges
+// forced onto that body.
 func withBody(t *testing.T, fn func(t *testing.T)) {
 	for _, b := range rangeBodies {
 		t.Run(b.isa, func(t *testing.T) {
@@ -65,18 +65,6 @@ func withBody(t *testing.T, fn func(t *testing.T)) {
 			}
 			defer restore()
 			fn(t)
-		})
-	}
-}
-
-// kernelBodyBenchmarks runs fn as one sub-benchmark per host body, named
-// ranges-<isa>, so a timing names the kernel that produced it.
-func kernelBodyBenchmarks(b *testing.B, fn func(b *testing.B)) {
-	for _, rb := range rangeBodies {
-		b.Run("ranges-"+rb.isa, func(b *testing.B) {
-			restore, _ := forceKernelISA(rb.isa)
-			defer restore()
-			fn(b)
 		})
 	}
 }
@@ -124,7 +112,7 @@ func TestFsrSpanBitExact(t *testing.T) {
 				}
 				for c, g := range [3]float32{ax[0], ay[0], az[0]} {
 					if math.Float32bits(g) != math.Float32bits(want[c]) {
-						t.Fatalf("n=%d %s comp %d: asm %v (bits %08x), scalar lane model %v (bits %08x)",
+						t.Fatalf("n=%d %s comp %d: body %v (bits %08x), scalar lane model %v (bits %08x)",
 							n, pl.name, c, g, math.Float32bits(g), want[c], math.Float32bits(want[c]))
 					}
 				}
@@ -201,7 +189,7 @@ func TestRangeBodiesAgree(t *testing.T) {
 				want := laneModel(k, lx[i], ly[i], lz[i], px, py, pz, ranges)
 				for c, g := range [3]float32{ax[i], ay[i], az[i]} {
 					if math.Float32bits(g) != math.Float32bits(want[c]) {
-						t.Fatalf("trial %d target %d comp %d: asm %v (bits %08x), lane model %v (bits %08x); spans %v",
+						t.Fatalf("trial %d target %d comp %d: body %v (bits %08x), lane model %v (bits %08x); spans %v",
 							trial, i, c, g, math.Float32bits(g), want[c], math.Float32bits(want[c]), ranges)
 					}
 				}
@@ -210,8 +198,7 @@ func TestRangeBodiesAgree(t *testing.T) {
 	})
 }
 
-// TestApplyRangesAllocFree: the dispatch wrapper and the assembly call
-// allocate nothing, on any body.
+// TestApplyRangesAllocFree: ApplyRanges allocates nothing, on any body.
 func TestApplyRangesAllocFree(t *testing.T) {
 	k, lx, ly, lz, px, py, pz, ranges := benchKernelSetup(8, 5)
 	ax := make([]float32, len(lx))

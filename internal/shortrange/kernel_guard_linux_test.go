@@ -1,5 +1,3 @@
-//go:build !hacc_noasm
-
 package shortrange
 
 import (
@@ -53,7 +51,7 @@ func TestRangeTailStaysInsideSpan(t *testing.T) {
 				k.ApplyRanges(lx, ly, lz, px, py, pz, ranges, ax[:], ay[:], az[:])
 				for c, g := range [3]float32{ax[0], ay[0], az[0]} {
 					if math.Float32bits(g) != math.Float32bits(want[c]) {
-						t.Fatalf("spans %v comp %d: asm %v, lane model %v", ranges, c, g, want[c])
+						t.Fatalf("spans %v comp %d: body %v, lane model %v", ranges, c, g, want[c])
 					}
 				}
 			}

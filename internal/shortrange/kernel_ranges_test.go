@@ -6,12 +6,61 @@ import (
 	"testing"
 )
 
+// Apply is the copy-list scalar oracle: it computes the short-range force
+// of every neighbor in the gathered list nx/ny/nz on every target,
+// accumulating accelerations, and returns the number of pair interactions.
+// Each target sums its terms 2-way unrolled in list order with the cutoff
+// folded in as a select. It is the kernel behind the copy-walk oracles
+// (meshCopyAdapter, ChainingMesh.ComputeForces) and the scalar baselines
+// of BenchmarkKernelInteraction; production walks use ApplyRanges.
+func (k *Kernel) Apply(lx, ly, lz, nx, ny, nz, ax, ay, az []float32) int64 {
+	rc2, eps, gm := k.rc2, k.eps, k.gm
+	c0, c1, c2, c3, c4, c5 := k.c[0], k.c[1], k.c[2], k.c[3], k.c[4], k.c[5]
+	n := len(nx)
+	ny = ny[:n]
+	nz = nz[:n]
+	for i := range lx {
+		xi, yi, zi := lx[i], ly[i], lz[i]
+		var sx, sy, sz float32
+		j := 0
+		for ; j+1 < n; j += 2 {
+			dx0 := nx[j] - xi
+			dy0 := ny[j] - yi
+			dz0 := nz[j] - zi
+			dx1 := nx[j+1] - xi
+			dy1 := ny[j+1] - yi
+			dz1 := nz[j+1] - zi
+			s0 := dx0*dx0 + dy0*dy0 + dz0*dz0
+			s1 := dx1*dx1 + dy1*dy1 + dz1*dz1
+			f0 := (rsqrt3(s0+eps) - poly5(s0, c0, c1, c2, c3, c4, c5)) * cutMask(s0, rc2)
+			f1 := (rsqrt3(s1+eps) - poly5(s1, c0, c1, c2, c3, c4, c5)) * cutMask(s1, rc2)
+			sx += dx0*f0 + dx1*f1
+			sy += dy0*f0 + dy1*f1
+			sz += dz0*f0 + dz1*f1
+		}
+		if j < n {
+			dx := nx[j] - xi
+			dy := ny[j] - yi
+			dz := nz[j] - zi
+			s := dx*dx + dy*dy + dz*dz
+			f := (rsqrt3(s+eps) - poly5(s, c0, c1, c2, c3, c4, c5)) * cutMask(s, rc2)
+			sx += dx * f
+			sy += dy * f
+			sz += dz * f
+		}
+		ax[i] += gm * sx
+		ay[i] += gm * sy
+		az[i] += gm * sz
+	}
+	return int64(len(lx)) * int64(n)
+}
+
 // refRangeForces is the float64-accumulation reference for the range
 // kernels: per-pair terms are computed in float32 through the same FSR
-// helpers every production path inlines (so terms are bit-identical across
-// implementations), and only the accumulation is exact. Any production
-// kernel — scalar, tiled, SSE — differs from this reference only by
-// float32 summation reassociation. Returns the forces and, per target, the
+// helpers every path inlines (so terms are bit-identical across
+// implementations), and only the accumulation is exact. The range bodies
+// and the Apply oracle differ from this reference only by float32
+// summation order. Returns the forces and, per target, the
 // sum of |term| magnitudes that scales the admissible error.
 func refRangeForces(k *Kernel, lx, ly, lz, px, py, pz []float32, ranges [][2]int32) (ax, ay, az, mag []float64) {
 	nt := len(lx)
@@ -42,11 +91,10 @@ func refRangeForces(k *Kernel, lx, ly, lz, px, py, pz []float32, ranges [][2]int
 	return
 }
 
-// TestApplyRangesULPBound pins the documented-ULP equivalence model of
-// ApplyRanges (and Apply, its scalar oracle): per-pair float32 terms are
-// identical across paths, so each path's deviation from the float64
-// reference is bounded by the float32 summation error n·eps32·Σ|term|,
-// whatever order the lanes and tiles accumulate in.
+// TestApplyRangesULPBound is the float64 accuracy pin of ApplyRanges (and
+// Apply, its scalar oracle): per-pair float32 terms are identical across
+// paths, so each path's deviation from the float64 reference is bounded by
+// the float32 summation error n·eps32·Σ|term|, whatever order it sums in.
 func TestApplyRangesULPBound(t *testing.T) {
 	const nt, cell = 37, 19 // deliberately not multiples of the tile/lane width
 	k, lx, ly, lz, px, py, pz, ranges := benchKernelSetup(nt, cell)
@@ -79,12 +127,6 @@ func TestApplyRangesULPBound(t *testing.T) {
 	}
 	check("ApplyRanges(dispatch)", ax, ay, az)
 
-	for i := range ax {
-		ax[i], ay[i], az[i] = 0, 0, 0
-	}
-	applyRangesTiled(k, lx, ly, lz, px, py, pz, ranges, ax, ay, az)
-	check("applyRangesTiled", ax, ay, az)
-
 	// The copy-path oracle obeys the same bound: gather the spans and Apply.
 	var nx, ny, nz []float32
 	for _, r := range ranges {
@@ -97,40 +139,6 @@ func TestApplyRangesULPBound(t *testing.T) {
 	}
 	k.Apply(lx, ly, lz, nx, ny, nz, ax, ay, az)
 	check("Apply(copy oracle)", ax, ay, az)
-}
-
-// TestTiledSplitInvariance: the portable tiled kernel accumulates each
-// target sequentially across spans in order, so splitting a span at any
-// point is bitwise invisible — the protocol that lets walks coalesce
-// adjacent leaves and mesh columns freely. (The assembly bodies reduce 4 lanes
-// per span, so their span structure shifts results within the documented ULP
-// bound; they are exercised through TestApplyRangesULPBound above.)
-func TestTiledSplitInvariance(t *testing.T) {
-	const nt, cell = 9, 21
-	k, lx, ly, lz, px, py, pz, ranges := benchKernelSetup(nt, cell)
-	ax0 := make([]float32, nt)
-	ay0 := make([]float32, nt)
-	az0 := make([]float32, nt)
-	applyRangesTiled(k, lx, ly, lz, px, py, pz, ranges, ax0, ay0, az0)
-
-	// Re-split every span at an arbitrary interior point (and keep order).
-	var split [][2]int32
-	for _, r := range ranges {
-		mid := r[0] + (r[1]-r[0])/3
-		split = append(split, [2]int32{r[0], mid}, [2]int32{mid, r[1]})
-	}
-	ax1 := make([]float32, nt)
-	ay1 := make([]float32, nt)
-	az1 := make([]float32, nt)
-	applyRangesTiled(k, lx, ly, lz, px, py, pz, split, ax1, ay1, az1)
-	for i := 0; i < nt; i++ {
-		if math.Float32bits(ax0[i]) != math.Float32bits(ax1[i]) ||
-			math.Float32bits(ay0[i]) != math.Float32bits(ay1[i]) ||
-			math.Float32bits(az0[i]) != math.Float32bits(az1[i]) {
-			t.Fatalf("target %d: split spans changed tiled result: (%v %v %v) vs (%v %v %v)",
-				i, ax0[i], ay0[i], az0[i], ax1[i], ay1[i], az1[i])
-		}
-	}
 }
 
 // TestKernelEdgeCases covers the kernel boundary behavior the walks rely on.
@@ -220,14 +228,14 @@ func TestKernelEdgeCases(t *testing.T) {
 	})
 
 	t.Run("randomized-fsr-sweep", func(t *testing.T) {
-		// The tiled and dispatch kernels must produce per-pair terms
+		// The dispatch kernel must produce per-pair terms
 		// bit-identical to FSR: probe with 1-neighbor spans (single term,
 		// no accumulation ambiguity) across random s values.
 		k := NewKernel(poly, 3.0, 0.01, 1.0)
 		rng := rand.New(rand.NewSource(7))
 		for trial := 0; trial < 200; trial++ {
-			xi := rng.Float32() * 4
-			xj := rng.Float32() * 4
+			xi := float32(rng.Float32() * 4) // rounded: never fused into dx
+			xj := float32(rng.Float32() * 4)
 			dx := xj - xi
 			s := dx * dx
 			want := dx * k.FSR(s) // gm=1

@@ -11,7 +11,7 @@ import (
 // through this adapter must reproduce the copy walk bitwise: the two walks
 // are then proven to present identical neighbor sets in identical order,
 // and any difference between production paths is confined to the kernel's
-// documented-ULP accumulation (shortrange.TestApplyRangesULPBound).
+// summation order (shortrange.TestApplyRangesULPBound).
 func copyAdapter(kern LeafKernel) RangeLeafKernel {
 	return func(lx, ly, lz, px, py, pz []float32, ranges [][2]int32, ax, ay, az []float32) int64 {
 		var nx, ny, nz []float32
