@@ -108,10 +108,12 @@ func specCopy(ps *analysis.PowerSpectrum) *analysis.PowerSpectrum {
 // container (corrupted or deleted, forcing the refresh fallback). Restoring
 // at a different rank count reassigns the records losslessly (the global
 // ID-sorted bit state at the restore point is identical), and the continued
-// run reproduces the reference P(k) to the accuracy set by float32
-// summation-order differences across decompositions — cross-rank-count
-// continuation cannot be bitwise because deposit and force sums follow the
-// domain partition.
+// run reproduces the reference P(k) to a tolerance. Cross-rank-count
+// continuation is not bitwise, and not because of the deposits (PMOnly's
+// are layout-exact, TestPMOnlyParticlesRankCountExact): the RCB tree is
+// built over each rank's local set, so the short-range pair order follows
+// the layout, and the P(k) bins are reduced by AllReduce's recursive
+// doubling, whose summation order follows the rank count.
 func TestRestartMatchesUninterrupted(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-step simulation")

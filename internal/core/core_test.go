@@ -227,8 +227,10 @@ func TestRankCountIndependence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-step simulation; skipped under -short (race CI)")
 	}
-	// Two steps on 1 vs 8 ranks must give closely matching spectra (exact
-	// equality is impossible: float32 summation order differs).
+	// Two steps on 1 vs 8 ranks must give closely matching spectra. Not
+	// exactly: the tree's pair order and the P(k) reduction order follow
+	// the layout (PMOnly's particles are exact, see
+	// TestPMOnlyParticlesRankCountExact).
 	run := func(procs int) *analysis.PowerSpectrum {
 		cfg := baseConfig()
 		cfg.Solver = PPTreePM
@@ -260,6 +262,47 @@ func TestRankCountIndependence(t *testing.T) {
 		rel := math.Abs(p1.P[i]-p8.P[i]) / p1.P[i]
 		if rel > 0.01 {
 			t.Errorf("k=%.3f: 1-rank %g vs 8-rank %g (%.2f%%)", p1.K[i], p1.P[i], p8.P[i], 100*rel)
+		}
+	}
+}
+
+// TestPMOnlyParticlesRankCountExact pins PMOnly's final particle state bit
+// for bit across 1, 2, 4 and 8 ranks: the CIC deposit, the spectral solve
+// and the interpolation give every particle the same long-range kick at
+// any layout, so the ID-sorted records must be ==. The power spectrum is
+// not pinned: each rank sums its bins over its own slab and AllReduce
+// combines them by recursive doubling, so the summation order follows the
+// rank count and P(k)'s last bits still differ across layouts.
+func TestPMOnlyParticlesRankCountExact(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-step simulation; skipped under -short (race CI)")
+	}
+	run := func(procs int) []uint64 {
+		var sorted []uint64
+		err := mpi.Run(procs, func(c *mpi.Comm) {
+			s, err := New(c, baseConfig())
+			if err != nil {
+				panic(err)
+			}
+			if err := s.Run(nil); err != nil {
+				panic(err)
+			}
+			if out := gatherSorted(c, &s.Dom.Active); c.Rank() == 0 {
+				sorted = out
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sorted
+	}
+	want := run(1)
+	if np := baseConfig().NParticles; len(want) != 7*np*np*np {
+		t.Fatalf("1 rank gathered %d words, want 7 per particle", len(want))
+	}
+	for _, procs := range []int{2, 4, 8} {
+		if got := run(procs); !equalU64(got, want) {
+			t.Errorf("%d ranks: ID-sorted particle bits differ from 1 rank", procs)
 		}
 	}
 }

@@ -16,10 +16,13 @@
 // obs.Phases), which feeds the phase split, the journal's step records and,
 // when Config.TraceDir arms tracing, the trace timeline.
 //
-// Each force job has one path. The PPTreePM short-range force is always the
-// shared-cursor leaf walk on the rank's pool (tree.ComputeForcesPoolRanges),
-// and the density deposit is always the serial grid.DepositCIC; both are
-// bitwise independent of Config.Threads.
+// Each force job has one path. The short-range solver (RCB tree or
+// chaining mesh) is picked once per rank and runs on one driver,
+// shortrange.Pairs: each sub-cycle loads actives and passives into it,
+// builds the index, runs the shared-cursor block loop on the rank's pool
+// and kicks through the driver's Orig map. The density deposit is always
+// the serial grid.DepositCIC. Both are bitwise independent of
+// Config.Threads.
 //
 // Checkpoint/Restore make the run durable: a checkpoint captures the
 // complete run state (active and replica particles, counters, schedule

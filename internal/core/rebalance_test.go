@@ -84,9 +84,11 @@ func TestRebalanceToLossless(t *testing.T) {
 // TestRebalancedMatchesStatic runs the clustered workload with the balancer
 // armed and compares against the static run: the particle ID sets must
 // agree exactly and the final P(k) within the documented cross-geometry
-// summation tolerance (different decompositions sum deposits and forces in
-// different orders, so bitwise equality across geometries cannot hold). The
-// balancer must actually have fired for the comparison to mean anything.
+// tolerance. The deposits are layout-exact (TestPMOnlyParticlesRankCountExact);
+// what differs across geometries is the short-range pair order — each
+// rank's RCB tree is built over its own local set — and the reductions,
+// whose recursive-doubling order follows the layout. The balancer must
+// actually have fired for the comparison to mean anything.
 func TestRebalancedMatchesStatic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-step simulation")

@@ -58,11 +58,16 @@ type Simulation struct {
 	// time-per-substep reporting, matching the paper's metric).
 	SubstepsDone int64
 
-	// scratch, kickBuf, and pool persist across sub-cycles and steps so
-	// the hot stepping path allocates nothing after the first sub-cycle
-	// (§VI; the HACC architecture paper's persistent per-rank solver
-	// state). pool is this rank's fixed set of worker goroutines.
-	scratch shortScratch
+	// short, pairs, kern, kickBuf and pool persist across sub-cycles and
+	// steps so the hot stepping path allocates nothing after the first
+	// sub-cycle (§VI; the HACC architecture paper's persistent per-rank
+	// solver state). short is the configured short-range index (tree or
+	// chaining mesh, nil under PMOnly), pairs the force driver it embeds,
+	// kern the bound kernel entry point, and pool this rank's fixed set of
+	// worker goroutines.
+	short   shortIndex
+	pairs   *shortrange.Pairs
+	kern    shortrange.RangeKernel
 	kickBuf []float32
 	pool    *par.Pool
 
@@ -115,15 +120,12 @@ type InSituResult struct {
 	Spectrum *analysis.PowerSpectrum
 }
 
-// shortScratch holds the buffers and solver structures kickShort reuses
-// across sub-cycles: the gathered active+passive coordinate slices, the
-// acceleration accumulators, and one lazily-created persistent instance of
-// whichever short-range backend the config selects.
-type shortScratch struct {
-	x, y, z    []float32
-	ax, ay, az []float32
-	tr         *tree.Tree
-	cm         *shortrange.ChainingMesh
+// shortIndex is a short-range solver as kickShort drives it: Build indexes
+// the particles loaded into its driver, and the blocks feed the driver's
+// force loop.
+type shortIndex interface {
+	shortrange.Blocks
+	Build()
 }
 
 // New builds the simulation and generates initial conditions. Collective.
@@ -241,6 +243,16 @@ func newSimulation(c *mpi.Comm, cfg Config) (*Simulation, error) {
 		copy(poly[:], coef)
 		gm := 1.5 * cfg.Cosmo.OmegaM * s.ParticleMass / (4 * math.Pi)
 		s.Kernel = shortrange.NewKernel(poly, cfg.RCut, cfg.Eps, gm)
+		s.kern = s.Kernel.ApplyRanges
+	}
+	switch cfg.Solver {
+	case PPTreePM:
+		tr := tree.New(cfg.LeafSize)
+		tr.RCut = cfg.RCut
+		s.short, s.pairs = tr, &tr.Pairs
+	case P3M:
+		m := shortrange.NewMesh(cfg.RCut)
+		s.short, s.pairs = m, &m.Pairs
 	}
 	if cfg.RebalanceThreshold > 0 {
 		s.balancer = balance.New(balance.Options{
@@ -639,81 +651,49 @@ func (s *Simulation) applyGridKickComponent(p *domain.Particles, d int, w float6
 	})
 }
 
-// kickShort evaluates the short-range force with the configured backend
+// kickShort evaluates the short-range force with the configured solver
 // over actives+passives and applies p += w·a_sr.
 func (s *Simulation) kickShort(w float64) {
-	if s.Cfg.Solver == PMOnly {
+	if s.short == nil {
 		return
 	}
-	na := s.Dom.Active.Len()
-	npass := s.Dom.Passive.Len()
-	tot := na + npass
-	if tot == 0 {
+	act, pas := &s.Dom.Active, &s.Dom.Passive
+	p := s.pairs
+	p.Load([3][]float32{act.X, act.Y, act.Z}, [3][]float32{pas.X, pas.Y, pas.Z})
+	if len(p.X) == 0 {
 		return
 	}
-	// Gather into the persistent scratch (grown once, reused forever).
-	sc := &s.scratch
-	sc.x = append(append(sc.x[:0], s.Dom.Active.X...), s.Dom.Passive.X...)
-	sc.y = append(append(sc.y[:0], s.Dom.Active.Y...), s.Dom.Passive.Y...)
-	sc.z = append(append(sc.z[:0], s.Dom.Active.Z...), s.Dom.Passive.Z...)
-	sc.ax = par.Resize(sc.ax, tot)
-	sc.ay = par.Resize(sc.ay, tot)
-	sc.az = par.Resize(sc.az, tot)
-	x, y, z, ax, ay, az := sc.x, sc.y, sc.z, sc.ax, sc.ay, sc.az
-	s.pool.For(tot, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			ax[i], ay[i], az[i] = 0, 0, 0
-		}
+	s.Timers.Time(obs.SpanBuild, s.short.Build)
+	// Split the measured time by the modeled kernel rate: the kernel share
+	// is interactions at the sustained per-pair cost; remainder is the
+	// walk. (Direct per-block timing would serialize the workers' clocks;
+	// the paper reports the same split from hardware counters.)
+	s.Timers.Split(obs.SpanKernel, obs.SpanWalk, func() float64 {
+		p.Run(s.short, s.kern, s.pool)
+		inter := p.Interactions.Load()
+		s.Counters.KernelInteractions += inter
+		s.Counters.WalkNodes += p.NodesVisited.Load()
+		return kernelShare(inter, p.NeighborCount.Load())
 	})
 
-	switch s.Cfg.Solver {
-	case PPTreePM:
-		if sc.tr == nil {
-			sc.tr = tree.New(s.Cfg.LeafSize)
-		}
-		tr := sc.tr
-		s.Timers.Time(obs.SpanBuild, func() { tr.Rebuild(x, y, z) })
-		// Split the measured time by the modeled kernel rate: the kernel
-		// share is interactions at the sustained per-pair cost; remainder
-		// is the walk. (Direct per-leaf timing would serialize the
-		// goroutines' clocks; the paper reports the same split from
-		// hardware counters.)
-		s.Timers.Split(obs.SpanKernel, obs.SpanWalk, func() float64 {
-			tr.ComputeForcesPoolRanges(s.Kernel.ApplyRanges, s.Cfg.RCut, s.pool)
-			inter := tr.Interactions.Load()
-			s.Counters.KernelInteractions += inter
-			s.Counters.WalkNodes += tr.NodesVisited.Load()
-			return kernelShare(inter, tr.NeighborCount.Load())
-		})
-		tr.AccelInto(ax, ay, az)
-	case P3M:
-		if sc.cm == nil {
-			sc.cm = shortrange.NewMesh(s.Cfg.RCut)
-		}
-		cm := sc.cm
-		s.Timers.Time(obs.SpanBuild, func() { cm.Rebuild(x, y, z) })
-		s.Timers.Time(obs.SpanKernel, func() { cm.ComputeForcesPoolRanges(s.Kernel.ApplyRanges, s.pool) })
-		s.Counters.KernelInteractions += cm.Interactions.Load()
-		cm.AccelInto(ax, ay, az)
-	}
-
-	// Threaded momentum update over both particle sets: shards of the
-	// combined (active-first) index range map directly onto the scratch
-	// acceleration layout.
+	// Threaded momentum update in working order: Orig is a permutation of
+	// the combined (active-first) layout, so every slot kicks a distinct
+	// particle.
 	wv := float32(w)
-	act, pas := &s.Dom.Active, &s.Dom.Passive
-	s.pool.For(tot, func(lo, hi int) {
-		aEnd, pBegin := splitAtActive(na, lo, hi)
-		for i := lo; i < aEnd; i++ {
-			act.Vx[i] += wv * ax[i]
-			act.Vy[i] += wv * ay[i]
-			act.Vz[i] += wv * az[i]
-		}
-		for i := pBegin; i < hi; i++ {
-			j := i - na
-			pas.Vx[j] += wv * ax[i]
-			pas.Vy[j] += wv * ay[i]
-			pas.Vz[j] += wv * az[i]
+	na := int32(act.Len())
+	orig, ax, ay, az := p.Orig, p.AX, p.AY, p.AZ
+	s.pool.For(len(orig), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			if o := orig[i]; o < na {
+				act.Vx[o] += wv * ax[i]
+				act.Vy[o] += wv * ay[i]
+				act.Vz[o] += wv * az[i]
+			} else {
+				o -= na
+				pas.Vx[o] += wv * ax[i]
+				pas.Vy[o] += wv * ay[i]
+				pas.Vz[o] += wv * az[i]
+			}
 		}
 	})
 }

@@ -19,36 +19,70 @@ func benchSubCycleCfg(solver SolverKind, threads int) Config {
 
 func (c Config) withSolver(s SolverKind) Config { c.Solver = s; return c }
 
-// BenchmarkSubCycle measures one short-range sub-cycle (kickShort + stream)
-// with ReportAllocs, so allocation churn on the per-substep path cannot be
-// reintroduced silently: the persistent scratch keeps this at (amortized)
-// zero allocations per sub-cycle.
-func BenchmarkSubCycle(b *testing.B) {
+// subCycleSims builds one warmed single-rank simulation per short-range
+// solver and hands each to fn on its rank goroutine.
+func subCycleSims(fn func(name string, s *Simulation)) error {
 	for _, tc := range []struct {
 		name   string
 		solver SolverKind
 	}{{"tree", PPTreePM}, {"p3m", P3M}} {
-		b.Run(tc.name, func(b *testing.B) {
-			err := mpi.Run(1, func(c *mpi.Comm) {
-				s, err := New(c, benchSubCycleCfg(tc.solver, 2))
-				if err != nil {
-					panic(err)
-				}
-				const w = 1e-3
-				s.kickShort(w) // warm caches and scratch
-				s.stream(w)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					s.kickShort(w)
-					s.stream(w)
-				}
-				b.StopTimer()
-			})
+		err := mpi.Run(1, func(c *mpi.Comm) {
+			s, err := New(c, benchSubCycleCfg(tc.solver, 2))
 			if err != nil {
-				b.Fatal(err)
+				panic(err)
+			}
+			s.kickShort(subCycleW) // warm caches, solver and driver state
+			s.stream(subCycleW)
+			fn(tc.name, s)
+		})
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+const subCycleW = 1e-3
+
+// subCycleAllocs is the pinned allocation count of one sub-cycle
+// (kickShort + stream): the closures of the two pooled per-particle loops,
+// the velocity kick and the position stream. Everything else — the
+// driver's working arrays, its bound worker body, the solver index and the
+// bound kernel — persists across sub-cycles.
+const subCycleAllocs = 2
+
+// TestSubCycleAllocs pins the per-sub-cycle allocations of both solvers, so
+// allocation churn on the hottest path cannot come back silently.
+func TestSubCycleAllocs(t *testing.T) {
+	err := subCycleSims(func(name string, s *Simulation) {
+		got := testing.AllocsPerRun(10, func() {
+			s.kickShort(subCycleW)
+			s.stream(subCycleW)
+		})
+		if got > subCycleAllocs {
+			t.Errorf("%s: %v allocations per sub-cycle, want ≤ %d", name, got, subCycleAllocs)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// BenchmarkSubCycle measures one short-range sub-cycle (kickShort + stream)
+// with ReportAllocs: subCycleAllocs (2) allocations per sub-cycle, pinned by
+// TestSubCycleAllocs.
+func BenchmarkSubCycle(b *testing.B) {
+	err := subCycleSims(func(name string, s *Simulation) {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				s.kickShort(subCycleW)
+				s.stream(subCycleW)
 			}
 		})
+	})
+	if err != nil {
+		b.Fatal(err)
 	}
 }
 

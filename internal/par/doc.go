@@ -9,6 +9,6 @@
 // and publish per-call parameters through plan fields. There are two
 // dispatches: For/ForGrain hand each worker one contiguous shard, and Run
 // starts every worker on a body that pulls work from a shared atomic
-// cursor (the tree and mesh force walks). Resize is the shared
+// cursor (the short-range force driver). Resize is the shared
 // grow-in-place policy for every persistent scratch buffer in the codebase.
 package par

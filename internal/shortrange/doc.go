@@ -5,18 +5,18 @@
 //
 // the numeric construction of poly5 by sampling the filtered PM grid force
 // of a point source and least-squares fitting (the paper's force-matching
-// procedure), and a P3M chaining-mesh evaluator (the Roadrunner-style
-// direct particle-particle solver used as the second short-range backend).
-// PR 1 made the mesh persistent: Rebuild re-bins in place (retaining CSR
-// offsets, accumulators, and per-worker walk scratch) and
-// ComputeForcesPoolRanges runs the pair kernel over par.Pool with a shared
-// atomic cell cursor.
+// procedure), and the one force driver both local solvers run on.
 //
-// PR 7 made the kernel copy-free and vector-shaped (the paper's §III BG/Q
-// shaping, on x86 terms): production walks call Kernel.ApplyRanges with
-// ordered (start,end) spans over the SoA working arrays instead of
-// gathering neighbor coordinates (the mesh's z-contiguous CSR layout folds
-// the 27-cell stencil into ≤9 spans, see cellLoopRanges).
+// Pairs is that driver: it owns the working copy of the particles (Load
+// gathers the caller's sets into it), the accelerations, the Orig map back
+// to the loaded order, and one pooled loop (Run) whose workers pull blocks
+// from a shared atomic cursor. A solver is a Blocks index over the
+// driver's arrays: the RCB tree (package tree, the BG/Q configuration) or
+// ChainingMesh here (the P3M direct particle-particle solver HACC runs on
+// accelerated systems like Roadrunner). Block names a block's neighbours as
+// ordered (start,end) spans over the SoA working arrays, which
+// Kernel.ApplyRanges consumes without gathering coordinates; the mesh's
+// z-contiguous CSR layout folds the 27-cell stencil into ≤9 spans.
 //
 // ApplyRanges runs one of three range bodies with one numerics: the
 // portable Go body (applyRangesPortable), and on amd64 SSE2 (4 neighbors

@@ -25,8 +25,7 @@ type Kernel struct {
 // RangeKernel is the copy-free kernel signature: neighbors are named by
 // (start,end) spans over the caller's SoA coordinate arrays px/py/pz
 // instead of being gathered into a contiguous list. Implemented by
-// Kernel.ApplyRanges; consumed by the range-walking entry points of
-// ChainingMesh and tree.Tree.
+// Kernel.ApplyRanges; consumed by the force driver, Pairs.Run.
 type RangeKernel func(lx, ly, lz, px, py, pz []float32, ranges [][2]int32, ax, ay, az []float32) int64
 
 // NewKernel builds a kernel from fitted grid-force coefficients. eps is the

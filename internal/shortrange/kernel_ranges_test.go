@@ -11,7 +11,7 @@ import (
 // accumulating accelerations, and returns the number of pair interactions.
 // Each target sums its terms 2-way unrolled in list order with the cutoff
 // folded in as a select. It is the kernel behind the copy-walk oracles
-// (meshCopyAdapter, ChainingMesh.ComputeForces) and the scalar baselines
+// (meshCopyAdapter, copyForces) and the scalar baselines
 // of BenchmarkKernelInteraction; production walks use ApplyRanges.
 func (k *Kernel) Apply(lx, ly, lz, nx, ny, nz, ax, ay, az []float32) int64 {
 	rc2, eps, gm := k.rc2, k.eps, k.gm

@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"hacc/internal/par"
 )
 
 // meshCopyAdapter gathers spans into a contiguous list, in span order —
@@ -21,10 +23,10 @@ func meshCopyAdapter(kern func(lx, ly, lz, nx, ny, nz, ax, ay, az []float32) int
 	}
 }
 
-// TestMeshRangeWalkMatchesCopyWalk: the z-column span walk (≤9 coalesced
-// spans per cell) fed through the copy adapter must reproduce the 27-cell
-// gather walk bitwise, including boundary cells with clamped stencils and
-// empty cells inside a column.
+// TestMeshRangeWalkMatchesCopyWalk: the driver over the mesh's z-column
+// spans (≤9 coalesced spans per cell) fed through the copy adapter must
+// reproduce the 27-cell gather walk bitwise, including boundary cells with
+// clamped stencils and empty cells inside a column.
 func TestMeshRangeWalkMatchesCopyWalk(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	poly := [6]float64{0.25, -0.05, 0.01, -1e-3, 8e-5, -2e-6}
@@ -40,15 +42,14 @@ func TestMeshRangeWalkMatchesCopyWalk(t *testing.T) {
 		y[i] = float32(rng.Float64()) * 18
 		z[i] = float32(rng.Float64()*rng.Float64()) * 18
 	}
-	m := BuildMesh(x, y, z, k.RCut)
-	m.ComputeForces(k.Apply, 3)
+	m := buildMesh(x, y, z, k.RCut)
+	inter0 := copyForces(m, k.Apply)
 	ax0 := append([]float32(nil), m.AX...)
 	ay0 := append([]float32(nil), m.AY...)
 	az0 := append([]float32(nil), m.AZ...)
-	inter0 := m.Interactions.Load()
 
-	m.Interactions.Store(0)
-	m.ComputeForcesRanges(meshCopyAdapter(k.Apply), 3)
+	pool := par.NewPool(3)
+	m.ComputeForcesPoolRanges(meshCopyAdapter(k.Apply), pool)
 	if got := m.Interactions.Load(); got != inter0 {
 		t.Fatalf("range walk evaluated %d interactions, copy walk %d", got, inter0)
 	}
@@ -63,7 +64,7 @@ func TestMeshRangeWalkMatchesCopyWalk(t *testing.T) {
 
 	// The production configuration (ApplyRanges) sums in lane order, not
 	// list order: compare against the copy result with a relative bound.
-	m.ComputeForcesRanges(k.ApplyRanges, 3)
+	m.ComputeForcesPoolRanges(k.ApplyRanges, pool)
 	for i := range ax0 {
 		for c, pair := range [3][2]float32{{m.AX[i], ax0[i]}, {m.AY[i], ay0[i]}, {m.AZ[i], az0[i]}} {
 			diff := math.Abs(float64(pair[0]) - float64(pair[1]))

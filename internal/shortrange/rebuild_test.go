@@ -46,17 +46,19 @@ func randomMeshParticles(n int, box float32, rng *rand.Rand) (x, y, z []float32)
 
 // TestMeshRebuildMatchesBuild reuses one ChainingMesh across particle sets
 // of varying size and extent and checks bitwise agreement with a fresh
-// BuildMesh each time.
+// mesh each time.
 func TestMeshRebuildMatchesBuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	persistent := NewMesh(3.0)
+	pool := par.NewPool(2)
+	kern := meshCopyAdapter(simpleKernel)
 	for _, tc := range []struct {
 		n   int
 		box float32
 	}{{500, 20}, {1500, 12}, {80, 30}, {0, 10}, {900, 20}} {
 		x, y, z := randomMeshParticles(tc.n, tc.box, rng)
 		persistent.Rebuild(x, y, z)
-		fresh := BuildMesh(x, y, z, 3.0)
+		fresh := buildMesh(x, y, z, 3.0)
 		if persistent.dims != fresh.dims {
 			t.Fatalf("n=%d: dims differ: %v vs %v", tc.n, persistent.dims, fresh.dims)
 		}
@@ -65,13 +67,13 @@ func TestMeshRebuildMatchesBuild(t *testing.T) {
 				t.Fatalf("n=%d: CSR offset %d differs", tc.n, c)
 			}
 		}
-		for i := range fresh.orig {
-			if persistent.orig[i] != fresh.orig[i] || persistent.X[i] != fresh.X[i] {
+		for i := range fresh.Orig {
+			if persistent.Orig[i] != fresh.Orig[i] || persistent.X[i] != fresh.X[i] {
 				t.Fatalf("n=%d: slot %d differs after rebuild", tc.n, i)
 			}
 		}
-		persistent.ComputeForces(simpleKernel, 2)
-		fresh.ComputeForces(simpleKernel, 2)
+		persistent.ComputeForcesPoolRanges(kern, pool)
+		fresh.ComputeForcesPoolRanges(kern, pool)
 		pax := make([]float32, tc.n)
 		pay := make([]float32, tc.n)
 		paz := make([]float32, tc.n)
@@ -92,17 +94,17 @@ func TestMeshRebuildMatchesBuild(t *testing.T) {
 	}
 }
 
-// TestMeshComputeForcesPoolMatches checks the production pooled range
-// dispatch against the spawning range walk on one goroutine (bitwise:
-// cells own disjoint output ranges).
+// TestMeshComputeForcesPoolMatches checks the driver on a pool of workers
+// sharing the cell cursor against the driver on the calling goroutine
+// alone (bitwise: cells own disjoint output ranges).
 func TestMeshComputeForcesPoolMatches(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	x, y, z := randomMeshParticles(800, 18, rng)
 	kern := meshCopyAdapter(simpleKernel)
-	b := BuildMesh(x, y, z, 3.0)
-	b.ComputeForcesRanges(kern, 1)
+	b := buildMesh(x, y, z, 3.0)
+	b.ComputeForcesPoolRanges(kern, par.NewPool(1))
 	for _, workers := range []int{1, 2, 4} {
-		a := BuildMesh(x, y, z, 3.0)
+		a := buildMesh(x, y, z, 3.0)
 		a.ComputeForcesPoolRanges(kern, par.NewPool(workers))
 		for i := range a.AX {
 			if a.AX[i] != b.AX[i] || a.AY[i] != b.AY[i] || a.AZ[i] != b.AZ[i] {

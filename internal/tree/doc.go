@@ -11,19 +11,19 @@
 //
 // The short-range force is compact (zero beyond RCut), and periodic images
 // are materialized as overloaded replica particles by package domain, so
-// the tree is strictly local with open boundaries and no multipoles. One
-// tree per rank is persistent: Rebuild re-partitions in place (retaining
-// coordinate copies, accumulators, the node pool, the leaf cache, and
-// per-worker walk scratch).
+// the tree is strictly local with open boundaries and no multipoles.
 //
-// The force walk is copy-free and has one production dispatch:
-// ComputeForcesPoolRanges pulls leaves from a shared atomic cursor on the
-// rank's par.Pool and hands the kernel ordered (start,end) spans over the
-// tree's leaf-contiguous SoA arrays instead of gathering neighbor
-// coordinates. ComputeForcesRanges is the same walk on spawned goroutines.
-// Leaves are visited in ascending index order so adjacent spans coalesce,
-// and a subtree entirely inside the search box is emitted as one span
-// without descending — both invisible to the kernel, because span order
-// equals the copy walk's concatenation order (the bitwise oracle
-// TestRangeWalkMatchesCopyWalk). The copy walk remains for that oracle.
+// A Tree is a block index for the short-range force driver it embeds
+// (shortrange.Pairs): Build partitions the driver's working arrays in
+// place, and Block walks the tree for one leaf and names its neighbour set
+// as ordered (start,end) spans over the leaf-contiguous arrays instead of
+// gathering coordinates. The driver's Run pulls leaves from a shared
+// atomic cursor on the rank's par.Pool. Leaves are visited in ascending
+// index order so adjacent spans coalesce, and a subtree entirely inside
+// the search box is emitted as one span without descending — both
+// invisible to the kernel, because span order equals a gathering walk's
+// concatenation order (the bitwise oracle TestRangeWalkMatchesCopyWalk;
+// the gathering walk lives in the tests). One tree per rank is persistent:
+// every buffer, the node pool and the leaf cache are retained across
+// builds.
 package tree

@@ -4,47 +4,44 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"hacc/internal/par"
 )
 
-// copyAdapter turns a copy-list kernel into a RangeLeafKernel by gathering
-// the spans into a contiguous list, in span order. Running the range walk
-// through this adapter must reproduce the copy walk bitwise: the two walks
-// are then proven to present identical neighbor sets in identical order,
-// and any difference between production paths is confined to the kernel's
-// summation order (shortrange.TestApplyRangesULPBound).
-func copyAdapter(kern LeafKernel) RangeLeafKernel {
-	return func(lx, ly, lz, px, py, pz []float32, ranges [][2]int32, ax, ay, az []float32) int64 {
-		var nx, ny, nz []float32
-		for _, r := range ranges {
-			nx = append(nx, px[r[0]:r[1]]...)
-			ny = append(ny, py[r[0]:r[1]]...)
-			nz = append(nz, pz[r[0]:r[1]]...)
+// orderKernel accumulates in float32 in list order, so any change in the
+// order neighbours reach it shows in the low bits (testKernel's float64
+// sums hide it).
+func orderKernel(lx, ly, lz, nx, ny, nz, ax, ay, az []float32) int64 {
+	for i := range lx {
+		for j := range nx {
+			dx, dy, dz := nx[j]-lx[i], ny[j]-ly[i], nz[j]-lz[i]
+			w := 1 / (dx*dx + dy*dy + dz*dz + 0.01)
+			ax[i] += w * dx
+			ay[i] += w * dy
+			az[i] += w * dz
 		}
-		return kern(lx, ly, lz, nx, ny, nz, ax, ay, az)
 	}
+	return int64(len(lx)) * int64(len(nx))
 }
 
-// TestRangeWalkMatchesCopyWalk is the bitwise walk oracle: the range walk
-// (with leaf-span coalescing and whole-subtree subsumption) fed through the
-// copy adapter must equal the copy walk exactly, for a spread of leaf sizes
-// and cutoffs, in both the goroutine and single-thread configurations.
+// TestRangeWalkMatchesCopyWalk is the bitwise walk oracle: the driver's
+// range walk (with leaf-span coalescing and whole-subtree subsumption) fed
+// through the copy adapter must equal the gathering walk exactly, neighbour
+// order included, for a spread of leaf sizes and cutoffs.
 func TestRangeWalkMatchesCopyWalk(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	kern := testKernel(4)
+	kern := leafKernel(orderKernel)
+	pool := par.NewPool(3)
 	for _, leafSize := range []int{1, 8, 64} {
 		for _, rcut := range []float64{0.5, 2, 6} {
 			x, y, z := randomParticles(700, 16, rng)
-			tr := Build(x, y, z, leafSize)
-			tr.ComputeForces(kern, rcut, 3)
+			tr := buildTree(x, y, z, leafSize)
+			copyNbr := copyForces(tr, kern, rcut)
 			ax0 := append([]float32(nil), tr.AX...)
 			ay0 := append([]float32(nil), tr.AY...)
 			az0 := append([]float32(nil), tr.AZ...)
-			copyNbr := tr.NeighborCount.Load()
 
-			tr.Interactions.Store(0)
-			tr.NodesVisited.Store(0)
-			tr.NeighborCount.Store(0)
-			tr.ComputeForcesRanges(copyAdapter(kern), rcut, 3)
+			tr.ComputeForcesPoolRanges(copyAdapter(kern), rcut, pool)
 			if got, want := tr.NeighborCount.Load(), copyNbr; got != want {
 				t.Fatalf("leaf=%d rcut=%g: range walk saw %d neighbors, copy walk %d",
 					leafSize, rcut, got, want)
@@ -61,14 +58,14 @@ func TestRangeWalkMatchesCopyWalk(t *testing.T) {
 	}
 }
 
-// TestRangeWalkThreadInvariance: the range walk partitions leaves over
-// workers dynamically, but per-leaf spans are deterministic, so results
-// must be independent of thread count and of goroutine-vs-pool dispatch.
+// TestRangeWalkThreadInvariance: the driver partitions leaves over workers
+// dynamically, but per-leaf spans are deterministic, so results must be
+// independent of the thread count.
 func TestRangeWalkThreadInvariance(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	x, y, z := randomParticles(600, 12, rng)
 	kern := testKernel(4)
-	tr := Build(x, y, z, 24)
+	tr := buildTree(x, y, z, 24)
 	tr.ComputeForcesRanges(copyAdapter(kern), 2, 1)
 	ax0 := append([]float32(nil), tr.AX...)
 	for _, threads := range []int{2, 5} {
@@ -81,12 +78,12 @@ func TestRangeWalkThreadInvariance(t *testing.T) {
 	}
 }
 
-// TestDepthIterative pins the iterative Depth against the structural
-// recurrence on a freshly built tree (and the degenerate deep case).
+// TestDepthIterative pins the iterative depth against the structural
+// recurrence on a freshly built tree, and the degenerate deep case.
 func TestDepthIterative(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	x, y, z := randomParticles(512, 10, rng)
-	tr := Build(x, y, z, 4)
+	tr := buildTree(x, y, z, 4)
 	var rec func(n int32) int
 	rec = func(n int32) int {
 		nd := &tr.nodes[n]
@@ -99,15 +96,15 @@ func TestDepthIterative(t *testing.T) {
 		}
 		return r + 1
 	}
-	if got, want := tr.Depth(), rec(0); got != want {
-		t.Fatalf("Depth() = %d, recursive reference %d", got, want)
+	if got, want := depth(tr), rec(0); got != want {
+		t.Fatalf("depth = %d, recursive reference %d", got, want)
 	}
 	// Degenerate: identical coordinates force index-median splits all the
 	// way down; depth must be ~log2(n/leaf)+1 and must not stack-overflow.
 	n := 1 << 12
 	xs := make([]float32, n)
-	deep := Build(xs, xs, xs, 1)
-	if got := deep.Depth(); got != 13 {
+	deep := buildTree(xs, xs, xs, 1)
+	if got := depth(deep); got != 13 {
 		t.Fatalf("degenerate depth = %d, want 13", got)
 	}
 }

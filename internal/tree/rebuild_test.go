@@ -10,11 +10,11 @@ import (
 
 // treeForces computes forces and scatters them to caller order.
 func treeForces(tr *Tree, n, threads int) (ax, ay, az []float32) {
-	tr.ComputeForces(testKernel(9), 3, threads)
+	tr.ComputeForcesRanges(copyAdapter(testKernel(9)), 3, threads)
 	ax = make([]float32, n)
 	ay = make([]float32, n)
 	az = make([]float32, n)
-	tr.AccelInto(ax, ay, az)
+	accelInto(&tr.Pairs, ax, ay, az)
 	return
 }
 
@@ -28,13 +28,13 @@ func TestRebuildMatchesBuild(t *testing.T) {
 	for _, n := range []int{400, 1000, 120, 0, 700} {
 		x, y, z := randomParticles(n, 10, rng)
 		persistent.Rebuild(x, y, z)
-		fresh := Build(x, y, z, 24)
-		if persistent.Leaves() != fresh.Leaves() || len(persistent.nodes) != len(fresh.nodes) {
+		fresh := buildTree(x, y, z, 24)
+		if persistent.NumBlocks() != fresh.NumBlocks() || len(persistent.nodes) != len(fresh.nodes) {
 			t.Fatalf("n=%d: structure differs: %d/%d leaves, %d/%d nodes",
-				n, persistent.Leaves(), fresh.Leaves(), len(persistent.nodes), len(fresh.nodes))
+				n, persistent.NumBlocks(), fresh.NumBlocks(), len(persistent.nodes), len(fresh.nodes))
 		}
-		for i := range fresh.orig {
-			if persistent.orig[i] != fresh.orig[i] ||
+		for i := range fresh.Orig {
+			if persistent.Orig[i] != fresh.Orig[i] ||
 				persistent.X[i] != fresh.X[i] || persistent.Y[i] != fresh.Y[i] || persistent.Z[i] != fresh.Z[i] {
 				t.Fatalf("n=%d: slot %d differs after rebuild", n, i)
 			}
@@ -58,8 +58,8 @@ func TestRebuildMatchesBuild(t *testing.T) {
 func TestRebuildResetsStats(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
 	x, y, z := randomParticles(300, 8, rng)
-	tr := Build(x, y, z, 16)
-	tr.ComputeForces(testKernel(9), 3, 2)
+	tr := buildTree(x, y, z, 16)
+	tr.ComputeForcesRanges(copyAdapter(testKernel(9)), 3, 2)
 	if tr.Interactions.Load() == 0 {
 		t.Fatal("no interactions counted")
 	}
@@ -69,24 +69,24 @@ func TestRebuildResetsStats(t *testing.T) {
 	}
 }
 
-// TestComputeForcesPoolMatches pins the production dispatch — the shared
-// leaf cursor on a persistent pool — against the spawning range walk on one
-// goroutine: bitwise-identical accelerations and identical walk statistics
-// for every pool size (leaves own disjoint output ranges).
+// TestComputeForcesPoolMatches pins the driver on a pool of workers sharing
+// the leaf cursor against the driver on the calling goroutine alone:
+// bitwise-identical accelerations and identical walk statistics for every
+// pool size (leaves own disjoint output ranges).
 func TestComputeForcesPoolMatches(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	x, y, z := randomParticles(800, 16, rng)
 	kern := copyAdapter(testKernel(4))
 	const rcut = 2.0
-	b := Build(x, y, z, 16)
+	b := buildTree(x, y, z, 16)
 	b.ComputeForcesRanges(kern, rcut, 1)
 	for _, workers := range []int{1, 2, 3, 5} {
-		a := Build(x, y, z, 16)
+		a := buildTree(x, y, z, 16)
 		a.ComputeForcesPoolRanges(kern, rcut, par.NewPool(workers))
 		if a.Interactions.Load() != b.Interactions.Load() ||
 			a.NodesVisited.Load() != b.NodesVisited.Load() ||
 			a.NeighborCount.Load() != b.NeighborCount.Load() {
-			t.Fatalf("workers=%d: stats (%d,%d,%d) differ from spawning walk (%d,%d,%d)", workers,
+			t.Fatalf("workers=%d: stats (%d,%d,%d) differ from one worker (%d,%d,%d)", workers,
 				a.Interactions.Load(), a.NodesVisited.Load(), a.NeighborCount.Load(),
 				b.Interactions.Load(), b.NodesVisited.Load(), b.NeighborCount.Load())
 		}

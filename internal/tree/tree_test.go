@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"hacc/internal/par"
 )
 
 func randomParticles(n int, box float64, rng *rand.Rand) (x, y, z []float32) {
@@ -22,11 +24,11 @@ func randomParticles(n int, box float64, rng *rand.Rand) (x, y, z []float32) {
 func TestBuildInvariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	x, y, z := randomParticles(500, 16, rng)
-	tr := Build(x, y, z, 16)
+	tr := buildTree(x, y, z, 16)
 
 	// orig is a permutation and working arrays hold permuted inputs.
 	seen := make([]bool, 500)
-	for i, o := range tr.orig {
+	for i, o := range tr.Orig {
 		if seen[o] {
 			t.Fatalf("orig not a permutation: %d repeated", o)
 		}
@@ -56,7 +58,7 @@ func TestBuildInvariants(t *testing.T) {
 			}
 		}
 	}
-	if tr.Leaves() == 0 || tr.Depth() == 0 {
+	if tr.NumBlocks() == 0 || depth(tr) == 0 {
 		t.Error("stats not populated")
 	}
 }
@@ -67,21 +69,24 @@ func TestBuildDegenerate(t *testing.T) {
 	x := make([]float32, n)
 	y := make([]float32, n)
 	z := make([]float32, n)
-	tr := Build(x, y, z, 8)
-	if tr.Leaves() < n/8 {
-		t.Errorf("degenerate build produced %d leaves", tr.Leaves())
+	tr := buildTree(x, y, z, 8)
+	if tr.NumBlocks() < n/8 {
+		t.Errorf("degenerate build produced %d leaves", tr.NumBlocks())
 	}
 	// Empty build.
-	tr = Build(nil, nil, nil, 8)
-	if tr.Leaves() != 0 {
+	tr = buildTree(nil, nil, nil, 8)
+	if tr.NumBlocks() != 0 {
 		t.Error("empty tree should have no leaves")
 	}
-	tr.ComputeForces(func(lx, ly, lz, nx, ny, nz, ax, ay, az []float32) int64 { return 0 }, 1, 2)
+	tr.ComputeForcesRanges(func(lx, ly, lz, px, py, pz []float32, ranges [][2]int32, ax, ay, az []float32) int64 {
+		t.Fatal("empty tree reached the kernel")
+		return 0
+	}, 1, 2)
 }
 
 // testKernel is a plain softened inverse-square law with cutoff, evaluated
 // identically by the tree path and the brute-force reference.
-func testKernel(rcut2 float64) LeafKernel {
+func testKernel(rcut2 float64) leafKernel {
 	return func(lx, ly, lz, nx, ny, nz, ax, ay, az []float32) int64 {
 		for i := range lx {
 			var sx, sy, sz float64
@@ -138,12 +143,12 @@ func TestForcesMatchBruteForce(t *testing.T) {
 	const rcut = 3.0
 	for _, leafSize := range []int{1, 4, 16, 64, 1000} {
 		x, y, z := randomParticles(300, 12, rng)
-		tr := Build(x, y, z, leafSize)
-		tr.ComputeForces(testKernel(rcut*rcut), rcut, 3)
+		tr := buildTree(x, y, z, leafSize)
+		tr.ComputeForcesPoolRanges(copyAdapter(testKernel(rcut*rcut)), rcut, par.NewPool(3))
 		ax := make([]float32, 300)
 		ay := make([]float32, 300)
 		az := make([]float32, 300)
-		tr.AccelInto(ax, ay, az)
+		accelInto(&tr.Pairs, ax, ay, az)
 		bx, by, bz := bruteForce(x, y, z, rcut*rcut)
 		var scale float64
 		for i := range bx {
@@ -166,12 +171,12 @@ func TestThreadCountInvariance(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	x, y, z := randomParticles(400, 10, rng)
 	get := func(threads int) ([]float32, []float32, []float32) {
-		tr := Build(x, y, z, 24)
-		tr.ComputeForces(testKernel(9), 3, threads)
+		tr := buildTree(x, y, z, 24)
+		tr.ComputeForcesPoolRanges(copyAdapter(testKernel(9)), 3, par.NewPool(threads))
 		ax := make([]float32, 400)
 		ay := make([]float32, 400)
 		az := make([]float32, 400)
-		tr.AccelInto(ax, ay, az)
+		accelInto(&tr.Pairs, ax, ay, az)
 		return ax, ay, az
 	}
 	a1x, a1y, a1z := get(1)
@@ -193,11 +198,11 @@ func TestInteractionCountProperty(t *testing.T) {
 		n := 50 + rng.Intn(200)
 		leafSize := 1 + rng.Intn(64)
 		x, y, z := randomParticles(n, 8, rng)
-		tr := Build(x, y, z, leafSize)
+		tr := buildTree(x, y, z, leafSize)
 		count := func(lx, ly, lz, nx, ny, nz, ax, ay, az []float32) int64 {
 			return int64(len(lx)) * int64(len(nx))
 		}
-		tr.ComputeForces(count, 2.0, 2)
+		tr.ComputeForcesPoolRanges(copyAdapter(count), 2.0, par.NewPool(2))
 		// Exact pair count within rcut (including self-pairs i==i).
 		exact := int64(0)
 		for i := 0; i < n; i++ {
@@ -225,10 +230,11 @@ func TestWalkMinimizationTradeoff(t *testing.T) {
 	kern := func(lx, ly, lz, nx, ny, nz, ax, ay, az []float32) int64 {
 		return int64(len(lx)) * int64(len(nx))
 	}
-	small := Build(x, y, z, 4)
-	small.ComputeForces(kern, 3, 2)
-	big := Build(x, y, z, 128)
-	big.ComputeForces(kern, 3, 2)
+	small := buildTree(x, y, z, 4)
+	pool := par.NewPool(2)
+	small.ComputeForcesPoolRanges(copyAdapter(kern), 3, pool)
+	big := buildTree(x, y, z, 128)
+	big.ComputeForcesPoolRanges(copyAdapter(kern), 3, pool)
 	if big.NodesVisited.Load() >= small.NodesVisited.Load() {
 		t.Errorf("fat leaves should cut walk: %d vs %d visits",
 			big.NodesVisited.Load(), small.NodesVisited.Load())
