@@ -33,7 +33,7 @@ func TestPowerSpectrumRecoversInput(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		ps := MeasurePower(c, dec, dom, box, 12, false)
+		ps := NewPower(c, dec, nil, box, 12).Measure(dom, false)
 		if c.Rank() != 0 {
 			return
 		}
@@ -279,28 +279,6 @@ func TestDensityStats(t *testing.T) {
 	}
 }
 
-func TestZoomVarianceIncreasesTowardPeak(t *testing.T) {
-	// A centrally peaked field: zooming into the peak raises the variance
-	// until the window is all-peak.
-	n := [3]int{16, 16, 16}
-	owned := make([]float64, 16*16*16)
-	for x := 0; x < 16; x++ {
-		for y := 0; y < 16; y++ {
-			for z := 0; z < 16; z++ {
-				dx, dy, dz := float64(x-8), float64(y-8), float64(z-8)
-				owned[(x*16+y)*16+z] = 50 * math.Exp(-(dx*dx+dy*dy+dz*dz)/4)
-			}
-		}
-	}
-	v := ZoomVariance(owned, n, 3)
-	if len(v) != 3 {
-		t.Fatalf("levels %d", len(v))
-	}
-	if !(v[1] > v[0]) {
-		t.Errorf("zoom should raise variance initially: %v", v)
-	}
-}
-
 func TestMassFunctionBins(t *testing.T) {
 	halos := []Halo{{Mass: 1e13}, {Mass: 1.2e13}, {Mass: 1e14}, {Mass: 9e15}}
 	err := mpi.Run(2, func(c *mpi.Comm) {
@@ -322,6 +300,40 @@ func TestMassFunctionBins(t *testing.T) {
 		}
 		if math.Abs(total-4) > 1e-9 {
 			t.Errorf("binned halo total %g want 4", total)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestMassFunctionBinsEdges pins the half-open range [mMin, mMax): a mass
+// a fraction of a bin below mMin must not truncate into bin 0.
+func TestMassFunctionBinsEdges(t *testing.T) {
+	const mMin, mMax, nbins = 1e12, 1e16, 8
+	dln := (math.Log(mMax) - math.Log(mMin)) / nbins
+	cases := []struct {
+		name string
+		mass float64
+		bin  int // -1: dropped
+	}{
+		{"below mMin", 0.9 * mMin, -1},
+		{"at mMin", mMin, 0},
+		{"at mMax", mMax, -1},
+		{"above mMax", 1.1 * mMax, -1},
+	}
+	err := mpi.Run(1, func(c *mpi.Comm) {
+		for _, tc := range cases {
+			_, dn := MassFunctionBins(c, []Halo{{Mass: tc.mass}}, 1, mMin, mMax, nbins)
+			for b, v := range dn {
+				want := 0.0
+				if b == tc.bin {
+					want = 1 / dln
+				}
+				if v != want {
+					t.Errorf("%s: dn[%d] = %g, want %g", tc.name, b, v, want)
+				}
+			}
 		}
 	})
 	if err != nil {

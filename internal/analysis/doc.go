@@ -14,7 +14,8 @@
 // directly on the pencil-r2c half spectrum, so a measurement costs one
 // planned real-to-complex transform. Both plans are built once, hold all
 // their scratch, and allocate nothing warm on one rank. The serial
-// implementations survive as equivalence oracles: powerSerial, and the
-// test-only FOF finders (FOF, FindHalos, FOFDense), which link all pairs
-// by brute force and so share no binning logic with the Plan.
+// estimators they are checked against are test code: the full
+// complex-spectrum P(k) (power_oracle_test.go) and the FOF finders
+// (fof_oracle_test.go), which link all pairs by brute force and so share
+// no binning logic with the Plan.
 package analysis

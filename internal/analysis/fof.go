@@ -27,7 +27,7 @@ func MassFunctionBins(c *mpi.Comm, halos []Halo, volMpc3 float64, mMin, mMax flo
 		if h.Mass <= 0 {
 			continue
 		}
-		b := int((math.Log(h.Mass) - lmin) / dln)
+		b := int(math.Floor((math.Log(h.Mass) - lmin) / dln))
 		if b >= 0 && b < nbins {
 			counts[b]++
 		}

@@ -198,45 +198,3 @@ func MeasureDensityStats(owned []float64) DensityStats {
 	s.NegFrac = float64(neg) / n
 	return s
 }
-
-// ZoomVariance returns the density variance measured in nested cubic
-// sub-volumes of decreasing size (Fig. 2's dynamic-range zoom expressed as
-// statistics): level L uses boxes of side n/2^L cells centered on the
-// densest cell.
-func ZoomVariance(owned []float64, n [3]int, levels int) []float64 {
-	// Find the densest cell.
-	best := 0
-	for i, v := range owned {
-		if v > owned[best] {
-			best = i
-		}
-	}
-	bz := best % n[2]
-	by := (best / n[2]) % n[1]
-	bx := best / (n[1] * n[2])
-	out := make([]float64, 0, levels)
-	for l := 0; l < levels; l++ {
-		half := n[0] >> (l + 1)
-		if half < 1 {
-			break
-		}
-		var sum, sum2 float64
-		var cnt int
-		for x := bx - half; x < bx+half; x++ {
-			for y := by - half; y < by+half; y++ {
-				for z := bz - half; z < bz+half; z++ {
-					xx := ((x % n[0]) + n[0]) % n[0]
-					yy := ((y % n[1]) + n[1]) % n[1]
-					zz := ((z % n[2]) + n[2]) % n[2]
-					v := owned[(xx*n[1]+yy)*n[2]+zz]
-					sum += v
-					sum2 += v * v
-					cnt++
-				}
-			}
-		}
-		mean := sum / float64(cnt)
-		out = append(out, sum2/float64(cnt)-mean*mean)
-	}
-	return out
-}

@@ -59,7 +59,6 @@ type Config struct {
 	Sigma         float64 // spectral filter width (default 0.8)
 	NsFilter      int     // spectral filter exponent (default 3)
 	DisableFilter bool    // ablation: no isotropizing filter
-	SlabFFT       bool    // use the slab FFT decomposition
 	FitGridN      int     // grid used for the kernel fit (default 32)
 
 	// In-situ analysis (the paper's sky-survey data products, produced
@@ -316,11 +315,11 @@ func (c Config) Fingerprint() uint64 {
 	mix(fmt.Sprintf("%d %d %g %#v %q %g %g %d %d %d %t",
 		c.NGrid, c.NParticles, c.BoxMpc, c.Cosmo, c.Transfer,
 		c.ZInit, c.ZFinal, c.Steps, c.SubCycles, c.Seed, c.FixedAmp))
-	// The literal 1 and false fill the retired tree-count and threaded-deposit
+	// The literals fill the retired slab-FFT, tree-count and threaded-deposit
 	// slots, so checkpoints written before their removal still restore.
 	mix(fmt.Sprintf("%d %g %d %g %g %g %d %t %t %d %d %t",
 		c.Solver, c.RCut, c.LeafSize, c.Overload, c.Eps, c.Sigma,
-		c.NsFilter, c.DisableFilter, c.SlabFFT, c.FitGridN, 1, false))
+		c.NsFilter, c.DisableFilter, false, c.FitGridN, 1, false))
 	// Load-balancing schedule and IC family (PR 8): which geometry a step
 	// runs under — and which universe it starts from — is physics for
 	// restart-exactness purposes.

@@ -209,7 +209,6 @@ func (s *Simulation) adoptGeometry(cuts [3][]int) {
 		Sigma:  s.Cfg.Sigma,
 		Ns:     s.Cfg.NsFilter,
 		Filter: !s.Cfg.DisableFilter,
-		Slab:   s.Cfg.SlabFFT,
 		Pool:   s.pool,
 	})
 	s.fof = nil

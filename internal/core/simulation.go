@@ -218,7 +218,6 @@ func newSimulation(c *mpi.Comm, cfg Config) (*Simulation, error) {
 		Sigma:  cfg.Sigma,
 		Ns:     cfg.NsFilter,
 		Filter: !cfg.DisableFilter,
-		Slab:   cfg.SlabFFT,
 		Pool:   s.pool,
 	})
 	s.Counters.FFTGridN = cfg.NGrid

@@ -8,8 +8,9 @@
 // The communication path is a persistent ExchangePlan (PR 3), built once in
 // New from the catch geometry: Migrate and Refresh send one packed message
 // per 26-stencil neighbor leg and split into Begin/End halves so core can
-// hide the exchange behind computation; the dense all-to-all paths survive
-// as equivalence oracles (MigrateDense, RefreshDense). RefreshOrigins
+// hide the exchange behind computation. MigrateDense keeps a dense
+// all-to-all for moves of any distance (rebalance, restore); oracle_test.go
+// holds the dense refresh the planned legs are checked against. RefreshOrigins
 // records the owner of every passive replica segment, which is what lets
 // the analysis layer stitch cross-rank halos without re-deriving ownership
 // (PR 4), and SetOrigins installs those segments back from a checkpoint's

@@ -28,28 +28,25 @@ type Domain struct {
 	Migrated int64 // particles moved to a new owner (lifetime count)
 
 	// origins records, for the passive set built by the most recent
-	// Refresh/RefreshEnd (planned or dense), the contiguous owner segments
+	// Refresh/RefreshEnd, the contiguous owner segments
 	// in storage order; see RefreshOrigins.
 	origins []Origin
 
 	catches []catch // where my actives must be replicated
 
 	// plan is the persistent neighbor-stencil exchange plan behind
-	// Migrate/Refresh (see exchange.go). The dense all-to-all path below
-	// (MigrateDense/RefreshDense) is retained as the equivalence oracle.
+	// Migrate/Refresh (see exchange.go). MigrateDense below is the dense
+	// all-to-all path for arbitrary-distance moves.
 	plan *ExchangePlan
 
-	// Per-destination communication scratch for the dense oracle path,
-	// reused across steps so it stops allocating once warm (mpi.Send copies
+	// Per-destination communication scratch for MigrateDense, reused
+	// across calls so it stops allocating once warm (mpi.Send copies
 	// outgoing payloads, so reusing these between collectives is safe).
 	// owners is shared with the planned path.
 	owners []int
 	dest   [][]int
 	sendF  [][]float32
 	sendI  [][]uint64
-	idxBuf []int
-	selfF  []float32
-	selfI  []uint64
 }
 
 // catch says: actives inside box (a sub-box of mine, in my coordinates)
@@ -191,8 +188,11 @@ func (d *Domain) Refresh() {
 	d.RefreshEnd()
 }
 
-// MigrateDense is the legacy dense all-to-all migration, retained as the
-// equivalence oracle for the planned path (O(P²) messages per call).
+// MigrateDense moves every active particle to its owner over one dense
+// all-to-all (O(P²) messages per call). Unlike Migrate it handles moves of
+// any distance, which a rebalance, a restore and a re-decomposed snapshot
+// need; it is also the equivalence oracle for the planned path.
+// Collective.
 func (d *Domain) MigrateDense() {
 	p := d.Comm.Size()
 	a := &d.Active
@@ -252,7 +252,7 @@ type Origin struct {
 }
 
 // RefreshOrigins returns the owner segments of the passive store in storage
-// order, as built by the most recent Refresh/RefreshEnd (or RefreshDense):
+// order, as built by the most recent Refresh/RefreshEnd:
 // one segment per neighbor leg (possibly empty) followed by the rank's own
 // periodic self-images. Consumers that must route per-replica information
 // back to the owner — the analysis boundary stitch — use this instead of
@@ -283,52 +283,6 @@ func (d *Domain) SetOrigins(origins []Origin) error {
 	}
 	d.origins = origins
 	return nil
-}
-
-// RefreshDense is the legacy dense all-to-all refresh (one full particle
-// scan per catch entry), retained as the equivalence oracle for the planned
-// path. Active positions must already be canonical (call Migrate first
-// after any position update). Collective.
-func (d *Domain) RefreshDense() {
-	p := d.Comm.Size()
-	d.Passive.Reset()
-	_, sendF, sendI := d.commScratch()
-	selfF := d.selfF[:0]
-	selfI := d.selfI[:0]
-	a := &d.Active
-	idx := d.idxBuf
-	for _, c := range d.catches {
-		idx = idx[:0]
-		for i := 0; i < a.Len(); i++ {
-			if c.box.contains(float64(a.X[i]), float64(a.Y[i]), float64(a.Z[i])) {
-				idx = append(idx, i)
-			}
-		}
-		if len(idx) == 0 {
-			continue
-		}
-		if c.rank == d.Comm.Rank() {
-			selfF = a.packFloatsInto(selfF, idx, c.shift)
-			selfI = a.packIDsInto(selfI, idx)
-			continue
-		}
-		sendF[c.rank] = a.packFloatsInto(sendF[c.rank], idx, c.shift)
-		sendI[c.rank] = a.packIDsInto(sendI[c.rank], idx)
-	}
-	d.idxBuf = idx
-	d.selfF, d.selfI = selfF, selfI
-	recvF := mpi.AllToAll(d.Comm, sendF)
-	recvI := mpi.AllToAll(d.Comm, sendI)
-	d.origins = d.origins[:0]
-	for r := 0; r < p; r++ {
-		if r == d.Comm.Rank() {
-			continue
-		}
-		d.Passive.unpack(recvF[r], recvI[r])
-		d.origins = append(d.origins, Origin{Rank: r, N: len(recvI[r])})
-	}
-	d.Passive.unpack(selfF, selfI)
-	d.origins = append(d.origins, Origin{Rank: d.Comm.Rank(), N: len(selfI)})
 }
 
 // NGlobal returns the total number of active particles across all ranks.

@@ -176,16 +176,6 @@ func Arm(p *Plan) *Injector {
 	return inj
 }
 
-// ArmSpec parses spec and arms it; a convenience for CLI flags.
-func ArmSpec(spec string, seed uint64) (*Injector, error) {
-	p, err := Parse(spec)
-	if err != nil {
-		return nil, err
-	}
-	p.Seed = seed
-	return Arm(p), nil
-}
-
 // Armed returns the armed injector, or nil. This is the only call on the
 // un-faulted hot path: one atomic load and a nil check, no allocation.
 func Armed() *Injector { return armed.Load() }

@@ -8,7 +8,8 @@
 // owned-cell index lists are derived once per (decomposition, ghost width),
 // traffic flows over neighbor legs only, and both directions (Accumulate
 // for deposit spill, Fill for interpolation halos) split into Begin/End
-// with pooled GhostOp handles; the dense paths survive as oracles. The
+// with pooled GhostOp handles; oracle_test.go holds the dense all-to-all
+// form they are checked against. The
 // deposit is the one serial DepositCIC: a threaded x-slab deposit measured
 // slower than it (200 k particles on 48³, 2 cores), allocated on every call
 // and made the density depend on summation order. The gather is threaded by particle

@@ -53,15 +53,15 @@ type gLeg struct {
 // step; only values move afterwards. Both directions split into Begin (pack
 // + post non-blocking legs) and End (wait + unpack), so callers can overlap
 // the exchange with computation; Accumulate/Fill are the sequential
-// Begin+End compositions, and AccumulateDense/FillDense retain the legacy
-// all-to-all path as the equivalence oracle.
+// Begin+End compositions. oracle_test.go holds the dense all-to-all form
+// the legs are checked against.
 type Exchanger struct {
 	comm *mpi.Comm
 	// ghostSlots[r] lists my local ghost storage indices whose canonical
 	// cell is owned by rank r; ownedIdx[r] lists my interior storage indices
 	// that rank r's ghost slots mirror (in r's canonical order). Dense
-	// (per-rank) form, retained for the oracle; legs holds the planned
-	// neighbor-only view of the same lists.
+	// (per-rank) form; legs holds the planned neighbor-only view of the
+	// same lists.
 	ghostSlots [][]int
 	ownedIdx   [][]int
 	legs       []gLeg
@@ -272,59 +272,6 @@ func (e *Exchanger) Accumulate(f *Field) { e.AccumulateBegin(f).End() }
 // Fill copies interior values outward so every ghost slot holds the
 // periodic value of its canonical cell. Collective.
 func (e *Exchanger) Fill(f *Field) { e.FillBegin(f).End() }
-
-// AccumulateDense is the legacy dense all-to-all accumulate, retained as
-// the equivalence oracle for the planned legs. Collective.
-func (e *Exchanger) AccumulateDense(f *Field) {
-	p := e.comm.Size()
-	send := e.sendScratch()
-	for r := 0; r < p; r++ {
-		if len(e.ghostSlots[r]) == 0 {
-			continue
-		}
-		buf := par.Resize(send[r], len(e.ghostSlots[r]))
-		for i, s := range e.ghostSlots[r] {
-			buf[i] = f.Data[s]
-		}
-		send[r] = buf
-	}
-	recv := mpi.AllToAll(e.comm, send)
-	for r := 0; r < p; r++ {
-		for i, idx := range e.ownedIdx[r] {
-			f.Data[idx] += recv[r][i]
-		}
-	}
-	for i, s := range e.selfGhost {
-		f.Data[e.selfOwned[i]] += f.Data[s]
-	}
-	f.ZeroGhosts()
-}
-
-// FillDense is the legacy dense all-to-all fill, retained as the
-// equivalence oracle for the planned legs. Collective.
-func (e *Exchanger) FillDense(f *Field) {
-	p := e.comm.Size()
-	send := e.sendScratch()
-	for r := 0; r < p; r++ {
-		if len(e.ownedIdx[r]) == 0 {
-			continue
-		}
-		buf := par.Resize(send[r], len(e.ownedIdx[r]))
-		for i, idx := range e.ownedIdx[r] {
-			buf[i] = f.Data[idx]
-		}
-		send[r] = buf
-	}
-	recv := mpi.AllToAll(e.comm, send)
-	for r := 0; r < p; r++ {
-		for i, s := range e.ghostSlots[r] {
-			f.Data[s] = recv[r][i]
-		}
-	}
-	for i, s := range e.selfGhost {
-		f.Data[s] = f.Data[e.selfOwned[i]]
-	}
-}
 
 // sendScratch returns the reusable per-destination send buffers, emptied
 // (capacity retained).

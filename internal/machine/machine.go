@@ -5,8 +5,6 @@ import "math"
 // BG/Q hardware constants (paper §III).
 const (
 	PeakGFlopsPerNode = 204.8 // 16 cores × 12.8 GFlops
-	CoresPerNode      = 16
-	ThreadsPerCore    = 4
 	// The QPX kernel executes 26 instructions per 4-wide vector iteration,
 	// 16 of them FMAs: 168 flops per iteration, i.e. 42 flops per pair
 	// interaction.

@@ -1,84 +1,5 @@
 package mpi
 
-import "fmt"
-
-// Cart is a Cartesian process topology over a communicator, mapping ranks
-// to coordinates in a dims[0]×dims[1]×…×dims[d-1] grid in row-major order
-// (last dimension varies fastest), like MPI_Cart_create.
-type Cart struct {
-	Comm *Comm
-	Dims []int
-}
-
-// NewCart builds a Cartesian topology. The product of dims must equal the
-// communicator size.
-func NewCart(c *Comm, dims ...int) *Cart {
-	n := 1
-	for _, d := range dims {
-		if d <= 0 {
-			panic("mpi: cart dims must be positive")
-		}
-		n *= d
-	}
-	if n != c.Size() {
-		panic(fmt.Sprintf("mpi: cart dims product %d != comm size %d", n, c.Size()))
-	}
-	return &Cart{Comm: c, Dims: append([]int(nil), dims...)}
-}
-
-// Coords returns the coordinates of the given rank.
-func (t *Cart) Coords(rank int) []int {
-	co := make([]int, len(t.Dims))
-	for i := len(t.Dims) - 1; i >= 0; i-- {
-		co[i] = rank % t.Dims[i]
-		rank /= t.Dims[i]
-	}
-	return co
-}
-
-// Rank returns the rank at the given coordinates, with periodic wrapping.
-func (t *Cart) Rank(coords ...int) int {
-	if len(coords) != len(t.Dims) {
-		panic("mpi: cart coords dimension mismatch")
-	}
-	r := 0
-	for i, c := range coords {
-		d := t.Dims[i]
-		c = ((c % d) + d) % d
-		r = r*d + c
-	}
-	return r
-}
-
-// MyCoords returns the calling rank's coordinates.
-func (t *Cart) MyCoords() []int { return t.Coords(t.Comm.Rank()) }
-
-// Shift returns the source and destination ranks for a displacement along
-// one dimension with periodic boundaries (like MPI_Cart_shift).
-func (t *Cart) Shift(dim, disp int) (src, dst int) {
-	co := t.MyCoords()
-	up := append([]int(nil), co...)
-	up[dim] += disp
-	dn := append([]int(nil), co...)
-	dn[dim] -= disp
-	return t.Rank(dn...), t.Rank(up...)
-}
-
-// SubComm splits the communicator into lines along the given dimension:
-// ranks sharing all coordinates except dim end up in the same
-// sub-communicator, ordered by their coordinate along dim.
-func (t *Cart) SubComm(dim int) *Comm {
-	co := t.MyCoords()
-	color := 0
-	for i, c := range co {
-		if i == dim {
-			continue
-		}
-		color = color*t.Dims[i] + c
-	}
-	return t.Comm.Split(color, co[dim])
-}
-
 // BalancedDims factors n into d near-equal factors (largest first),
 // the way MPI_Dims_create does. Used to choose process grids.
 func BalancedDims(n, d int) []int {

@@ -21,11 +21,8 @@ func hitCollective(c *Comm) {
 const (
 	tagBarrier = -2 - iota
 	tagBcast
-	tagReduce
 	tagAllReduce
 	tagGather
-	tagAllGather
-	tagScatter
 	tagAllToAll
 )
 
@@ -78,41 +75,6 @@ func Bcast[T any](c *Comm, root int, buf []T) []T {
 
 // Op is a binary reduction operator. It must be associative.
 type Op[T any] func(a, b T) T
-
-// Reduce combines equal-length buffers element-wise with op, leaving the
-// result on root. Non-root ranks receive nil. Binomial-tree reduction.
-func Reduce[T any](c *Comm, root int, buf []T, op Op[T]) []T {
-	hitCollective(c)
-	p := c.Size()
-	acc := append([]T(nil), buf...)
-	if p == 1 {
-		if root == 0 {
-			return acc
-		}
-	}
-	c.checkRank(root, "root")
-	vr := (c.Rank() - root + p) % p
-	for mask := 1; mask < p; mask *= 2 {
-		if vr&mask != 0 {
-			dst := ((vr - mask) + root) % p
-			SendMove(c, dst, tagReduce, acc)
-			return nil
-		}
-		if vr+mask < p {
-			other := Recv[T](c, (vr+mask+root)%p, tagReduce)
-			if len(other) != len(acc) {
-				panic(fmt.Sprintf("mpi: Reduce length mismatch %d != %d", len(other), len(acc)))
-			}
-			for i := range acc {
-				acc[i] = op(acc[i], other[i])
-			}
-		}
-	}
-	if vr == 0 {
-		return acc
-	}
-	return nil
-}
 
 // AllReduce combines equal-length buffers element-wise with op and returns
 // the result on every rank. Recursive doubling with a pre/post phase for
@@ -214,27 +176,6 @@ func AllGather[T any](c *Comm, buf []T) []T {
 	return Bcast(c, 0, out)
 }
 
-// Scatter splits root's parts (one slice per rank) and delivers parts[r] to
-// rank r. Non-root ranks pass nil.
-func Scatter[T any](c *Comm, root int, parts [][]T) []T {
-	hitCollective(c)
-	p := c.Size()
-	c.checkRank(root, "root")
-	if c.Rank() == root {
-		if len(parts) != p {
-			panic(fmt.Sprintf("mpi: Scatter needs %d parts, got %d", p, len(parts)))
-		}
-		for r := 0; r < p; r++ {
-			if r == root {
-				continue
-			}
-			Send(c, r, tagScatter, parts[r])
-		}
-		return append([]T(nil), parts[root]...)
-	}
-	return Recv[T](c, root, tagScatter)
-}
-
 // AllToAll performs a personalized all-to-all exchange: sendParts[r] goes to
 // rank r; the returned slice holds, at index r, the buffer received from
 // rank r. Buffers may have arbitrary (including zero) lengths — this is
@@ -276,9 +217,6 @@ func AllOK(c *Comm, ok bool) bool {
 
 // SumF64 adds float64s.
 func SumF64(a, b float64) float64 { return a + b }
-
-// SumF32 adds float32s.
-func SumF32(a, b float32) float32 { return a + b }
 
 // SumI64 adds int64s.
 func SumI64(a, b int64) int64 { return a + b }

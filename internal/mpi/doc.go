@@ -6,7 +6,7 @@
 // of a program is the same as it would be under a real MPI library.
 //
 // PR 3 added the non-blocking API (Request, Isend/Irecv, IrecvInit for
-// allocation-free plan-owned requests, Wait/Test/Testsome): sends are eager
+// allocation-free plan-owned requests, Wait/WaitTimeout): sends are eager
 // — the payload is buffered at post time — and receives match lazily at
 // completion, FIFO per (source, tag), which is what buys real
 // computation/communication overlap when ranks are goroutines.

@@ -127,18 +127,6 @@ func (m *mailbox) take(ctx int64, src, tag int, timeout time.Duration) (message,
 	}
 }
 
-// tryTake is the non-blocking form of take: it returns ok=false when no
-// matching message is pending instead of waiting.
-func (m *mailbox) tryTake(ctx int64, src, tag int) (message, bool, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.aborted {
-		return message{}, false, &AbortError{Rank: m.rank, Src: src, Tag: tag, Reason: m.reason}
-	}
-	msg, ok := m.match(ctx, src, tag)
-	return msg, ok, nil
-}
-
 // match removes and returns the first pending message matching
 // (ctx, src, tag). Caller holds m.mu. Wire-delivered messages carry the
 // sender's wall-clock timestamp; the send→match delta is the wire latency a
@@ -268,9 +256,6 @@ func (w *World) Size() int { return w.size }
 // Wire reports whether this world reaches any rank over a wire transport.
 func (w *World) Wire() bool { return w.tr != nil }
 
-// Local returns the world ranks hosted in this process.
-func (w *World) Local() []int { return w.local }
-
 // SetTimeout bounds every subsequent blocking operation (Recv, Wait,
 // collective legs) on this world: a wait that exceeds d fails with a
 // *TimeoutError, which aborts the world and surfaces from Run. Zero disables
@@ -281,9 +266,6 @@ func (w *World) SetTimeout(d time.Duration) { w.timeout.Store(int64(d)) }
 
 // Timeout returns the current per-operation timeout (zero = none).
 func (w *World) Timeout() time.Duration { return time.Duration(w.timeout.Load()) }
-
-// Aborted reports whether the world has been aborted.
-func (w *World) Aborted() bool { return w.aborted.Load() }
 
 // abortWith wakes all blocked receivers with an error carrying reason and,
 // over a wire transport, broadcasts the abort to every peer process so the
@@ -575,12 +557,6 @@ func Recv[T any](c *Comm, src, tag int) []T {
 		panic(fmt.Sprintf("mpi: Recv type mismatch: got %T", p))
 	}
 	return buf
-}
-
-// SendRecv exchanges buffers with two (possibly equal) partners.
-func SendRecv[T any](c *Comm, dst, sendTag int, sendBuf []T, src, recvTag int) []T {
-	SendMove(c, dst, sendTag, append([]T(nil), sendBuf...))
-	return Recv[T](c, src, recvTag)
 }
 
 // Split partitions the communicator into sub-communicators, one per distinct

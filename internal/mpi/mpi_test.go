@@ -2,8 +2,8 @@ package mpi
 
 // The behavioral contract tests (point-to-point matching, collectives,
 // split) live in conformance_test.go, where they run against every
-// transport. This file keeps what is not transport-parametrizable: cart
-// topology math, randomized properties (kept on the fast inproc world), and
+// transport. This file keeps what is not transport-parametrizable: process
+// grid factoring, randomized properties (kept on the fast inproc world), and
 // the legacy process-local world counters.
 
 import (
@@ -11,39 +11,6 @@ import (
 	"testing"
 	"testing/quick"
 )
-
-func TestCartCoordsRoundTrip(t *testing.T) {
-	cart := &Cart{Dims: []int{3, 4, 5}}
-	for r := 0; r < 60; r++ {
-		co := cart.Coords(r)
-		if got := cart.Rank(co...); got != r {
-			t.Errorf("round trip %d -> %v -> %d", r, co, got)
-		}
-	}
-	// Periodic wrapping.
-	if cart.Rank(-1, 0, 0) != cart.Rank(2, 0, 0) {
-		t.Error("negative wrap broken")
-	}
-	if cart.Rank(3, 4, 5) != 0 {
-		t.Error("positive wrap broken")
-	}
-}
-
-func TestCartShift(t *testing.T) {
-	err := Run(6, func(c *Comm) {
-		cart := NewCart(c, 2, 3)
-		src, dst := cart.Shift(1, 1)
-		// Everyone sends its rank to dst along dim 1 and receives from src.
-		Send(c, dst, 9, []int{c.Rank()})
-		got := Recv[int](c, src, 9)
-		if got[0] != src {
-			t.Errorf("shift recv %d want %d", got[0], src)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
 
 func TestBalancedDims(t *testing.T) {
 	cases := []struct {

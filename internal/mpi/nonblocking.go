@@ -13,9 +13,9 @@ import (
 // small-message MPI), so an Isend completes immediately and the sender's
 // buffer is free for reuse as soon as the call returns. A posted Irecv
 // records the (source, tag) envelope without blocking; the message is
-// matched when the request completes — at Wait, Test, or Testsome — in FIFO
-// order per (source, tag) pair. Because ranks are goroutines, deferring the
-// match is what buys real overlap: a rank that would sit in a blocking Recv
+// matched when Wait completes the request, in FIFO order per (source, tag)
+// pair. Because ranks are goroutines, deferring the match is what buys
+// real overlap: a rank that would sit in a blocking Recv
 // keeps computing while its peers' sends land in the mailbox.
 //
 // Matching at completion time rather than post time departs from strict MPI
@@ -43,16 +43,9 @@ func Isend[T any](c *Comm, dst, tag int, buf []T) Request {
 	return Request{c: c, done: true}
 }
 
-// IsendMove posts a buffered send that transfers ownership of buf to the
-// receiver without copying. The caller must not touch buf afterwards.
-func IsendMove[T any](c *Comm, dst, tag int, buf []T) Request {
-	SendMove(c, dst, tag, buf)
-	return Request{c: c, done: true}
-}
-
 // Irecv posts a receive for a message matching (src, tag). src may be
 // AnySource and tag may be AnyTag. The call never blocks; complete the
-// request with Wait/Test and read the payload with Payload or WaitRecv.
+// request with Wait and read the payload with Payload or WaitRecv.
 func Irecv(c *Comm, src, tag int) Request {
 	var r Request
 	IrecvInit(c, src, tag, &r)
@@ -107,52 +100,8 @@ func (r *Request) WaitTimeout(timeout time.Duration) error {
 	return nil
 }
 
-// Test reports whether the request has completed, completing it if a
-// matching message is pending. Never blocks.
-func (r *Request) Test() bool {
-	if r.done {
-		return true
-	}
-	if r.c == nil {
-		panic("mpi: Test on zero Request")
-	}
-	msg, ok, err := r.c.world.boxes[r.c.worldRank(r.c.rank)].tryTake(r.c.ctx, r.src, r.tag)
-	if err != nil {
-		panic(err)
-	}
-	if !ok {
-		return false
-	}
-	r.payload = msg.payload
-	r.done = true
-	return true
-}
-
 // Done reports completion without attempting to complete the request.
 func (r *Request) Done() bool { return r.done }
-
-// WaitAll completes every request in the slice, in order.
-func WaitAll(rs []Request) {
-	for i := range rs {
-		rs[i].Wait()
-	}
-}
-
-// Testsome appends to done the indices of requests that complete during this
-// call (requests already complete before the call are not reported) and
-// returns the extended slice. Never blocks; an empty result means no pending
-// request had a matching message.
-func Testsome(rs []Request, done []int) []int {
-	for i := range rs {
-		if rs[i].done {
-			continue
-		}
-		if rs[i].Test() {
-			done = append(done, i)
-		}
-	}
-	return done
-}
 
 // Payload returns the received buffer of a completed receive request. It
 // panics if the request has not completed or the element type mismatches.

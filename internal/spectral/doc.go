@@ -11,6 +11,7 @@
 // Since PR 2, Poisson is a persistent plan: it owns the pencil r2c FFT, two
 // planned block↔pencil redistributions, the composed half-spectrum kernel
 // and per-axis gradient tables, and all solve scratch, with every k-space
-// loop pooled — a warm Solve allocates nothing on one rank. The pre-plan
-// implementation survives as the solveReference equivalence oracle.
+// loop pooled — a warm Solve allocates nothing on one rank. oracle_test.go
+// holds the pre-plan pipeline (complex transforms, one-shot
+// redistributions) that Solve is checked against.
 package spectral

@@ -198,15 +198,6 @@ func (p *Poisson) Solve(rho *grid.Field, acc *[3]*grid.Field) {
 	p.spec = nil
 }
 
-// SolvePotential computes the scalar potential ψ itself (diagnostics and
-// force-matching; the short-range kernel fit samples PM forces instead).
-func (p *Poisson) SolvePotential(rho *grid.Field, out *grid.Field) {
-	psi := p.forwardPotential(rho)
-	p.pen.InverseReal(psi, p.realBuf)
-	p.fromPen.Run(p.realBuf, p.ownedBuf)
-	out.SetOwned(p.ownedBuf)
-}
-
 // forwardPotential moves the density into x-pencils, runs the real-to-
 // complex forward transform (Hermitian symmetry halves the transform and
 // all k-space work on the purely real field), and applies the composed
@@ -220,47 +211,4 @@ func (p *Poisson) forwardPotential(rho *grid.Field) []complex128 {
 	p.spec = spec
 	p.parFor(len(spec), p.kernBody)
 	return spec
-}
-
-// solveReference is the pre-plan implementation — full complex transforms,
-// one-shot redistributions, per-call allocation — retained as the pinned
-// equivalence oracle for the planned r2c pipeline (see spectral_test.go).
-func (p *Poisson) solveReference(rho *grid.Field, acc *[3]*grid.Field) {
-	owned := rho.Owned()
-	moved := pfft.Redistribute(p.comm, owned, p.dec.Layout(), p.pen.LayoutX())
-	data := make([]complex128, len(moved))
-	for i, v := range moved {
-		data[i] = complex(v, 0)
-	}
-	spec := p.pen.Forward(data)
-	psi := make([]complex128, len(spec))
-	p.pen.ForEachK(func(mx, my, mz, idx int) {
-		psi[idx] = spec[idx] * complex(p.kernelAt(mx, my, mz), 0)
-	})
-	n := p.dec.N
-	blockLay := p.dec.Layout()
-	penXLay := p.pen.LayoutX()
-	for d := 0; d < 3; d++ {
-		comp := make([]complex128, len(psi))
-		p.pen.ForEachK(func(mx, my, mz, idx int) {
-			var dk float64
-			switch d {
-			case 0:
-				dk = GradSL4(KMode(mx, n[0]))
-			case 1:
-				dk = GradSL4(KMode(my, n[1]))
-			default:
-				dk = GradSL4(KMode(mz, n[2]))
-			}
-			v := psi[idx]
-			comp[idx] = complex(imag(v)*dk, -real(v)*dk)
-		})
-		rs := p.pen.Inverse(comp)
-		vals := make([]float64, len(rs))
-		for i, v := range rs {
-			vals[i] = real(v)
-		}
-		back := pfft.Redistribute(p.comm, vals, penXLay, blockLay)
-		acc[d].SetOwned(back)
-	}
 }

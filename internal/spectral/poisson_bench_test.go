@@ -8,7 +8,6 @@ import (
 	"hacc/internal/grid"
 	"hacc/internal/mpi"
 	"hacc/internal/par"
-	"hacc/internal/pfft"
 	"hacc/internal/race"
 )
 
@@ -110,57 +109,6 @@ func TestSolveMatchesReference(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-	}
-}
-
-// TestSolvePotentialMatchesReference covers the scalar-potential path too.
-func TestSolvePotentialMatchesReference(t *testing.T) {
-	n := [3]int{12, 12, 12}
-	err := mpi.Run(2, func(c *mpi.Comm) {
-		dec := grid.NewDecomp(n, 2)
-		b := dec.Box(c.Rank())
-		rho := grid.NewField(n, b, 1)
-		depositRandom(rho, dec, c.Rank(), n, 4)
-		ex := grid.NewExchanger(c, dec, rho)
-		ex.Accumulate(rho)
-		ps := NewPoisson(c, dec, Options{OmegaM: 0.3, Filter: true})
-		out := grid.NewField(n, b, 1)
-		ps.SolvePotential(rho, out)
-
-		// Reference: complex forward + kernel + complex inverse.
-		owned := rho.Owned()
-		moved := pfft.Redistribute(c, owned, dec.Layout(), ps.pen.LayoutX())
-		data := make([]complex128, len(moved))
-		for i, v := range moved {
-			data[i] = complex(v, 0)
-		}
-		spec := ps.pen.Forward(data)
-		psi := make([]complex128, len(spec))
-		ps.pen.ForEachK(func(mx, my, mz, idx int) {
-			psi[idx] = spec[idx] * complex(ps.kernelAt(mx, my, mz), 0)
-		})
-		rs := ps.pen.Inverse(psi)
-		vals := make([]float64, len(rs))
-		for i, v := range rs {
-			vals[i] = real(v)
-		}
-		back := pfft.Redistribute(c, vals, ps.pen.LayoutX(), dec.Layout())
-		var scale float64
-		for _, v := range back {
-			if a := math.Abs(v); a > scale {
-				scale = a
-			}
-		}
-		got := out.Owned()
-		for i := range back {
-			if math.Abs(got[i]-back[i]) > 1e-12*scale {
-				t.Errorf("rank %d idx %d: potential %g != reference %g", c.Rank(), i, got[i], back[i])
-				return
-			}
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }
 
