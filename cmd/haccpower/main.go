@@ -30,6 +30,7 @@ import (
 	"hacc/internal/grid"
 	"hacc/internal/mpi"
 	"hacc/internal/snapshot"
+	"hacc/internal/spectral"
 )
 
 func main() {
@@ -141,7 +142,7 @@ func main() {
 		dom.MigrateDense()
 		dom.Refresh()
 
-		pw := analysis.NewPower(c, dec, nil, header.BoxMpc, *bins)
+		pw := analysis.NewPower(spectral.NewPoisson(c, dec, spectral.Options{}), nil, header.BoxMpc, *bins)
 		ps := pw.Measure(dom, *shot)
 		if c.Rank() == 0 {
 			fmt.Printf("\npower spectrum (pencil-r2c, %d ranks):\n%-12s %-14s %s\n", *par, "k [h/Mpc]", "P(k)", "modes")

@@ -33,7 +33,7 @@ func TestPowerSpectrumRecoversInput(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		ps := NewPower(c, dec, nil, box, 12).Measure(dom, false)
+		ps := newPower(c, dec, nil, box, 12).Measure(dom, false)
 		if c.Rank() != 0 {
 			return
 		}

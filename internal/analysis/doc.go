@@ -10,10 +10,12 @@
 // stitches halos that cross rank boundaries by sending boundary-replica
 // (particle ID, group key) pairs back to their owners over the domain's
 // 26-stencil neighbor legs, and resolves global group IDs with a small
-// gathered union-find; analysis.Power bins P(k)
-// directly on the pencil-r2c half spectrum, so a measurement costs one
-// planned real-to-complex transform. Both plans are built once, hold all
-// their scratch, and allocate nothing warm on one rank. The serial
+// gathered union-find; analysis.Power bins P(k) directly on the half
+// spectrum of the Poisson solver's own r2c transform
+// (spectral.Poisson.Spectrum), so a measurement costs one planned
+// real-to-complex transform and a rank holds one spectral plan. Both plans
+// are built once, hold all their scratch, and allocate nothing warm on one
+// rank. The serial
 // estimators they are checked against are test code: the full
 // complex-spectrum P(k) (power_oracle_test.go) and the FOF finders
 // (fof_oracle_test.go), which link all pairs by brute force and so share

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
 	"sync/atomic"
 
 	"hacc/internal/domain"
@@ -18,19 +17,6 @@ import (
 // draws a fresh tag from a rolling per-plan sequence, so an analysis pass
 // can legally overlap other planned collectives in flight.
 const tagStitchBase = 0x300000
-
-var (
-	anPlanIDMu sync.Mutex
-	anPlanIDs  = map[*mpi.Comm]int{}
-)
-
-func nextAnalysisPlanID(c *mpi.Comm) int {
-	anPlanIDMu.Lock()
-	defer anPlanIDMu.Unlock()
-	id := anPlanIDs[c]
-	anPlanIDs[c] = id + 1
-	return id
-}
 
 // stitchLeg is one neighbor leg of the boundary stitch: persistent send
 // buffer and request storage, mirroring domain.exLeg.
@@ -155,7 +141,7 @@ func NewPlan(d *domain.Domain, pool *par.Pool) *Plan {
 		d:       d,
 		comm:    d.Comm,
 		pool:    pool,
-		id:      nextAnalysisPlanID(d.Comm),
+		id:      d.Comm.NextPlanID(),
 		idMap:   map[uint64]int32{},
 		gRecIdx: map[uint64]int32{},
 		rankLeg: make([]int32, d.Comm.Size()),

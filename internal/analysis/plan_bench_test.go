@@ -106,7 +106,7 @@ func BenchmarkPowerInSitu(b *testing.B) {
 				if threads > 1 {
 					pool = par.NewPool(threads)
 				}
-				pw := NewPower(c, dec, pool, 250, 16)
+				pw := newPower(c, dec, pool, 250, 16)
 				pw.Measure(d, true)
 				b.ReportAllocs()
 				b.ResetTimer()

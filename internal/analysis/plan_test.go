@@ -13,6 +13,7 @@ import (
 	"hacc/internal/mpi"
 	"hacc/internal/par"
 	"hacc/internal/race"
+	"hacc/internal/spectral"
 )
 
 // fofFixture is a deterministic global particle set designed to exercise
@@ -297,7 +298,7 @@ func TestPowerInSituMatchesSerial(t *testing.T) {
 						return
 					}
 					want := powerSerial(c, dec, dom, box, 11, true)
-					pw := NewPower(c, dec, pool, box, 11)
+					pw := newPower(c, dec, pool, box, 11)
 					for rep := 0; rep < 2; rep++ { // cold and warm plan
 						got := pw.Measure(dom, true)
 						if c.Rank() != 0 {
@@ -331,6 +332,12 @@ func TestPowerInSituMatchesSerial(t *testing.T) {
 	}
 }
 
+// newPower builds the estimator as a simulation does: on a Poisson solver
+// that shares the binning pool.
+func newPower(c *mpi.Comm, dec *grid.Decomp, pool *par.Pool, box float64, bins int) *Power {
+	return NewPower(spectral.NewPoisson(c, dec, spectral.Options{Pool: pool}), pool, box, bins)
+}
+
 func relErr(got, want float64) float64 {
 	if want == 0 {
 		return math.Abs(got)
@@ -342,11 +349,11 @@ func relErr(got, want float64) float64 {
 // constructor.
 func TestPowerValidation(t *testing.T) {
 	err := mpi.Run(1, func(c *mpi.Comm) {
-		dec := grid.NewDecomp([3]int{16, 16, 16}, 1)
+		ps := spectral.NewPoisson(c, grid.NewDecomp([3]int{16, 16, 16}, 1), spectral.Options{})
 		for name, fn := range map[string]func(){
-			"zero bins":     func() { NewPower(c, dec, nil, 100, 0) },
-			"negative bins": func() { NewPower(c, dec, nil, 100, -3) },
-			"zero box":      func() { NewPower(c, dec, nil, 0, 8) },
+			"zero bins":     func() { NewPower(ps, nil, 100, 0) },
+			"negative bins": func() { NewPower(ps, nil, 100, -3) },
+			"zero box":      func() { NewPower(ps, nil, 0, 8) },
 		} {
 			func() {
 				defer func() {
@@ -383,7 +390,7 @@ func TestAnalysisWarmAllocs(t *testing.T) {
 		if avg := testing.AllocsPerRun(10, func() { pl.FindHalos(0.7, 10, 1) }); avg > 0 {
 			t.Errorf("warm FindHalos allocates %.1f times per call", avg)
 		}
-		pw := NewPower(c, dec, nil, 200, 8)
+		pw := newPower(c, dec, nil, 200, 8)
 		pw.Measure(d, true)
 		pw.Measure(d, true)
 		if avg := testing.AllocsPerRun(10, func() { pw.Measure(d, true) }); avg > 0 {

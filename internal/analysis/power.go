@@ -8,7 +8,6 @@ import (
 	"hacc/internal/grid"
 	"hacc/internal/mpi"
 	"hacc/internal/par"
-	"hacc/internal/pfft"
 	"hacc/internal/spectral"
 )
 
@@ -19,14 +18,22 @@ type PowerSpectrum struct {
 	ShotNoise float64 // the subtracted 1/n̄ term, for reference
 }
 
-// Power is the persistent distributed P(k) estimator: the in-situ analysis
-// mirror of spectral.Poisson. Built once per (decomposition, box, bin
-// count), it owns a deposit field and ghost exchanger, a planned
-// block→x-pencil redistribution, the pencil FFT plan, and per-mode binning
-// tables (bin index, CIC deconvolution, Hermitian pair weight) precomputed
-// over this rank's share of the half spectrum — so a measurement costs one
-// planned r2c forward transform plus a pooled binning sweep, and a warm
-// Measure allocates nothing on one rank.
+// Power is the persistent distributed P(k) estimator. It bins the
+// spectrum of the rank's one spectral plan, the Poisson solver's: a
+// measurement deposits the particles, hands the density to
+// spectral.Poisson.Spectrum (the solver's own block→x-pencil redistribution
+// and r2c forward transform) and bins the half spectrum it returns, so P(k)
+// costs no second pencil FFT, redistributor or transform buffers. Built once
+// per (solver, box, bin count), Power owns only its per-mode binning tables
+// (bin index, CIC deconvolution, Hermitian pair weight) over this rank's
+// share of the half spectrum, the binning stripes, and a 1-cell-ghost
+// deposit field with its exchanger; a warm Measure allocates nothing on one
+// rank.
+//
+// The deposit field is deliberately not the solver's PM density field: the
+// PM field carries Overload+2 ghost layers, and filling and accumulating
+// that wide halo makes a P(k) pass about 10 % slower than the 1-cell
+// field CIC needs, for bitwise the same spectrum.
 //
 // The DC mode is excluded from every bin, which makes depositing ρ
 // equivalent to depositing δ = ρ−1: no mean subtraction pass is needed.
@@ -34,23 +41,18 @@ type PowerSpectrum struct {
 // interior kx planes carry Hermitian weight 2, the self-conjugate kx = 0
 // (and kx = n/2 for even n) planes weight 1.
 type Power struct {
-	comm   *mpi.Comm
-	dec    *grid.Decomp
+	ps     *spectral.Poisson
 	pool   *par.Pool
 	boxMpc float64
 	nbins  int
 
-	pen   *pfft.Pencil
-	toPen *pfft.Redistributor[float64]
-	rho   *grid.Field
-	ex    *grid.Exchanger
+	rho *grid.Field
+	ex  *grid.Exchanger
 
 	binOf []int32   // per local half-spectrum mode: bin index, -1 outside
 	pfac  []float64 // per mode: weight · norm / W_CIC²
 	kfac  []float64 // per mode: weight · |k| (h/Mpc)
 	wgt   []int64   // per mode: Hermitian pair weight (1 or 2)
-
-	ownedBuf, realBuf []float64
 
 	// Partial histograms for the pooled binning sweep, one per fixed mode
 	// stripe (not per worker): workers claim stripes round-robin and the
@@ -75,29 +77,25 @@ type Power struct {
 	out PowerSpectrum // plan-owned output storage
 }
 
-// NewPower builds the estimator plan. Collective over comm (the pencil plan
-// splits sub-communicators). pool may be nil for a serial estimator; nbins
-// and boxMpc must be positive.
-func NewPower(c *mpi.Comm, dec *grid.Decomp, pool *par.Pool, boxMpc float64, nbins int) *Power {
+// NewPower builds the estimator plan on the rank's Poisson solver, whose
+// communicator, decomposition and transform it shares. Collective over the
+// solver's communicator (the deposit exchanger plan). pool may be nil for a
+// serial binning sweep; nbins and boxMpc must be positive.
+func NewPower(ps *spectral.Poisson, pool *par.Pool, boxMpc float64, nbins int) *Power {
 	if nbins < 1 {
 		panic(fmt.Sprintf("analysis: power spectrum needs ≥1 bins, got %d", nbins))
 	}
 	if boxMpc <= 0 {
 		panic(fmt.Sprintf("analysis: box size must be positive, got %g", boxMpc))
 	}
-	n := dec.N
-	ng := n[0]
-	pw := &Power{comm: c, dec: dec, pool: pool, boxMpc: boxMpc, nbins: nbins}
-	pw.rho = grid.NewField(n, dec.Box(c.Rank()), 1)
+	c, dec, pen := ps.Comm(), ps.Decomp(), ps.Pencil()
+	ng := dec.N[0]
+	pw := &Power{ps: ps, pool: pool, boxMpc: boxMpc, nbins: nbins}
+	pw.rho = grid.NewField(dec.N, dec.Box(c.Rank()), 1)
 	pw.ex = grid.NewExchanger(c, dec, pw.rho)
-	pw.pen = pfft.NewAuto(c, n)
-	pw.pen.SetPool(pool)
-	pw.toPen = pfft.NewRedistributor[float64](c, dec.Layout(), pw.pen.LayoutX())
-	pw.ownedBuf = make([]float64, dec.Layout().Boxes[c.Rank()].Count())
-	pw.realBuf = make([]float64, pw.pen.LocalX().Count())
 
 	// Per-mode tables over this rank's half-spectrum z-pencil share.
-	nk := pw.pen.LocalZR().Count()
+	nk := pen.LocalZR().Count()
 	pw.binOf = make([]int32, nk)
 	pw.pfac = make([]float64, nk)
 	pw.kfac = make([]float64, nk)
@@ -108,7 +106,7 @@ func NewPower(c *mpi.Comm, dec *grid.Decomp, pool *par.Pool, boxMpc float64, nbi
 	kNyq := math.Pi * float64(ng) / boxMpc
 	dk := kNyq / float64(nbins)
 	half := ng/2 + 1
-	pw.pen.ForEachKR(func(mx, my, mz, idx int) {
+	pen.ForEachKR(func(mx, my, mz, idx int) {
 		pw.binOf[idx] = -1
 		if mx == 0 && my == 0 && mz == 0 {
 			return
@@ -173,16 +171,16 @@ const binStripes = 16
 func (pw *Power) Bins() int { return pw.nbins }
 
 // Measure estimates the matter power spectrum of the domain's active
-// particles: pooled CIC deposit onto the plan's field, ghost accumulate,
-// planned block→pencil redistribution, one r2c forward transform, and a
-// pooled binning sweep over the half spectrum, reduced across ranks.
+// particles: CIC deposit onto the plan's field, ghost accumulate, the
+// solver's Spectrum (planned block→pencil redistribution and one r2c
+// forward transform), and a pooled binning sweep over the half spectrum,
+// reduced across ranks.
 // subtractShot removes the Poisson discreteness term 1/n̄ (appropriate for
 // evolved fields, not lattice ICs). Collective; actives must be canonical
 // (post-Migrate). The returned spectrum and its slices are plan-owned,
 // valid until the next Measure call.
 func (pw *Power) Measure(dom *domain.Domain, subtractShot bool) *PowerSpectrum {
-	n := pw.dec.N
-	ng := n[0]
+	ng := pw.ps.Decomp().N[0]
 	if pw.nGlobal == 0 {
 		pw.nGlobal = dom.NGlobal()
 		if pw.nGlobal == 0 {
@@ -193,9 +191,7 @@ func (pw *Power) Measure(dom *domain.Domain, subtractShot bool) *PowerSpectrum {
 	pw.rho.Fill(0)
 	grid.DepositCIC(pw.rho, dom.Active.X, dom.Active.Y, dom.Active.Z, pw.mass)
 	pw.ex.Accumulate(pw.rho)
-	pw.ownedBuf = pw.rho.OwnedInto(pw.ownedBuf)
-	pw.toPen.Run(pw.ownedBuf, pw.realBuf)
-	pw.spec = pw.pen.ForwardReal(pw.realBuf)
+	pw.spec = pw.ps.Spectrum(pw.rho)
 
 	for i := range pw.pkS {
 		pw.pkS[i] = 0
@@ -220,10 +216,10 @@ func (pw *Power) Measure(dom *domain.Domain, subtractShot bool) *PowerSpectrum {
 			pw.nm[b] += pw.nmS[s*pw.nbins+b]
 		}
 	}
-	if pw.comm.Size() > 1 {
-		copy(pw.pk, mpi.AllReduce(pw.comm, pw.pk, mpi.SumF64))
-		copy(pw.kw, mpi.AllReduce(pw.comm, pw.kw, mpi.SumF64))
-		copy(pw.nm, mpi.AllReduce(pw.comm, pw.nm, mpi.SumI64))
+	if c := pw.ps.Comm(); c.Size() > 1 {
+		copy(pw.pk, mpi.AllReduce(c, pw.pk, mpi.SumF64))
+		copy(pw.kw, mpi.AllReduce(c, pw.kw, mpi.SumF64))
+		copy(pw.nm, mpi.AllReduce(c, pw.nm, mpi.SumI64))
 	}
 
 	vol := pw.boxMpc * pw.boxMpc * pw.boxMpc

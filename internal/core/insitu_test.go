@@ -3,8 +3,11 @@ package core
 import (
 	"fmt"
 	"os"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
+	"weak"
 
 	"hacc/internal/mpi"
 	"hacc/internal/snapshot"
@@ -137,5 +140,91 @@ func TestAnalysisConfigValidation(t *testing.T) {
 	got := base.WithDefaults()
 	if got.AnalysisBins != 16 || got.FOFLinking != 0.2 || got.MinHaloSize != 10 {
 		t.Errorf("defaults = bins %d, linking %g, min size %d", got.AnalysisBins, got.FOFLinking, got.MinHaloSize)
+	}
+}
+
+// TestPowerPlanHeap pins that the in-situ P(k) estimator shares the Poisson
+// solver's transform: building and running it on a warm 64³ 2-rank
+// simulation adds only its binning tables and 1-cell deposit field
+// (≈ 7 MB), not a second pencil plan, redistributor and transform buffers
+// (≈ 38 MB).
+func TestPowerPlanHeap(t *testing.T) {
+	if testing.Short() {
+		t.Skip("64³ simulation")
+	}
+	cfg := baseConfig()
+	cfg.NGrid, cfg.NParticles, cfg.Steps = 64, 64, 1
+	const bins = 16
+	var before, after runtime.MemStats
+	err := mpi.Run(2, func(c *mpi.Comm) {
+		s, err := New(c, cfg)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		// One step warms the solver, including its lazily built r2c plan.
+		if err := s.Step(); err != nil {
+			t.Error(err)
+			return
+		}
+		heap := func(m *runtime.MemStats) {
+			mpi.Barrier(c)
+			if c.Rank() == 0 {
+				runtime.GC()
+				runtime.ReadMemStats(m)
+			}
+			mpi.Barrier(c)
+		}
+		heap(&before)
+		s.ensurePower(bins)
+		s.PowerSpectrum(bins, true)
+		heap(&after)
+		runtime.KeepAlive(s)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	grown := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / (1 << 20)
+	t.Logf("P(k) plan: %.1f MB live heap over 2 ranks", grown)
+	if grown > 12 {
+		t.Errorf("P(k) plan adds %.1f MB of live heap, want ≤ 12 MB", grown)
+	}
+}
+
+// TestCommsCollectedAfterRun pins that nothing package-global keeps a
+// communicator reachable once its run is over: plan numbering lives on the
+// Comm itself, so a finished world is garbage like any other.
+func TestCommsCollectedAfterRun(t *testing.T) {
+	cfg := baseConfig()
+	cfg.Steps, cfg.AnalysisEvery = 1, 1
+	var comms [2]weak.Pointer[mpi.Comm]
+	err := mpi.Run(2, func(c *mpi.Comm) {
+		s, err := New(c, cfg)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if err := s.Run(nil); err != nil {
+			t.Error(err)
+			return
+		}
+		comms[c.Rank()] = weak.Make(c)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Parked pool workers keep their last loop body until the pool's
+	// finalizer closes them, so collection can take a few GC cycles.
+	for range 20 {
+		runtime.GC()
+		if comms[0].Value() == nil && comms[1].Value() == nil {
+			return
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	for r, w := range comms {
+		if w.Value() != nil {
+			t.Errorf("rank %d's Comm is still reachable after its run", r)
+		}
 	}
 }

@@ -311,11 +311,12 @@ func (s *Simulation) ensureFOF() {
 }
 
 // ensurePower builds (or rebuilds, when the bin count changes) the
-// persistent P(k) estimator plan. Collective when it (re)builds; callers
-// invoke it with identical arguments on every rank.
+// persistent P(k) estimator plan on the Poisson solver's transform.
+// Collective when it (re)builds; callers invoke it with identical arguments
+// on every rank.
 func (s *Simulation) ensurePower(bins int) {
 	if s.power == nil || s.power.Bins() != bins {
-		s.power = analysis.NewPower(s.Comm, s.Dec, s.pool, s.Cfg.BoxMpc, bins)
+		s.power = analysis.NewPower(s.poisson, s.pool, s.Cfg.BoxMpc, bins)
 	}
 }
 
@@ -749,7 +750,7 @@ func (s *Simulation) stream(w float64) {
 }
 
 // PowerSpectrum measures P(k) of the current particle distribution on the
-// persistent pencil-r2c estimator plan (built on first use, rebuilt only
+// persistent estimator plan (built on first use, rebuilt only
 // when the bin count changes). The returned spectrum is caller-owned — it
 // stays valid across later measurements; zero-allocation consumers use
 // the plan's Measure directly. Collective.

@@ -3,7 +3,6 @@ package domain
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"hacc/internal/mpi"
 )
@@ -13,28 +12,12 @@ import (
 // racing the next step's MigrateBegin) can never mismatch messages: the
 // in-process mpi matches on (source, tag), and every rank advances the
 // sequence at the same collectively-ordered Begin calls. Each plan instance
-// additionally gets its own tag block (plans are built in the same
-// collective order on every rank, so the per-comm instance numbering
-// agrees), so two plans in flight on one communicator cannot collide
-// either. The domain block 0x100000–0x1fffff is disjoint from the grid
-// exchanger's 0x200000–0x2fffff and the pfft redistributor tag.
+// additionally gets its own tag block (Comm.NextPlanID: plans are built in
+// the same collective order on every rank, so the numbering agrees), so two
+// plans in flight on one communicator cannot collide either. The domain
+// block 0x100000–0x1fffff is disjoint from the grid exchanger's
+// 0x200000–0x2fffff and the pfft redistributor tag.
 const tagExchangeBase = 0x100000
-
-var (
-	planIDMu sync.Mutex
-	planIDs  = map[*mpi.Comm]int{}
-)
-
-// nextPlanID numbers the exchange plans built on one communicator (this
-// rank's view of it); collective construction order makes it agree across
-// ranks.
-func nextPlanID(c *mpi.Comm) int {
-	planIDMu.Lock()
-	defer planIDMu.Unlock()
-	id := planIDs[c]
-	planIDs[c] = id + 1
-	return id
-}
 
 const (
 	pendNone = iota
@@ -96,7 +79,7 @@ type ExchangePlan struct {
 func newExchangePlan(d *Domain) *ExchangePlan {
 	me := d.Comm.Rank()
 	p := d.Comm.Size()
-	pl := &ExchangePlan{d: d, id: nextPlanID(d.Comm), rankLeg: make([]int32, p)}
+	pl := &ExchangePlan{d: d, id: d.Comm.NextPlanID(), rankLeg: make([]int32, p)}
 	for i := range pl.rankLeg {
 		pl.rankLeg[i] = -1
 	}

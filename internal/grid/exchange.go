@@ -2,7 +2,6 @@ package grid
 
 import (
 	"fmt"
-	"sync"
 
 	"hacc/internal/mpi"
 	"hacc/internal/par"
@@ -13,25 +12,12 @@ import (
 // several ghost collectives may be in flight at once — e.g. the three
 // acceleration-component Fills pipelined against interpolation — without
 // message mismatches. Each exchanger instance additionally gets its own tag
-// block (instances are built in the same collective order on every rank,
-// so the per-comm numbering agrees): the density and acceleration
+// block (Comm.NextPlanID: instances are built in the same collective order
+// on every rank, so the numbering agrees): the density and acceleration
 // exchangers of one simulation can never collide even when both have
 // collectives in flight. The grid block 0x200000–0x2fffff is disjoint from
 // the domain exchange's 0x100000–0x1fffff and the pfft redistributor tag.
 const tagGhostBase = 0x200000
-
-var (
-	exIDMu sync.Mutex
-	exIDs  = map[*mpi.Comm]int{}
-)
-
-func nextExchangerID(c *mpi.Comm) int {
-	exIDMu.Lock()
-	defer exIDMu.Unlock()
-	id := exIDs[c]
-	exIDs[c] = id + 1
-	return id
-}
 
 // gLeg is one planned neighbor leg of the ghost exchange: the peer rank plus
 // views of the ghost-slot and owned-cell index lists for that peer.
@@ -96,7 +82,7 @@ func NewExchanger(c *mpi.Comm, d *Decomp, f *Field) *Exchanger {
 	me := c.Rank()
 	e := &Exchanger{
 		comm:       c,
-		id:         nextExchangerID(c),
+		id:         c.NextPlanID(),
 		ghostSlots: make([][]int, p),
 		ownedIdx:   make([][]int, p),
 	}

@@ -406,6 +406,18 @@ type Comm struct {
 	rank  int   // rank within this communicator
 	ranks []int // world ranks of the members; nil means identity (world comm)
 	seq   int64 // per-comm split sequence counter (same on all members)
+	plans int   // per-comm plan counter (same on all members)
+}
+
+// NextPlanID numbers the persistent communication plans built on this
+// rank's view of c. Plans are built in the same collective order on every
+// member, so the numbering agrees across ranks and each plan can draw a
+// private tag block from it. Like Split, it is called from the rank's own
+// goroutine.
+func (c *Comm) NextPlanID() int {
+	id := c.plans
+	c.plans++
+	return id
 }
 
 // Rank returns the caller's rank within the communicator.

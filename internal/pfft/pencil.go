@@ -65,11 +65,6 @@ type Pencil struct {
 	c2rDst       []float64
 	r2cBody      func(lo, hi int)
 	c2rBody      func(lo, hi int)
-
-	// FFTCalls counts full complex 3-D transforms and RFFTCalls the
-	// half-spectrum (r2c/c2r) ones, for the bench harness and flop model.
-	FFTCalls  int64
-	RFFTCalls int64
 }
 
 // NewPencil creates a distributed FFT plan on comm for an n[0]×n[1]×n[2]
@@ -215,7 +210,6 @@ func (p *Pencil) Forward(data []complex128) []complex128 {
 	p.batch(p.planY, p.bufY, p.rowsY, false)
 	p.colFwd.Run(p.bufY, p.bufZ)
 	p.batch(p.planZ, p.bufZ, p.rowsZ, false)
-	p.FFTCalls++
 	return p.bufZ
 }
 
@@ -233,7 +227,6 @@ func (p *Pencil) Inverse(data []complex128) []complex128 {
 	p.batch(p.planY, p.bufY, p.rowsY, true)
 	p.rowInv.Run(p.bufY, p.bufX)
 	p.batch(p.planX, p.bufX, p.rowsX, true)
-	p.FFTCalls++
 	return p.bufX
 }
 
@@ -329,7 +322,6 @@ func (p *Pencil) ForwardReal(src []float64) []complex128 {
 	p.batch(p.planY, p.bufYr, p.rowsYr, false)
 	p.colFwdR.Run(p.bufYr, p.bufZr)
 	p.batch(p.planZ, p.bufZr, p.rowsZr, false)
-	p.RFFTCalls++
 	return p.bufZr
 }
 
@@ -358,5 +350,4 @@ func (p *Pencil) InverseReal(spec []complex128, dst []float64) {
 		p.pool.ForGrain(p.rowsX, 1, p.c2rBody)
 		p.c2rDst = nil
 	}
-	p.RFFTCalls++
 }

@@ -8,10 +8,12 @@
 //   - fourth-order Super-Lanczos spectral differencing for the gradient,
 //   - the Vlasov-Poisson coupling constant (3/2)Ωm (DESIGN.md code units).
 //
-// Since PR 2, Poisson is a persistent plan: it owns the pencil r2c FFT, two
-// planned block↔pencil redistributions, the composed half-spectrum kernel
-// and per-axis gradient tables, and all solve scratch, with every k-space
-// loop pooled — a warm Solve allocates nothing on one rank. oracle_test.go
+// Poisson is a persistent plan: it owns the pencil r2c FFT, two planned
+// block↔pencil redistributions, the composed half-spectrum kernel and
+// per-axis gradient tables, and all solve scratch, with every k-space loop
+// pooled — a warm Solve allocates nothing on one rank. It is the rank's
+// only spectral plan: Spectrum (the forward half of Solve) also serves the
+// in-situ P(k) estimator. oracle_test.go
 // holds the pre-plan pipeline (complex transforms, one-shot
 // redistributions) that Solve is checked against.
 package spectral

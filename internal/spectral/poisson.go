@@ -169,8 +169,14 @@ func (p *Poisson) kernelAt(mx, my, mz int) float64 {
 	return 1.5 * p.opts.OmegaM * f * g
 }
 
-// Pencil exposes the underlying distributed FFT (for benchmarks).
+// Pencil exposes the underlying distributed FFT.
 func (p *Poisson) Pencil() *pfft.Pencil { return p.pen }
+
+// Comm returns the communicator the solver was built on.
+func (p *Poisson) Comm() *mpi.Comm { return p.comm }
+
+// Decomp returns the block decomposition the solver reads densities in.
+func (p *Poisson) Decomp() *grid.Decomp { return p.dec }
 
 // parFor shards a per-element-independent loop over the pool, or runs it
 // inline when no pool is attached.
@@ -198,17 +204,27 @@ func (p *Poisson) Solve(rho *grid.Field, acc *[3]*grid.Field) {
 	p.spec = nil
 }
 
-// forwardPotential moves the density into x-pencils, runs the real-to-
-// complex forward transform (Hermitian symmetry halves the transform and
-// all k-space work on the purely real field), and applies the composed
-// kernel, returning ψ̂ in the half-spectrum z-pencil layout. The returned
-// slice is pencil-plan scratch: it stays valid through the gradient
-// inverses, which only touch the y/x-stage buffers.
+// forwardPotential applies the composed kernel to the density spectrum,
+// returning ψ̂ in the half-spectrum z-pencil layout. The returned slice is
+// pencil-plan scratch: it stays valid through the gradient inverses, which
+// only touch the y/x-stage buffers.
 func (p *Poisson) forwardPotential(rho *grid.Field) []complex128 {
-	p.ownedBuf = rho.OwnedInto(p.ownedBuf)
-	p.toPen.Run(p.ownedBuf, p.realBuf)
-	spec := p.pen.ForwardReal(p.realBuf)
+	spec := p.Spectrum(rho)
 	p.spec = spec
 	p.parFor(len(spec), p.kernBody)
 	return spec
+}
+
+// Spectrum moves the owned region of rho (any ghost width, decomposed like
+// this solver) into x-pencils and runs the real-to-complex forward
+// transform — Hermitian symmetry halves the transform and all k-space work
+// on the purely real field — returning ρ̂ on this rank's half-spectrum
+// z-pencil share, in Pencil().ForEachKR index order. It is the first half
+// of Solve, and the in-situ P(k) estimator bins it, so a rank holds one
+// spectral plan. The slice is plan scratch, valid until the next transform
+// on this plan. Collective over comm.
+func (p *Poisson) Spectrum(rho *grid.Field) []complex128 {
+	p.ownedBuf = rho.OwnedInto(p.ownedBuf)
+	p.toPen.Run(p.ownedBuf, p.realBuf)
+	return p.pen.ForwardReal(p.realBuf)
 }

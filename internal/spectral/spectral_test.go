@@ -328,3 +328,62 @@ func TestParallelMatchesSerialSolve(t *testing.T) {
 		}
 	}
 }
+
+// TestSpectrumSharesSolvePlan pins the one-plan contract the in-situ P(k)
+// estimator relies on: Spectrum does not depend on the field's ghost width,
+// and a Spectrum between two solves leaves the second Solve bitwise
+// unchanged.
+func TestSpectrumSharesSolvePlan(t *testing.T) {
+	n := [3]int{16, 16, 16}
+	err := mpi.Run(2, func(c *mpi.Comm) {
+		dec := grid.NewDecomp(n, 2)
+		b := dec.Box(c.Rank())
+		rng := rand.New(rand.NewSource(int64(7 + c.Rank())))
+		random := func(ghost int) *grid.Field {
+			f := grid.NewField(n, b, ghost)
+			v := make([]float64, b.Count())
+			for i := range v {
+				v[i] = rng.Float64()
+			}
+			f.SetOwned(v)
+			return f
+		}
+		ps := NewPoisson(c, dec, Options{OmegaM: 0.3, Filter: true})
+		rho := random(3)
+		thin := grid.NewField(n, b, 1)
+		thin.SetOwned(rho.Owned())
+		want := append([]complex128(nil), ps.Spectrum(thin)...)
+		for i, v := range ps.Spectrum(rho) {
+			if v != want[i] {
+				t.Errorf("rank %d mode %d: ghost width 3 gives %v, width 1 %v", c.Rank(), i, v, want[i])
+				return
+			}
+		}
+		solve := func() [3][]float64 {
+			var acc [3]*grid.Field
+			var out [3][]float64
+			for d := range acc {
+				acc[d] = grid.NewField(n, b, 1)
+			}
+			ps.Solve(rho, &acc)
+			for d := range acc {
+				out[d] = acc[d].Owned()
+			}
+			return out
+		}
+		first := solve()
+		ps.Spectrum(random(1))
+		second := solve()
+		for d := range first {
+			for i := range first[d] {
+				if first[d][i] != second[d][i] {
+					t.Errorf("rank %d axis %d cell %d: Solve moved after Spectrum", c.Rank(), d, i)
+					return
+				}
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
