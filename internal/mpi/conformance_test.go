@@ -190,11 +190,87 @@ var conformanceChecks = []conformanceCheck{
 		})
 	}},
 
+	{"ElementSizesRoundTrip", func(t *testing.T, tc transportCase) {
+		// A wire payload is handed to Recv in place as the receiver's []T;
+		// every element size and alignment the runtime carries must come
+		// back bit-exact, the empty message included.
+		type pod12 struct {
+			A float32
+			B int32
+			C uint16
+			D [2]uint8
+		}
+		mustRun(t, tc, 2, func(c *Comm) {
+			if c.Rank() == 0 {
+				Send(c, 1, 1, []uint8{1, 254, 7})
+				Send(c, 1, 2, []int16{-3, 300, 32767})
+				Send(c, 1, 4, []float32{1.5, -0.25, 3e38})
+				Send(c, 1, 8, []float64{-1e-300, 2.5, 1e300})
+				Send(c, 1, 16, []complex128{complex(1, -2), complex(0.5, 1e-9)})
+				Send(c, 1, 12, []pod12{{1.25, -7, 9, [2]uint8{1, 2}}, {-0.5, 8, 65535, [2]uint8{3, 4}}})
+				Send(c, 1, 0, []complex128{})
+				return
+			}
+			if got := Recv[uint8](c, 0, 1); len(got) != 3 || got[1] != 254 || got[2] != 7 {
+				t.Errorf("1-byte elements: %v", got)
+			}
+			if got := Recv[int16](c, 0, 2); len(got) != 3 || got[0] != -3 || got[2] != 32767 {
+				t.Errorf("2-byte elements: %v", got)
+			}
+			if got := Recv[float32](c, 0, 4); len(got) != 3 || got[1] != -0.25 || got[2] != 3e38 {
+				t.Errorf("4-byte elements: %v", got)
+			}
+			if got := Recv[float64](c, 0, 8); len(got) != 3 || got[0] != -1e-300 || got[2] != 1e300 {
+				t.Errorf("8-byte elements: %v", got)
+			}
+			if got := Recv[complex128](c, 0, 16); len(got) != 2 || got[0] != complex(1, -2) || got[1] != complex(0.5, 1e-9) {
+				t.Errorf("16-byte elements: %v", got)
+			}
+			if got := Recv[pod12](c, 0, 12); len(got) != 2 ||
+				got[0] != (pod12{1.25, -7, 9, [2]uint8{1, 2}}) || got[1] != (pod12{-0.5, 8, 65535, [2]uint8{3, 4}}) {
+				t.Errorf("12-byte struct elements: %+v", got)
+			}
+			if got := Recv[complex128](c, 0, 0); got == nil || len(got) != 0 {
+				t.Errorf("empty message arrived as %#v", got)
+			}
+		})
+	}},
+
+	{"RecvOwnsPayload", func(t *testing.T, tc transportCase) {
+		// The received slice belongs to the receiver: writing into it
+		// reaches neither the sender's buffer nor a later message on the
+		// same envelope.
+		mustRun(t, tc, 2, func(c *Comm) {
+			if c.Rank() == 0 {
+				buf := []float64{1, 2, 3, 4}
+				Send(c, 1, 5, buf)
+				Recv[int](c, 1, 6) // the receiver has written into its copy
+				if buf[0] != 1 || buf[3] != 4 {
+					t.Errorf("receiver's write reached the sender's buffer: %v", buf)
+				}
+				Send(c, 1, 5, buf)
+				return
+			}
+			a := Recv[float64](c, 0, 5)
+			for i := range a {
+				a[i] = -1
+			}
+			Send(c, 0, 6, []int{1})
+			b := Recv[float64](c, 0, 5)
+			if len(b) != 4 || b[0] != 1 || b[3] != 4 {
+				t.Errorf("write into the first message reached the second: %v", b)
+			}
+			if &a[0] == &b[0] {
+				t.Errorf("two messages share one buffer")
+			}
+		})
+	}},
+
 	{"LargePayload", func(t *testing.T, tc transportCase) {
-		// Larger than any socket buffer: exercises framing across partial
-		// reads/writes and the reader-always-drains property that keeps
-		// eager sends deadlock-free.
-		const n = 1 << 16
+		// Larger than the sized socket buffers (sockBufBytes): exercises
+		// framing across partial reads/writes and the reader-always-drains
+		// property that keeps eager sends deadlock-free.
+		const n = 1 << 20
 		mustRun(t, tc, 2, func(c *Comm) {
 			if c.Rank() == 0 {
 				buf := make([]float64, n)

@@ -40,6 +40,10 @@
 // as the same *AbortError the inproc path produces — and Comm.Stats exposes
 // per-process message/byte counters (wire and logical) for collective
 // merging at report time.
+// Every data connection's kernel buffers are sized to hold a whole transpose
+// leg, so an eager send does not wait on the peer's reader, and a received
+// frame lands in a word-aligned buffer that Recv hands out as the []T in
+// place, with no second copy.
 //
 // HACC uses MPI for its long/medium-range force framework; this package is
 // the substitute substrate that lets the rest of the code run unmodified at

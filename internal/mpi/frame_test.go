@@ -109,3 +109,45 @@ func TestInprocLatencyEmpty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// FuzzReadFrame feeds arbitrary bytes to the socket decoder. Whatever the
+// input, readFrame returns an error or a header and payload that re-encode
+// to the prefix of the input they were read from; it never panics.
+func FuzzReadFrame(f *testing.F) {
+	frame := func(h frameHeader, payload []byte) []byte {
+		hdr := make([]byte, FrameHeaderSize)
+		putFrame(hdr, h, payload)
+		return append(hdr, payload...)
+	}
+	kib := make([]byte, 1024)
+	for i := range kib {
+		kib[i] = byte(i * 7)
+	}
+	for _, in := range [][]byte{
+		frame(frameHeader{kind: frameData, ctx: 3, src: 1, tag: 9, dst: 0, sendNs: 12345}, []byte("payload")),
+		frame(frameHeader{kind: frameAbort}, []byte("world aborted: rank 1 failed")),
+		frame(frameHeader{kind: frameHello, src: 2}, nil),
+		frame(frameHeader{kind: frameBye}, nil),
+		frame(frameHeader{kind: frameData, ctx: -1, tag: tagAllToAll, dst: 1}, nil),
+		frame(frameHeader{kind: frameData, ctx: 1 << 40, src: 0, tag: 4, dst: 1, sendNs: 1 << 62}, kib),
+	} {
+		f.Add(in)
+		f.Add(in[:len(in)-1])
+		f.Add(in[:FrameHeaderSize/2])
+	}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		h, payload, err := readFrame(bytes.NewReader(in))
+		if err != nil {
+			return
+		}
+		n := FrameHeaderSize + len(payload)
+		if n > len(in) {
+			t.Fatalf("decoded %d bytes from a %d-byte input", n, len(in))
+		}
+		hdr := make([]byte, FrameHeaderSize)
+		putFrame(hdr, h, payload)
+		if !bytes.Equal(hdr, in[:FrameHeaderSize]) || !bytes.Equal(payload, in[FrameHeaderSize:n]) {
+			t.Fatalf("frame %+v with %d-byte payload does not re-encode to its input", h, len(payload))
+		}
+	})
+}

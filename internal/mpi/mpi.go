@@ -228,8 +228,10 @@ func (w *World) initMetrics() {
 }
 
 // Metrics returns the world's metric registry. It always exists; the wire
-// transport feeds "wire.latency_ns", and callers may register their own
-// run-level metrics alongside.
+// transport feeds "wire.latency_ns" and "wire.sockbuf_bytes" (the least
+// socket send buffer the kernel granted over this process's data
+// connections), and callers may register their own run-level metrics
+// alongside.
 func (w *World) Metrics() *obs.Registry { return w.metrics }
 
 // NewWorld creates a world with the given number of ranks, all hosted in

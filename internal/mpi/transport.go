@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"syscall"
 	"time"
 )
 
@@ -16,7 +17,9 @@ import (
 // the peer's reader goroutine parks it in the local mailbox where the usual
 // lazy (comm, src, tag) matching applies. A connection preserves byte order,
 // so messages on the same envelope arrive FIFO exactly as in the inproc
-// mailbox.
+// mailbox. Every connection's kernel buffers are sized to hold a whole
+// transpose leg (sockBufBytes), so an eager send does not wait on the peer's
+// reader.
 type wireTransport struct {
 	w    *World
 	self int
@@ -86,10 +89,47 @@ func (t *wireTransport) connTo(rank int) (*peerConn, error) {
 	return pc, nil
 }
 
-// register installs a connection for a peer and wakes bootstrap waiters.
-// A duplicate registration (two processes claiming one rank) is a fatal
-// bootstrap error.
+// sockBufBytes is the SO_SNDBUF/SO_RCVBUF request on every data connection.
+// Sends are eager: a Send returns once its frame is in the kernel. The pencil
+// FFT's transpose legs are 256 KiB–1 MiB frames; with Linux's default
+// ~208 KiB buffer such a frame does not fit, the sender blocks in write until
+// the peer's readLoop has drained it, and both ranks end up waiting in the
+// redistributor's Recv. 4 MiB holds a whole leg. The kernel clamps the
+// request to net.core.wmem_max/rmem_max; the "wire.sockbuf_bytes" gauge
+// reports what it granted.
+const sockBufBytes = 4 << 20
+
+// sizeSockBuf requests sockBufBytes for both directions of conn and returns
+// the send buffer the kernel granted as getsockopt(SO_SNDBUF) reads it
+// (Linux reports twice the clamped request, the doubling being its
+// bookkeeping allowance), or 0 where it cannot be read. The request is best
+// effort: a refused size leaves the kernel default, which is slower but
+// correct.
+func sizeSockBuf(conn net.Conn) int {
+	c, ok := conn.(interface {
+		SetReadBuffer(int) error
+		SetWriteBuffer(int) error
+		SyscallConn() (syscall.RawConn, error)
+	})
+	if !ok {
+		return 0
+	}
+	c.SetWriteBuffer(sockBufBytes)
+	c.SetReadBuffer(sockBufBytes)
+	rc, err := c.SyscallConn()
+	if err != nil {
+		return 0
+	}
+	granted := 0
+	rc.Control(func(fd uintptr) { granted = sndBufOf(fd) })
+	return granted
+}
+
+// register sizes a peer's connection buffers, installs the connection and
+// wakes bootstrap waiters. A duplicate registration (two processes claiming
+// one rank) is a fatal bootstrap error.
 func (t *wireTransport) register(rank int, conn net.Conn) (*peerConn, error) {
+	granted := sizeSockBuf(conn)
 	pc := &peerConn{rank: rank, conn: conn, bw: bufio.NewWriter(conn)}
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -101,6 +141,9 @@ func (t *wireTransport) register(rank int, conn net.Conn) (*peerConn, error) {
 	}
 	t.conns[rank] = pc
 	t.ready++
+	if g := t.w.metrics.Gauge("wire.sockbuf_bytes"); granted > 0 && (g.Value() == 0 || float64(granted) < g.Value()) {
+		g.Set(float64(granted)) // the least grant over the data connections
+	}
 	t.cond.Broadcast()
 	return pc, nil
 }

@@ -11,15 +11,17 @@ import (
 )
 
 // rawPayload is a wire-delivered message body: the raw memory image of the
-// sender's slice. Recv/Payload decode it into the receiver's element type;
-// both sides run the same binary on the same architecture, so the image is
-// bitwise-exact — which is what makes a wire world bitwise-equivalent to the
-// goroutine world.
+// sender's slice, in a word-aligned buffer that readFrame allocated for this
+// one frame and that only the matching receive ever sees. Recv/Payload hand
+// it out as the receiver's []T in place (decodeRaw); both sides run the same
+// binary on the same architecture, so the image is bitwise-exact — which is
+// what makes a wire world bitwise-equivalent to the goroutine world.
 type rawPayload []byte
 
 // FrameHeaderSize is the fixed per-message framing overhead of the wire
 // transport in bytes: magic, kind, context, source, tag, destination,
-// payload length, the sender's wall-clock timestamp, and a CRC-32C covering
+// payload length, the sender's wall-clock timestamp, a CRC-32C of those
+// fields (checked before the payload is allocated), and a CRC-32C covering
 // header and payload.
 const FrameHeaderSize = 48
 
@@ -32,8 +34,9 @@ const (
 	frameBye   = 4 // graceful close announcement
 )
 
-// maxFramePayload bounds a frame's declared payload length so a corrupt
-// header cannot ask the receiver to allocate gigabytes before the CRC check.
+// maxFramePayload bounds a frame's declared payload length. A header that
+// fails its own CRC is rejected before anything is allocated; this bound
+// caps what a header that passes it may ask for.
 const maxFramePayload = 1 << 30
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -57,8 +60,9 @@ type frameHeader struct {
 	sendNs int64
 }
 
-// putFrame encodes the header for payload into hdr (FrameHeaderSize bytes),
-// including the CRC over header fields and payload.
+// putFrame encodes the header for payload into hdr (FrameHeaderSize bytes):
+// the fields, the header CRC of hdr[:40] at [40:44], and the frame CRC of
+// hdr[:44] and the payload at [44:48].
 func putFrame(hdr []byte, h frameHeader, payload []byte) {
 	binary.LittleEndian.PutUint32(hdr[0:], frameMagic)
 	binary.LittleEndian.PutUint32(hdr[4:], uint32(h.kind))
@@ -68,14 +72,17 @@ func putFrame(hdr []byte, h frameHeader, payload []byte) {
 	binary.LittleEndian.PutUint32(hdr[24:], uint32(int32(h.dst)))
 	binary.LittleEndian.PutUint32(hdr[28:], uint32(len(payload)))
 	binary.LittleEndian.PutUint64(hdr[32:], uint64(h.sendNs))
-	binary.LittleEndian.PutUint32(hdr[40:], 0) // reserved
+	binary.LittleEndian.PutUint32(hdr[40:], crc32.Checksum(hdr[:40], castagnoli))
 	crc := crc32.Update(0, castagnoli, hdr[:44])
 	crc = crc32.Update(crc, castagnoli, payload)
 	binary.LittleEndian.PutUint32(hdr[44:], crc)
 }
 
-// readFrame reads one frame from r, verifying magic, length sanity, and CRC.
-// The returned payload is freshly allocated and owned by the caller.
+// readFrame reads one frame from r. The header's magic, its own CRC and the
+// length bound are checked before the payload is allocated, so a corrupt
+// header costs no allocation; the frame CRC over header and payload is
+// checked once the payload is in. The payload is a fresh word-aligned buffer
+// (alignedBytes) owned by the caller.
 func readFrame(r io.Reader) (frameHeader, []byte, error) {
 	var hdr [FrameHeaderSize]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -83,6 +90,9 @@ func readFrame(r io.Reader) (frameHeader, []byte, error) {
 	}
 	if m := binary.LittleEndian.Uint32(hdr[0:]); m != frameMagic {
 		return frameHeader{}, nil, fmt.Errorf("mpi: bad frame magic %#x", m)
+	}
+	if crc, want := crc32.Checksum(hdr[:40], castagnoli), binary.LittleEndian.Uint32(hdr[40:]); crc != want {
+		return frameHeader{}, nil, fmt.Errorf("mpi: frame header CRC mismatch (got %#x want %#x)", crc, want)
 	}
 	h := frameHeader{
 		kind:   int(binary.LittleEndian.Uint32(hdr[4:])),
@@ -96,7 +106,7 @@ func readFrame(r io.Reader) (frameHeader, []byte, error) {
 	if n > maxFramePayload {
 		return frameHeader{}, nil, fmt.Errorf("mpi: frame payload length %d exceeds limit", n)
 	}
-	payload := make([]byte, n)
+	payload := alignedBytes(int(n))
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return frameHeader{}, nil, err
 	}
@@ -106,6 +116,20 @@ func readFrame(r io.Reader) (frameHeader, []byte, error) {
 		return frameHeader{}, nil, fmt.Errorf("mpi: frame CRC mismatch (got %#x want %#x)", crc, want)
 	}
 	return h, payload, nil
+}
+
+// wireAlign is the alignment of every received payload: alignedBytes backs
+// it with a []uint64. It bounds the alignment a wire element type may need
+// (checkWireable), so decodeRaw can use the buffer as a []T in place.
+const wireAlign = 8
+
+// alignedBytes allocates n bytes starting on a wireAlign boundary.
+func alignedBytes(n int) []byte {
+	if n == 0 {
+		return nil
+	}
+	words := make([]uint64, (n+wireAlign-1)/wireAlign)
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(words))), n)
 }
 
 // sizeOf returns the exact in-memory element size, the unit of both the
@@ -152,8 +176,20 @@ func podType(t reflect.Type) bool {
 
 func checkWireable[T any]() {
 	t := reflect.TypeFor[T]()
+	checkWireType(t, t.Align())
+}
+
+// checkWireType panics unless t, whose alignment is align, can cross a wire
+// transport: it must hold no pointers, and its alignment must not exceed the
+// receive buffers' wireAlign. No Go type on a current GOARCH is aligned
+// beyond 8 bytes, so the second check guards the in-place decode against a
+// future one.
+func checkWireType(t reflect.Type, align int) {
 	if !isPOD(t) {
 		panic(fmt.Sprintf("mpi: element type %v contains pointers and cannot cross a wire transport", t))
+	}
+	if align > wireAlign {
+		panic(fmt.Sprintf("mpi: element type %v needs %d-byte alignment; wire buffers are %d-byte aligned", t, align, wireAlign))
 	}
 }
 
@@ -167,7 +203,10 @@ func asBytes[T any](buf []T) []byte {
 	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(buf))), len(buf)*es)
 }
 
-// decodeRaw copies a wire payload into a freshly allocated []T.
+// decodeRaw returns a wire payload as a []T. A readFrame buffer is aligned
+// for every wire element type and belongs to this one receive, so it is
+// returned in place, with no second allocation or copy; a payload that is
+// not aligned for T is copied into a fresh []T.
 func decodeRaw[T any](raw rawPayload) []T {
 	checkWireable[T]()
 	es := sizeOf[T]()
@@ -176,10 +215,15 @@ func decodeRaw[T any](raw rawPayload) []T {
 			len(raw), es, reflect.TypeFor[T]()))
 	}
 	n := len(raw) / es
-	out := make([]T, n)
-	if n > 0 {
-		dst := unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(out))), n*es)
-		copy(dst, raw)
+	if n == 0 {
+		return make([]T, 0)
 	}
+	var z T
+	p := unsafe.Pointer(unsafe.SliceData(raw))
+	if uintptr(p)%unsafe.Alignof(z) == 0 {
+		return unsafe.Slice((*T)(p), n)
+	}
+	out := make([]T, n)
+	copy(asBytes(out), raw)
 	return out
 }

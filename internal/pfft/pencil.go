@@ -19,8 +19,8 @@ import (
 //
 // A Pencil is a plan in the FFTW sense: the transpose schedules
 // (Redistributor plans) and all transpose scratch are built once and reused,
-// so steady-state transforms allocate nothing beyond the mpi runtime's
-// per-message copies. Consequently the slices returned by Forward, Inverse,
+// so steady-state transforms allocate nothing beyond the mpi runtime's one
+// buffer per message. Consequently the slices returned by Forward, Inverse,
 // and ForwardReal are owned by the plan and valid only until the next
 // transform call; input slices are consumed (transformed in place or
 // overwritten). Transforms are collective and must not run concurrently on

@@ -34,7 +34,8 @@ type Options struct {
 // pencil FFT, the planned block↔pencil redistributions, the precomputed
 // k-space tables on this rank's share of the (Hermitian-halved) spectrum,
 // and all solve scratch — steady-state Solve allocates nothing beyond the
-// mpi runtime's per-message copies.
+// mpi runtime's one buffer per message (the sender's copy in-process, the
+// received frame, handed to Recv in place, over a wire).
 type Poisson struct {
 	comm *mpi.Comm
 	dec  *grid.Decomp
