@@ -26,7 +26,7 @@ func powerSerial(c *mpi.Comm, dec *grid.Decomp, dom *domain.Domain, boxMpc float
 
 	pen := pfft.NewAuto(c, n)
 	owned := rho.Owned()
-	moved := pfft.Redistribute(c, owned, dec.Layout(), pen.LayoutX())
+	moved := pfft.NewRedistributor[float64](c, dec.Layout(), pen.LayoutX()).Run(owned, nil)
 	data := make([]complex128, len(moved))
 	for i, v := range moved {
 		data[i] = complex(v-1, 0) // δ = ρ−1 (ρ̄ = 1 by mass choice)

@@ -4,12 +4,16 @@
 // 1988), the grid layer under HACC's spectral particle-mesh solver (paper
 // §II).
 //
-// The ghost exchange is a persistent Exchanger plan (PR 3): ghost-slot and
+// The ghost exchange is a persistent Exchanger plan: ghost-slot and
 // owned-cell index lists are derived once per (decomposition, ghost width),
 // traffic flows over neighbor legs only, and both directions (Accumulate
 // for deposit spill, Fill for interpolation halos) split into Begin/End
 // with pooled GhostOp handles; oracle_test.go holds the dense all-to-all
-// form they are checked against. The
+// form they are checked against. The lists are planned from per-axis
+// tables (wrapped coordinate and owner process coordinate over the
+// extended box), since periodic wrap and block ownership are separable by
+// axis; each list is allocated once at its final length, and the lists
+// equal the per-cell wrap + RankOf planner's, kept in oracle_test.go. The
 // deposit is the one serial DepositCIC: a threaded x-slab deposit measured
 // slower than it (200 k particles on 48³, 2 cores), allocated on every call
 // and made the density depend on summation order. The gather is threaded by particle

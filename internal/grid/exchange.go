@@ -80,41 +80,18 @@ type GhostOp struct {
 func NewExchanger(c *mpi.Comm, d *Decomp, f *Field) *Exchanger {
 	p := c.Size()
 	me := c.Rank()
+	pl := planGhosts(d, f, me)
 	e := &Exchanger{
 		comm:       c,
 		id:         c.NextPlanID(),
-		ghostSlots: make([][]int, p),
+		ghostSlots: pl.ghostSlots,
 		ownedIdx:   make([][]int, p),
-	}
-	coords := make([][]int32, p) // canonical cell coords sent to each owner
-	g := f.Ghost
-	for lx := -g; lx < f.size[0]+g; lx++ {
-		for ly := -g; ly < f.size[1]+g; ly++ {
-			for lz := -g; lz < f.size[2]+g; lz++ {
-				interior := lx >= 0 && lx < f.size[0] &&
-					ly >= 0 && ly < f.size[1] &&
-					lz >= 0 && lz < f.size[2]
-				if interior {
-					continue
-				}
-				cx := wrap(f.Box.Lo[0]+lx, f.N[0])
-				cy := wrap(f.Box.Lo[1]+ly, f.N[1])
-				cz := wrap(f.Box.Lo[2]+lz, f.N[2])
-				owner := d.RankOf(float64(cx), float64(cy), float64(cz))
-				slot := ((lx+g)*f.ext[1]+ly+g)*f.ext[2] + lz + g
-				if owner == me {
-					e.selfGhost = append(e.selfGhost, slot)
-					e.selfOwned = append(e.selfOwned, f.index(cx, cy, cz))
-					continue
-				}
-				e.ghostSlots[owner] = append(e.ghostSlots[owner], slot)
-				coords[owner] = append(coords[owner], int32(cx), int32(cy), int32(cz))
-			}
-		}
+		selfGhost:  pl.selfGhost,
+		selfOwned:  pl.selfOwned,
 	}
 	// Owners translate requested coordinates to interior indices. One-time
 	// plan construction; the per-step path below uses only neighbor legs.
-	recvd := mpi.AllToAll(c, coords)
+	recvd := mpi.AllToAll(c, pl.coords)
 	for r := 0; r < p; r++ {
 		cs := recvd[r]
 		idx := make([]int, len(cs)/3)
@@ -269,6 +246,99 @@ func (e *Exchanger) sendScratch() [][]float64 {
 		e.send[r] = e.send[r][:0]
 	}
 	return e.send
+}
+
+// ghostPlan is the rank-local half of an exchanger plan: every ghost slot
+// of the extended box, in storage order, either paired with the interior
+// cell it mirrors on this rank (selfGhost/selfOwned) or listed under its
+// owner rank together with the canonical coordinates of the cell it mirrors
+// (ghostSlots/coords, x,y,z triples), which the owner translates to its own
+// interior indices.
+type ghostPlan struct {
+	selfGhost, selfOwned []int
+	ghostSlots           [][]int
+	coords               [][]int32
+}
+
+// planGhosts walks the ghost slots of f's extended box in storage order.
+// Wrapping and ownership are separable per axis, so they come from per-axis
+// tables over the extended coordinates — the wrapped global coordinate and
+// the owner's process coordinate along that axis — and the interior is
+// skipped a z-row span at a time. oracle_test.go holds the per-cell
+// planner (wrap + RankOf per slot) the lists are checked against.
+func planGhosts(d *Decomp, f *Field, me int) ghostPlan {
+	g := f.Ghost
+	var wc, oc [3][]int
+	for a := 0; a < 3; a++ {
+		wc[a] = make([]int, f.ext[a])
+		oc[a] = make([]int, f.ext[a])
+		cs := d.cuts[a]
+		for l := range wc[a] {
+			x := wrap(f.Box.Lo[a]+l-g, f.N[a])
+			// The owner is the largest c with cuts[c] <= x (as in RankOf).
+			c := 0
+			for c+1 < d.Dims[a] && cs[c+1] <= x {
+				c++
+			}
+			wc[a][l], oc[a][l] = x, c
+		}
+	}
+	// Ownership is separable too, so each list's length is the product of
+	// per-axis owner histograms (less the interior, which is mine): every
+	// list is allocated once at its final size.
+	var hist [3][]int
+	for a := 0; a < 3; a++ {
+		hist[a] = make([]int, d.Dims[a])
+		for _, c := range oc[a] {
+			hist[a][c]++
+		}
+	}
+	p := d.NumRanks()
+	pl := ghostPlan{ghostSlots: make([][]int, p), coords: make([][]int32, p)}
+	for r := 0; r < p; r++ {
+		cz := r % d.Dims[2]
+		cy := (r / d.Dims[2]) % d.Dims[1]
+		cx := r / (d.Dims[1] * d.Dims[2])
+		k := hist[0][cx] * hist[1][cy] * hist[2][cz]
+		if r == me {
+			k -= f.size[0] * f.size[1] * f.size[2]
+		}
+		switch {
+		case k == 0: // no traffic: the list stays nil
+		case r == me:
+			pl.selfGhost = make([]int, 0, k)
+			pl.selfOwned = make([]int, 0, k)
+		default:
+			pl.ghostSlots[r] = make([]int, 0, k)
+			pl.coords[r] = make([]int32, 0, 3*k)
+		}
+	}
+	for lx := 0; lx < f.ext[0]; lx++ {
+		inX := lx >= g && lx < g+f.size[0]
+		for ly := 0; ly < f.ext[1]; ly++ {
+			inXY := inX && ly >= g && ly < g+f.size[1]
+			ownerXY := (oc[0][lx]*d.Dims[1] + oc[1][ly]) * d.Dims[2]
+			row := (lx*f.ext[1] + ly) * f.ext[2]
+			for lz := 0; lz < f.ext[2]; lz++ {
+				if inXY && lz == g {
+					lz = g + f.size[2] - 1 // skip the interior span
+					continue
+				}
+				owner := ownerXY + oc[2][lz]
+				cx, cy, cz := wc[0][lx], wc[1][ly], wc[2][lz]
+				if owner == me {
+					// The cell is in my box, so its interior slot needs no wrap.
+					pl.selfGhost = append(pl.selfGhost, row+lz)
+					pl.selfOwned = append(pl.selfOwned,
+						((cx-f.Box.Lo[0]+g)*f.ext[1]+cy-f.Box.Lo[1]+g)*f.ext[2]+cz-f.Box.Lo[2]+g)
+					continue
+				}
+				pl.ghostSlots[owner] = append(pl.ghostSlots[owner], row+lz)
+				pl.coords[owner] = append(pl.coords[owner], int32(cx), int32(cy), int32(cz))
+			}
+		}
+	}
+	return pl
 }
 
 func wrap(x, n int) int { return ((x % n) + n) % n }

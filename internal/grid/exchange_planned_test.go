@@ -3,6 +3,7 @@ package grid
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"hacc/internal/mpi"
@@ -54,6 +55,42 @@ func TestGhostPlannedMatchesDense(t *testing.T) {
 		})
 		if err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// TestGhostPlanMatchesPerCell pins the table-driven planner against the
+// per-cell one: identical self pairs, ghost slots and requested coordinates,
+// in the same order and each list allocated at its final length, for ghost widths 1–6 on 1–8 ranks, on a cubic uniform
+// decomposition and on a non-cubic one with uneven cuts.
+func TestGhostPlanMatchesPerCell(t *testing.T) {
+	type layout struct {
+		name string
+		dec  *Decomp
+	}
+	var layouts []layout
+	for p := 1; p <= 8; p++ {
+		layouts = append(layouts, layout{fmt.Sprintf("cubic p=%d", p), NewDecomp([3]int{16, 16, 16}, p)})
+	}
+	layouts = append(layouts, layout{"uneven 2x3x1", NewDecompCuts([3]int{14, 18, 13}, [3]int{2, 3, 1},
+		[3][]int{{0, 9, 14}, {0, 2, 11, 18}, {0, 13}})})
+	for _, l := range layouts {
+		for g := 1; g <= 6; g++ {
+			for me := 0; me < l.dec.NumRanks(); me++ {
+				f := NewField(l.dec.N, l.dec.Box(me), g)
+				got, want := planGhosts(l.dec, f, me), planGhostsPerCell(l.dec, f, me)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s ghost=%d rank %d: table plan differs from the per-cell plan", l.name, g, me)
+				}
+				// Every list was sized exactly up front.
+				exact := cap(got.selfGhost) == len(got.selfGhost) && cap(got.selfOwned) == len(got.selfOwned)
+				for r := range got.ghostSlots {
+					exact = exact && cap(got.ghostSlots[r]) == len(got.ghostSlots[r]) && cap(got.coords[r]) == len(got.coords[r])
+				}
+				if !exact {
+					t.Fatalf("%s ghost=%d rank %d: a list was not allocated at its final length", l.name, g, me)
+				}
+			}
 		}
 	}
 }

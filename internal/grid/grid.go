@@ -260,7 +260,7 @@ func (f *Field) Fill(v float64) {
 }
 
 // Owned extracts the interior (owned) region as a contiguous array in the
-// canonical block-layout order (z fastest), ready for pfft.Redistribute.
+// canonical block-layout order (z fastest), ready for a pfft.Redistributor.
 func (f *Field) Owned() []float64 {
 	return f.OwnedInto(nil)
 }

@@ -3,6 +3,11 @@
 // displacement field in k-space, applied to a uniform particle lattice.
 // Mode amplitudes come from a deterministic per-mode hash, so the same
 // seed produces the same Universe on any rank count and any decomposition.
-// Seed-era package; runs once per simulation (cold path), so it uses the
-// one-shot redistribution rather than persistent plans.
+//
+// Generate runs once per simulation but is most of set-up's time, so it
+// does each piece of work once: δ̂ₖ (a LinearPower.P and a modeGaussian
+// draw per mode) is built once and scaled by i·k_d/k² for each of the three
+// displacement axes, which share one redistribution plan, one ghost
+// exchanger and one field. oracle_test.go keeps the earlier three-pass
+// form, and the particles are pinned bitwise against it.
 package ic

@@ -38,6 +38,12 @@ func (o Options) Validate() error {
 
 // Generate fills dom.Active with the rank's share of a Zel'dovich
 // realization on the decomposition's grid. Collective over comm.
+//
+// The density modes δ̂ₖ — a LinearPower.P and a modeGaussian draw each —
+// are computed once on this rank's z-pencil; each displacement axis then
+// only scales them by i·k_d/k², inverse-transforms, moves the result to the
+// block layout and fills its ghosts, through one redistribution plan, one
+// ghost exchanger and one field shared by the three axes.
 func Generate(c *mpi.Comm, dec *grid.Decomp, lp *cosmology.LinearPower, o Options, dom *domain.Domain) error {
 	if err := o.Validate(); err != nil {
 		return err
@@ -58,51 +64,27 @@ func Generate(c *mpi.Comm, dec *grid.Decomp, lp *cosmology.LinearPower, o Option
 	f0 := growth.F(o.AInit)
 	pfac := float32(o.AInit * o.AInit * lp.Params().E(o.AInit) * f0 * d0)
 
-	// Displacement fields, one per axis, built in spectral space on this
-	// rank's z-pencil and inverse-transformed.
-	var disp [3]*grid.Field
-	for d := 0; d < 3; d++ {
-		spec := make([]complex128, pen.LocalZ().Count())
-		pen.ForEachK(func(mx, my, mz, idx int) {
-			if mx == 0 && my == 0 && mz == 0 {
-				return
-			}
-			kx := spectral.KMode(mx, ng)
-			ky := spectral.KMode(my, ng)
-			kz := spectral.KMode(mz, ng)
-			k2 := kx*kx + ky*ky + kz*kz
-			kPhys := math.Sqrt(k2) * float64(ng) / o.BoxMpc
-			amp := math.Sqrt(lp.P(kPhys)) * ampNorm
-			re, im := modeGaussian(o.Seed, mx, my, mz, ng, o.Fixed)
-			dk := complex(amp*re, amp*im)
-			var kd float64
-			switch d {
-			case 0:
-				kd = kx
-			case 1:
-				kd = ky
-			default:
-				kd = kz
-			}
-			// Ψ_k = i·k_d/k²·δ_k (continuum gradient for IC fidelity).
-			w := kd / k2
-			spec[idx] = complex(-imag(dk)*w, real(dk)*w)
-		})
-		rs := pen.Inverse(spec)
-		vals := make([]float64, len(rs))
-		for i, v := range rs {
-			vals[i] = real(v)
-		}
-		back := pfft.Redistribute(c, vals, pen.LayoutX(), dec.Layout())
-		disp[d] = grid.NewField(n, dec.Box(c.Rank()), 2)
-		disp[d].SetOwned(back)
-		ex := grid.NewExchanger(c, dec, disp[d])
-		ex.Fill(disp[d])
+	// Axis wavenumbers; the grid is cubic, so one table serves all three.
+	kTab := make([]float64, ng)
+	for m := range kTab {
+		kTab[m] = spectral.KMode(m, ng)
 	}
+	delta := make([]complex128, pen.LocalZ().Count())
+	pen.ForEachK(func(mx, my, mz, idx int) {
+		if mx == 0 && my == 0 && mz == 0 {
+			return
+		}
+		kx, ky, kz := kTab[mx], kTab[my], kTab[mz]
+		k2 := kx*kx + ky*ky + kz*kz
+		kPhys := math.Sqrt(k2) * float64(ng) / o.BoxMpc
+		amp := math.Sqrt(lp.P(kPhys)) * ampNorm
+		re, im := modeGaussian(o.Seed, mx, my, mz, ng, o.Fixed)
+		delta[idx] = complex(amp*re, amp*im)
+	})
 
-	// Lay down the lattice sites owned by this rank and displace them. The
-	// lattice sits on grid nodes: when Np == Ng the displacement is read
-	// off exactly (no CIC smoothing of the IC spectrum).
+	// Lay down the lattice sites owned by this rank. The lattice sits on
+	// grid nodes: when Np == Ng the displacement is read off exactly (no
+	// CIC smoothing of the IC spectrum).
 	step := float64(ng) / float64(o.Np)
 	box := dec.Box(c.Rank())
 	dom.Active.Reset()
@@ -131,18 +113,43 @@ func Generate(c *mpi.Comm, dec *grid.Decomp, lp *cosmology.LinearPower, o Option
 		}
 	}
 	np := len(qx)
-	psi := make([]float32, np)
-	pos := [3][]float32{qx, qy, qz}
+
+	// Displacement fields, one axis at a time: Ψ_k = i·k_d/k²·δ_k
+	// (continuum gradient for IC fidelity), inverse-transformed, moved to
+	// the block layout, ghost-filled and read off at the lattice sites.
+	spec := make([]complex128, len(delta))
+	vals := make([]float64, pen.LocalX().Count())
+	toBlock := pfft.NewRedistributor[float64](c, pen.LayoutX(), dec.Layout())
+	owned := make([]float64, toBlock.DstLen())
+	disp := grid.NewField(n, box, 2)
+	ex := grid.NewExchanger(c, dec, disp)
 	var displ [3][]float32
 	for d := 0; d < 3; d++ {
-		grid.InterpCIC(disp[d], qx, qy, qz, psi, 1)
-		displ[d] = append([]float32(nil), psi...)
+		pen.ForEachK(func(mx, my, mz, idx int) {
+			if mx == 0 && my == 0 && mz == 0 {
+				spec[idx] = 0
+				return
+			}
+			m := [3]int{mx, my, mz}
+			kx, ky, kz := kTab[mx], kTab[my], kTab[mz]
+			w := kTab[m[d]] / (kx*kx + ky*ky + kz*kz)
+			dk := delta[idx]
+			spec[idx] = complex(-imag(dk)*w, real(dk)*w)
+		})
+		rs := pen.Inverse(spec)
+		for i, v := range rs {
+			vals[i] = real(v)
+		}
+		disp.SetOwned(toBlock.Run(vals, owned))
+		ex.Fill(disp)
+		displ[d] = make([]float32, np)
+		grid.InterpCIC(disp, qx, qy, qz, displ[d], 1)
 	}
 	dom.Active.Grow(np)
 	for i := 0; i < np; i++ {
-		x := pos[0][i] + float32(d0)*displ[0][i]
-		y := pos[1][i] + float32(d0)*displ[1][i]
-		z := pos[2][i] + float32(d0)*displ[2][i]
+		x := qx[i] + float32(d0)*displ[0][i]
+		y := qy[i] + float32(d0)*displ[1][i]
+		z := qz[i] + float32(d0)*displ[2][i]
 		dom.Active.Append(x, y, z,
 			pfac*displ[0][i], pfac*displ[1][i], pfac*displ[2][i], ids[i])
 	}

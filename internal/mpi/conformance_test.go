@@ -173,6 +173,34 @@ var conformanceChecks = []conformanceCheck{
 		})
 	}},
 
+	{"ZeroSizeElementRejected", func(t *testing.T, tc transportCase) {
+		// A wire frame carries bytes, not an element count, so no
+		// transport may accept a zero-size element type: Send panics
+		// before anything is delivered.
+		mustRun(t, tc, 2, func(c *Comm) {
+			if c.Rank() == 1 {
+				if got := Recv[byte](c, 0, AnyTag); len(got) != 1 || got[0] != 1 {
+					t.Errorf("first message delivered was %v, want [1]", got)
+				}
+				return
+			}
+			for name, send := range map[string]func(){
+				"Send":     func() { Send(c, 1, 0, []struct{}{{}, {}}) },
+				"SendMove": func() { SendMove(c, 1, 0, make([][0]float64, 3)) },
+			} {
+				func() {
+					defer func() {
+						if recover() == nil {
+							t.Errorf("%s of a zero-size element type did not panic", name)
+						}
+					}()
+					send()
+				}()
+			}
+			Send(c, 1, 1, []byte{1})
+		})
+	}},
+
 	{"StructPayload", func(t *testing.T, tc transportCase) {
 		type particle struct {
 			X, Y, Z float64

@@ -2,6 +2,10 @@ package mpi
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
+	"io"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -58,6 +62,47 @@ func TestFrameRejectsCorruption(t *testing.T) {
 	buf.Write(payload)
 	if _, _, err := readFrame(&buf); err == nil {
 		t.Fatal("corrupted sendNs passed the CRC")
+	}
+}
+
+// A header that passes its CRC but declares far more payload than the
+// stream holds must not get its declared length allocated up front: 64 MiB
+// declared, then EOF, allocates one frameChunk at most.
+func TestReadFrameAllocationFollowsBytes(t *testing.T) {
+	hdr := make([]byte, FrameHeaderSize)
+	putFrame(hdr, frameHeader{kind: frameData, ctx: 1, src: 1, tag: 3}, nil)
+	binary.LittleEndian.PutUint32(hdr[28:], 64<<20)
+	binary.LittleEndian.PutUint32(hdr[40:], crc32.Checksum(hdr[:40], castagnoli))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := readFrame(bytes.NewReader(hdr))
+	runtime.ReadMemStats(&after)
+	if err != io.EOF {
+		t.Fatalf("readFrame of a header without its payload: err = %v, want EOF", err)
+	}
+	if grown := after.TotalAlloc - before.TotalAlloc; grown >= 8<<20 {
+		t.Fatalf("readFrame allocated %d bytes for a 48-byte input, want < 8 MiB", grown)
+	}
+}
+
+// A payload larger than frameChunk arrives whole through the growing
+// buffer; one that stops partway fails with io.ErrUnexpectedEOF.
+func TestReadFrameLargePayload(t *testing.T) {
+	payload := make([]byte, 2*frameChunk+12345)
+	for i := range payload {
+		payload[i] = byte(i * 13)
+	}
+	hdr := make([]byte, FrameHeaderSize)
+	putFrame(hdr, frameHeader{kind: frameData, ctx: 2, src: 0, tag: 5, dst: 1}, payload)
+	in := append(hdr, payload...)
+	_, got, err := readFrame(bytes.NewReader(in))
+	if err != nil || !bytes.Equal(got, payload) {
+		t.Fatalf("large payload: err %v, %d bytes back, equal %v", err, len(got), bytes.Equal(got, payload))
+	}
+	for _, cut := range []int{FrameHeaderSize + 1, FrameHeaderSize + frameChunk, len(in) - 1} {
+		if _, _, err := readFrame(bytes.NewReader(in[:cut])); err != io.ErrUnexpectedEOF {
+			t.Errorf("payload cut at byte %d: err = %v, want ErrUnexpectedEOF", cut-FrameHeaderSize, err)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -533,11 +534,21 @@ func (c *Comm) recv(src, tag int) any {
 	return msg.payload
 }
 
+// sendSize returns the element size of a message of T, panicking on a
+// zero-size T on every transport (checkSized).
+func sendSize[T any]() int {
+	es := sizeOf[T]()
+	if es == 0 {
+		checkSized(reflect.TypeFor[T]())
+	}
+	return es
+}
+
 // Send copies buf and delivers it to rank dst with the given tag. It does
 // not block (sends are buffered, as with eager-protocol MPI messages).
 func Send[T any](c *Comm, dst, tag int, buf []T) {
 	c.checkRank(dst, "destination")
-	n := len(buf) * sizeOf[T]()
+	n := len(buf) * sendSize[T]()
 	if c.world.boxes[c.worldRank(dst)] != nil {
 		cp := make([]T, len(buf))
 		copy(cp, buf)
@@ -551,7 +562,7 @@ func Send[T any](c *Comm, dst, tag int, buf []T) {
 // touch buf afterwards. Used on large transfers (FFT transposes).
 func SendMove[T any](c *Comm, dst, tag int, buf []T) {
 	c.checkRank(dst, "destination")
-	n := len(buf) * sizeOf[T]()
+	n := len(buf) * sendSize[T]()
 	if c.world.boxes[c.worldRank(dst)] != nil {
 		c.send(dst, tag, buf, n)
 		return

@@ -80,9 +80,10 @@ func putFrame(hdr []byte, h frameHeader, payload []byte) {
 
 // readFrame reads one frame from r. The header's magic, its own CRC and the
 // length bound are checked before the payload is allocated, so a corrupt
-// header costs no allocation; the frame CRC over header and payload is
-// checked once the payload is in. The payload is a fresh word-aligned buffer
-// (alignedBytes) owned by the caller.
+// header costs no allocation, and a valid one gets at most frameChunk bytes
+// before its payload arrives (readPayload); the frame CRC over header and
+// payload is checked once the payload is in. The payload is a fresh
+// word-aligned buffer (alignedBytes) owned by the caller.
 func readFrame(r io.Reader) (frameHeader, []byte, error) {
 	var hdr [FrameHeaderSize]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -106,8 +107,8 @@ func readFrame(r io.Reader) (frameHeader, []byte, error) {
 	if n > maxFramePayload {
 		return frameHeader{}, nil, fmt.Errorf("mpi: frame payload length %d exceeds limit", n)
 	}
-	payload := alignedBytes(int(n))
-	if _, err := io.ReadFull(r, payload); err != nil {
+	payload, err := readPayload(r, int(n))
+	if err != nil {
 		return frameHeader{}, nil, err
 	}
 	crc := crc32.Update(0, castagnoli, hdr[:44])
@@ -116,6 +117,38 @@ func readFrame(r io.Reader) (frameHeader, []byte, error) {
 		return frameHeader{}, nil, fmt.Errorf("mpi: frame CRC mismatch (got %#x want %#x)", crc, want)
 	}
 	return h, payload, nil
+}
+
+// frameChunk bounds what readPayload allocates ahead of the bytes that have
+// arrived. It is the socket buffer size, so every transpose leg that fits a
+// socket buffer is read into one buffer of its final length.
+const frameChunk = sockBufBytes
+
+// readPayload reads an n-byte payload into a word-aligned buffer. Up to
+// frameChunk bytes it allocates the whole buffer at once; a larger payload
+// starts from frameChunk bytes and doubles the buffer as bytes arrive, so a
+// header that declares more than its peer sends costs at most twice what
+// was sent. A stream that ends inside the payload returns io.EOF if no
+// payload byte arrived and io.ErrUnexpectedEOF otherwise.
+func readPayload(r io.Reader, n int) ([]byte, error) {
+	buf := alignedBytes(min(n, frameChunk))
+	got := 0
+	for {
+		k, err := io.ReadFull(r, buf[got:])
+		if err == io.EOF && got > 0 {
+			err = io.ErrUnexpectedEOF
+		}
+		got += k
+		if err != nil {
+			return nil, err
+		}
+		if got == n {
+			return buf, nil
+		}
+		grown := alignedBytes(min(2*len(buf), n))
+		copy(grown, buf)
+		buf = grown
+	}
 }
 
 // wireAlign is the alignment of every received payload: alignedBytes backs
@@ -180,16 +213,27 @@ func checkWireable[T any]() {
 }
 
 // checkWireType panics unless t, whose alignment is align, can cross a wire
-// transport: it must hold no pointers, and its alignment must not exceed the
-// receive buffers' wireAlign. No Go type on a current GOARCH is aligned
-// beyond 8 bytes, so the second check guards the in-place decode against a
-// future one.
+// transport: it must have a size (checkSized), hold no pointers, and its
+// alignment must not exceed the receive buffers' wireAlign. No Go type on a
+// current GOARCH is aligned beyond 8 bytes, so the last check guards the
+// in-place decode against a future one.
 func checkWireType(t reflect.Type, align int) {
+	checkSized(t)
 	if !isPOD(t) {
 		panic(fmt.Sprintf("mpi: element type %v contains pointers and cannot cross a wire transport", t))
 	}
 	if align > wireAlign {
 		panic(fmt.Sprintf("mpi: element type %v needs %d-byte alignment; wire buffers are %d-byte aligned", t, align, wireAlign))
+	}
+}
+
+// checkSized panics if t has zero size (struct{}, [0]T, …). A wire frame
+// carries a payload's bytes, not its element count, so a message of them
+// cannot be rebuilt on the far side; every transport rejects them at Send
+// so that no world delivers what another cannot.
+func checkSized(t reflect.Type) {
+	if t.Size() == 0 {
+		panic(fmt.Sprintf("mpi: element type %v has zero size; a message of it carries no length", t))
 	}
 }
 

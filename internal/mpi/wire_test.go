@@ -77,6 +77,7 @@ func TestCheckWireTypeRejects(t *testing.T) {
 	}
 	mustPanic("16-byte alignment", func() { checkWireType(reflect.TypeFor[[2]uint64](), 16) })
 	mustPanic("pointer element", func() { checkWireable[*int]() })
+	mustPanic("zero-size element", func() { checkWireable[struct{}]() })
 	checkWireType(reflect.TypeFor[complex128](), wireAlign)
 	checkWireable[struct {
 		A float32

@@ -17,6 +17,8 @@
 // persistent transpose plans, per-stage scratch, pooled batched 1-D
 // transforms, and a real-to-complex path (ForwardReal/InverseReal/
 // ForEachKR) on the Hermitian half grid [n/2+1, n, n] that halves the x
-// transforms, the transposes, and all downstream k-space work. Slices
+// transforms, the transposes, and all downstream k-space work. Each path
+// builds its transposes and scratch on first use, so the Poisson solver,
+// which runs only the real path, never holds the complex one's. Slices
 // returned by transforms are plan-owned and valid until the next call.
 package pfft

@@ -1,7 +1,5 @@
 package pfft
 
-import "hacc/internal/mpi"
-
 // Box is a half-open axis-aligned box [Lo, Hi) in 3-D grid coordinates.
 type Box struct {
 	Lo, Hi [3]int
@@ -162,16 +160,6 @@ func forEach(b Box, order [3]int, fn func(g [3]int, k int)) {
 			}
 		}
 	}
-}
-
-// Redistribute moves a distributed array from one layout to another. src is
-// the caller's local data in `from` storage order; the returned slice is the
-// caller's local data under `to`. One-shot convenience over Redistributor:
-// empty intersections exchange no messages and the rank's own overlap is a
-// direct copy (the old implementation round-tripped both through the mpi
-// mailbox). Hot paths should build a Redistributor once and reuse it.
-func Redistribute[T any](c *mpi.Comm, src []T, from, to *Layout) []T {
-	return NewRedistributor[T](c, from, to).Run(src, nil)
 }
 
 func min(a, b int) int {

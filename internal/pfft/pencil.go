@@ -20,7 +20,10 @@ import (
 // A Pencil is a plan in the FFTW sense: the transpose schedules
 // (Redistributor plans) and all transpose scratch are built once and reused,
 // so steady-state transforms allocate nothing beyond the mpi runtime's one
-// buffer per message. Consequently the slices returned by Forward, Inverse,
+// buffer per message. Each path — complex (Forward/Inverse) and
+// real-to-complex (ForwardReal/InverseReal) — builds its schedules and
+// scratch on first use, so a plan that only ever runs one path carries only
+// that path's state. Consequently the slices returned by Forward, Inverse,
 // and ForwardReal are owned by the plan and valid only until the next
 // transform call; input slices are consumed (transformed in place or
 // overwritten). Transforms are collective and must not run concurrently on
@@ -37,7 +40,8 @@ type Pencil struct {
 	planX, planY, planZ *fft.Plan
 	rowsX, rowsY, rowsZ int
 
-	// Planned transposes and persistent scratch for the complex path.
+	// Planned transposes and persistent scratch for the complex path,
+	// built lazily on first use (initComplex).
 	rowFwd, rowInv   *Redistributor[complex128] // X↔Y within my row
 	colFwd, colInv   *Redistributor[complex128] // Y↔Z within my column
 	bufX, bufY, bufZ []complex128
@@ -86,13 +90,6 @@ func NewPencil(c *mpi.Comm, n [3]int, p1, p2 int) *Pencil {
 	pp.rowComm = c.Split(pp.c2, pp.c1)
 	pp.colComm = c.Split(pp.c1, pp.c2)
 
-	rowFrom, rowTo, colFrom, colTo := restrictTransposes(n, p1, p2, pp.c1, pp.c2,
-		pp.layX, pp.layY, pp.layZ)
-	pp.rowFwd = NewRedistributor[complex128](pp.rowComm, rowFrom, rowTo)
-	pp.rowInv = NewRedistributor[complex128](pp.rowComm, rowTo, rowFrom)
-	pp.colFwd = NewRedistributor[complex128](pp.colComm, colFrom, colTo)
-	pp.colInv = NewRedistributor[complex128](pp.colComm, colTo, colFrom)
-
 	pp.planX = fft.NewPlan(n[0])
 	if n[1] == n[0] {
 		pp.planY = pp.planX
@@ -110,9 +107,6 @@ func NewPencil(c *mpi.Comm, n [3]int, p1, p2 int) *Pencil {
 	pp.rowsX = pp.layX.Boxes[me].Count() / n[0]
 	pp.rowsY = pp.layY.Boxes[me].Count() / n[1]
 	pp.rowsZ = pp.layZ.Boxes[me].Count() / n[2]
-	pp.bufX = make([]complex128, pp.layX.Boxes[me].Count())
-	pp.bufY = make([]complex128, pp.layY.Boxes[me].Count())
-	pp.bufZ = make([]complex128, pp.layZ.Boxes[me].Count())
 	pp.batchBody = func(lo, hi int) {
 		n := pp.batchPlan.N()
 		if pp.batchInverse {
@@ -196,11 +190,32 @@ func (p *Pencil) batch(pl *fft.Plan, data []complex128, rows int, inverse bool) 
 	p.batchData = nil // don't retain caller slices between calls
 }
 
+// initComplex lazily builds the complex path's transpose plans, restricted
+// to my row/column, and its persistent scratch. Plan construction is purely
+// local (the sub-communicators are split in NewPencil), so laziness stays
+// collective-safe.
+func (p *Pencil) initComplex() {
+	if p.rowFwd != nil {
+		return
+	}
+	rowFrom, rowTo, colFrom, colTo := restrictTransposes(p.n, p.p1, p.p2, p.c1, p.c2,
+		p.layX, p.layY, p.layZ)
+	p.rowFwd = NewRedistributor[complex128](p.rowComm, rowFrom, rowTo)
+	p.rowInv = NewRedistributor[complex128](p.rowComm, rowTo, rowFrom)
+	p.colFwd = NewRedistributor[complex128](p.colComm, colFrom, colTo)
+	p.colInv = NewRedistributor[complex128](p.colComm, colTo, colFrom)
+	me := p.comm.Rank()
+	p.bufX = make([]complex128, p.layX.Boxes[me].Count())
+	p.bufY = make([]complex128, p.layY.Boxes[me].Count())
+	p.bufZ = make([]complex128, p.layZ.Boxes[me].Count())
+}
+
 // Forward transforms data (local x-pencil block, x fastest) and returns the
 // spectral coefficients in the z-pencil layout (z fastest). The input slice
 // is consumed; the returned slice is plan-owned scratch, valid until the
 // next transform call.
 func (p *Pencil) Forward(data []complex128) []complex128 {
+	p.initComplex()
 	if len(data) != len(p.bufX) {
 		panic(fmt.Sprintf("pfft: forward input length %d != local x-pencil %d",
 			len(data), len(p.bufX)))
@@ -218,6 +233,7 @@ func (p *Pencil) Forward(data []complex128) []complex128 {
 // consumed; the returned slice is plan-owned scratch, valid until the next
 // transform call.
 func (p *Pencil) Inverse(data []complex128) []complex128 {
+	p.initComplex()
 	if len(data) != len(p.bufZ) {
 		panic(fmt.Sprintf("pfft: inverse input length %d != local z-pencil %d",
 			len(data), len(p.bufZ)))

@@ -46,6 +46,12 @@ func redistributeReference[T any](c *mpi.Comm, src []T, from, to *Layout) []T {
 	return dst
 }
 
+// Redistribute is the one-shot form of a Redistributor (plan, run once,
+// discard) that the tests use to move whole arrays between layouts.
+func Redistribute[T any](c *mpi.Comm, src []T, from, to *Layout) []T {
+	return NewRedistributor[T](c, from, to).Run(src, nil)
+}
+
 // TestRedistributorMatchesLegacy pins the planned redistribution bitwise
 // against the all-to-all reference, over non-power-of-two grids, a
 // single-rank world, slab (p2=1) layouts, and layouts with empty
