@@ -236,6 +236,12 @@ func (c Config) Validate() error {
 	if 2*c.Overload >= float64(c.NGrid) {
 		return fmt.Errorf("core: overload %g too wide for grid %d", c.Overload, c.NGrid)
 	}
+	// The kernel fit samples the PM force out to RCut+0.5 cells around a
+	// source at the fit grid's centre; shortrange.SampleGridForce needs
+	// FitGridN ≥ 4·(RCut+1) for that.
+	if c.Solver != PMOnly && float64(c.FitGridN) < 4*(c.RCut+1) {
+		return fmt.Errorf("core: FitGridN %d too small for RCut %g (need ≥ %g)", c.FitGridN, c.RCut, 4*(c.RCut+1))
+	}
 	// In-situ analysis knobs: all analysis configuration is validated here,
 	// in one place, so misconfiguration fails at New rather than misbehaving
 	// steps later.

@@ -165,8 +165,10 @@ func New(c *mpi.Comm, cfg Config) (*Simulation, error) {
 // newSimulation builds every persistent structure of a rank — domain,
 // fields, exchangers, spectral plan, short-range kernel, worker pool —
 // without populating particles. New generates initial conditions on top;
-// Restore loads a checkpoint instead. Collective (the kernel fit is
-// broadcast from rank 0).
+// Restore loads a checkpoint instead. Collective: every rank measures a
+// share of the kernel fit's source offsets (fitKernel), and the fit is
+// keyed on the seed alone, so its coefficients do not depend on the rank
+// count.
 func newSimulation(c *mpi.Comm, cfg Config) (*Simulation, error) {
 	cfg = cfg.WithDefaults()
 	if err := cfg.Validate(); err != nil {
@@ -223,23 +225,16 @@ func newSimulation(c *mpi.Comm, cfg Config) (*Simulation, error) {
 	s.Counters.FFTGridN = cfg.NGrid
 
 	if cfg.Solver != PMOnly {
-		// Fit the short-range residual once on rank 0 and broadcast.
-		var poly [6]float64
-		if c.Rank() == 0 {
-			res, err := shortrange.FitGridForce(shortrange.FitOptions{
-				GridN: cfg.FitGridN,
-				RCut:  cfg.RCut,
-				Sigma: cfg.Sigma,
-				Ns:    cfg.NsFilter,
-				Seed:  int64(cfg.Seed),
-			})
-			if err != nil {
-				panic(fmt.Sprintf("core: kernel fit failed: %v", err))
-			}
-			poly = res.Poly
+		poly, err := fitKernel(c, shortrange.FitOptions{
+			GridN: cfg.FitGridN,
+			RCut:  cfg.RCut,
+			Sigma: cfg.Sigma,
+			Ns:    cfg.NsFilter,
+			Seed:  int64(cfg.Seed),
+		})
+		if err != nil {
+			return nil, err
 		}
-		coef := mpi.Bcast(c, 0, poly[:])
-		copy(poly[:], coef)
 		gm := 1.5 * cfg.Cosmo.OmegaM * s.ParticleMass / (4 * math.Pi)
 		s.Kernel = shortrange.NewKernel(poly, cfg.RCut, cfg.Eps, gm)
 		s.kern = s.Kernel.ApplyRanges
@@ -300,6 +295,32 @@ func newSimulation(c *mpi.Comm, cfg Config) (*Simulation, error) {
 		}
 	}
 	return s, nil
+}
+
+// fitKernel fits the short-range kernel polynomial as a collective: rank r
+// measures the grid-force samples of the source offsets o ≡ r (mod P),
+// rank 0 gathers them, fits over all of them in offset order and
+// broadcasts the six coefficients. The samples and their order are those
+// of the one-rank fit, so the coefficients are bitwise FitGridForce's at
+// any rank count. A failure on any rank is returned on every rank.
+func fitKernel(c *mpi.Comm, o shortrange.FitOptions) ([6]float64, error) {
+	var poly [6]float64
+	samples, err := shortrange.SampleGridForce(o, c.Rank(), c.Size())
+	all := mpi.Gather(c, 0, samples)
+	if err == nil && c.Rank() == 0 {
+		var res *shortrange.FitResult
+		if res, err = shortrange.FitSamples(o, c.Size(), all); err == nil {
+			poly = res.Poly
+		}
+	}
+	if !mpi.AllOK(c, err == nil) {
+		if err == nil {
+			err = fmt.Errorf("another rank failed")
+		}
+		return poly, fmt.Errorf("core: kernel fit failed: %w", err)
+	}
+	copy(poly[:], mpi.Bcast(c, 0, poly[:]))
+	return poly, nil
 }
 
 // ensureFOF builds the persistent halo-finder plan on first use (purely

@@ -39,11 +39,12 @@ func (o Options) Validate() error {
 // Generate fills dom.Active with the rank's share of a Zel'dovich
 // realization on the decomposition's grid. Collective over comm.
 //
-// The density modes δ̂ₖ — a LinearPower.P and a modeGaussian draw each —
-// are computed once on this rank's z-pencil; each displacement axis then
-// only scales them by i·k_d/k², inverse-transforms, moves the result to the
-// block layout and fills its ghosts, through one redistribution plan, one
-// ghost exchanger and one field shared by the three axes.
+// The density modes δ̂ₖ — an amplitude and a modeGaussian draw each — are
+// computed once on this rank's z-pencil, the amplitude √P(k) once per
+// sign-folded |k|; each displacement axis then only scales them by
+// i·k_d/k², inverse-transforms, moves the result to the block layout and
+// fills its ghosts, through one redistribution plan, one ghost exchanger
+// and one field shared by the three axes.
 func Generate(c *mpi.Comm, dec *grid.Decomp, lp *cosmology.LinearPower, o Options, dom *domain.Domain) error {
 	if err := o.Validate(); err != nil {
 		return err
@@ -69,15 +70,18 @@ func Generate(c *mpi.Comm, dec *grid.Decomp, lp *cosmology.LinearPower, o Option
 	for m := range kTab {
 		kTab[m] = spectral.KMode(m, ng)
 	}
+	// The amplitude depends on |k| alone: one LinearPower.P per sign-folded
+	// mode this rank holds.
+	ampTab := spectral.NewRadialTable(n, pen.LocalZ(), func(k2 float64) float64 {
+		kPhys := math.Sqrt(k2) * float64(ng) / o.BoxMpc
+		return math.Sqrt(lp.P(kPhys)) * ampNorm
+	})
 	delta := make([]complex128, pen.LocalZ().Count())
 	pen.ForEachK(func(mx, my, mz, idx int) {
 		if mx == 0 && my == 0 && mz == 0 {
 			return
 		}
-		kx, ky, kz := kTab[mx], kTab[my], kTab[mz]
-		k2 := kx*kx + ky*ky + kz*kz
-		kPhys := math.Sqrt(k2) * float64(ng) / o.BoxMpc
-		amp := math.Sqrt(lp.P(kPhys)) * ampNorm
+		amp := ampTab.At(mx, my, mz)
 		re, im := modeGaussian(o.Seed, mx, my, mz, ng, o.Fixed)
 		delta[idx] = complex(amp*re, amp*im)
 	})

@@ -5,7 +5,11 @@
 //
 // the numeric construction of poly5 by sampling the filtered PM grid force
 // of a point source and least-squares fitting (the paper's force-matching
-// procedure), and the one force driver both local solvers run on.
+// procedure), and the one force driver both local solvers run on. The fit
+// comes in two steps, so its source solves can be shared out:
+// SampleGridForce measures one part's share of the source offsets (every
+// part replays the one seeded stream), FitSamples fits all shares' samples
+// in offset order, and FitGridForce is the one-part case.
 //
 // Pairs is that driver: it owns the working copy of the particles (Load
 // gathers the caller's sets into it), the accelerations, the Orig map back

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 
 	"hacc/internal/fft"
+	"hacc/internal/pfft"
 	"hacc/internal/spectral"
 )
 
@@ -64,27 +65,60 @@ type FitResult struct {
 // paper's procedure for constructing the short-range kernel (§II). The PM
 // coupling is normalized so the far-field force is exactly 1/r², making the
 // coefficients independent of cosmology; the caller scales by GM.
+//
+// It is the one-part case of the split fit: FitSamples over the samples
+// SampleGridForce(o, 0, 1) measures.
 func FitGridForce(o FitOptions) (*FitResult, error) {
+	samples, err := SampleGridForce(o, 0, 1)
+	if err != nil {
+		return nil, err
+	}
+	return FitSamples(o, 1, samples)
+}
+
+// SampleGridForce measures the grid-force samples of the source offsets
+// off ≡ part (mod parts), the part-th of parts shares of the fit, returning
+// them in offset order as (s, f) pairs, Radii·Dirs pairs per offset. Every
+// part replays the one random stream keyed on Seed, so it sees the same
+// sources and directions as the whole fit, and solves only its own
+// offsets; a part that owns no offset builds no solver and returns no
+// samples.
+func SampleGridForce(o FitOptions, part, parts int) ([]float64, error) {
 	o.setDefaults()
 	n := o.GridN
 	if float64(n) < 4*(o.RCut+1) {
 		return nil, fmt.Errorf("shortrange: grid %d too small for rcut %g", n, o.RCut)
 	}
+	if parts < 1 || part < 0 || part >= parts {
+		return nil, fmt.Errorf("shortrange: fit part %d of %d", part, parts)
+	}
+	out := make([]float64, 0, 2*o.Radii*o.Dirs*ownedOffsets(o.Offsets, part, parts))
+	if cap(out) == 0 {
+		return out, nil
+	}
 	rng := rand.New(rand.NewSource(o.Seed + 1))
-	probe := newSerialPM(n, o.Sigma, o.Ns)
-	var ss, fs []float64
+	var probe *serialPM
 	for off := 0; off < o.Offsets; off++ {
 		src := [3]float64{
 			float64(n)/2 + rng.Float64() - 0.5,
 			float64(n)/2 + rng.Float64() - 0.5,
 			float64(n)/2 + rng.Float64() - 0.5,
 		}
-		probe.solve(src)
+		mine := off%parts == part
+		if mine {
+			if probe == nil {
+				probe = newSerialPM(n, o.Sigma, o.Ns)
+			}
+			probe.solve(src)
+		}
 		for ir := 0; ir < o.Radii; ir++ {
 			frac := (float64(ir) + 0.5) / float64(o.Radii)
 			r := o.RMin + frac*(o.RCut+0.5-o.RMin)
 			for id := 0; id < o.Dirs; id++ {
 				dir := randDir(rng)
+				if !mine {
+					continue
+				}
 				px := src[0] + r*dir[0]
 				py := src[1] + r*dir[1]
 				pz := src[2] + r*dir[2]
@@ -93,9 +127,48 @@ func FitGridForce(o FitOptions) (*FitResult, error) {
 				rv := [3]float64{r * dir[0], r * dir[1], r * dir[2]}
 				s := r * r
 				f := -(a[0]*rv[0] + a[1]*rv[1] + a[2]*rv[2]) / s
-				ss = append(ss, s)
-				fs = append(fs, f)
+				out = append(out, s, f)
 			}
+		}
+	}
+	return out, nil
+}
+
+// ownedOffsets counts the offsets off < offsets with off ≡ part (mod parts).
+func ownedOffsets(offsets, part, parts int) int {
+	if part >= offsets {
+		return 0
+	}
+	return (offsets-1-part)/parts + 1
+}
+
+// FitSamples fits the degree-5 polynomial to the samples of all offsets:
+// samples is the parts shares' SampleGridForce outputs concatenated in part
+// order (what a rank-ordered gather returns). The samples are put back in
+// offset order first, so the fit sums them in the order one part measures
+// them and its coefficients do not depend on parts.
+func FitSamples(o FitOptions, parts int, samples []float64) (*FitResult, error) {
+	o.setDefaults()
+	per := 2 * o.Radii * o.Dirs
+	if parts < 1 {
+		return nil, fmt.Errorf("shortrange: fit over %d parts", parts)
+	}
+	if len(samples) != per*o.Offsets {
+		return nil, fmt.Errorf("shortrange: %d sample values, want %d (%d offsets × %d radii × %d directions × 2)",
+			len(samples), per*o.Offsets, o.Offsets, o.Radii, o.Dirs)
+	}
+	// Part q's share starts after the shares of parts < q.
+	start := make([]int, parts)
+	for q := 1; q < parts; q++ {
+		start[q] = start[q-1] + per*ownedOffsets(o.Offsets, q-1, parts)
+	}
+	ss := make([]float64, 0, len(samples)/2)
+	fs := make([]float64, 0, len(samples)/2)
+	for off := 0; off < o.Offsets; off++ {
+		b := start[off%parts] + per*(off/parts)
+		for i := b; i < b+per; i += 2 {
+			ss = append(ss, samples[i])
+			fs = append(fs, samples[i+1])
 		}
 	}
 	coef, err := polyFit5(ss, fs, o.RCut*o.RCut)
@@ -211,20 +284,29 @@ func newSerialPM(n int, sigma float64, ns int) *serialPM {
 		rho:   make([]complex128, n*n*n),
 		comp:  make([]complex128, n*n*n),
 	}
+	// Influence6 sums Lap6 over the axes in x, y, z order, so the per-axis
+	// table entries summed in that order give its bits; the filter depends
+	// on |k| alone.
+	lt := make([]float64, n)
+	for m := 0; m < n; m++ {
+		k := spectral.KMode(m, n)
+		p.grad[m] = spectral.GradSL4(k)
+		lt[m] = spectral.Lap6(k)
+	}
+	all := pfft.Box{Hi: [3]int{n, n, n}}
+	filter := spectral.NewRadialTable(all.Hi, all, func(k2 float64) float64 {
+		return spectral.Filter(math.Sqrt(k2), sigma, ns)
+	})
 	// Coupling 4π makes the pair force exactly r̂/r² in the far field.
 	const coupling = 4 * math.Pi
 	for mx := 0; mx < n; mx++ {
-		kx := spectral.KMode(mx, n)
-		p.grad[mx] = spectral.GradSL4(kx)
 		for my := 0; my < n; my++ {
-			ky := spectral.KMode(my, n)
 			for mz := 0; mz < n; mz++ {
 				if mx == 0 && my == 0 && mz == 0 {
 					continue
 				}
-				kz := spectral.KMode(mz, n)
-				g := 1 / spectral.Influence6(kx, ky, kz)
-				f := spectral.Filter(math.Sqrt(kx*kx+ky*ky+kz*kz), sigma, ns)
+				g := 1 / (lt[mx] + lt[my] + lt[mz])
+				f := filter.At(mx, my, mz)
 				p.green[(mx*n+my)*n+mz] = coupling * f * g
 			}
 		}

@@ -112,3 +112,71 @@ func TestSerialPMTablesMatchPerSource(t *testing.T) {
 		}
 	}
 }
+
+// TestSplitFitMatchesFitGridForce pins the split fit — each part's
+// SampleGridForce share, concatenated in part order, fitted by FitSamples —
+// bitwise against the one-part FitGridForce at 1–8 parts (parts beyond
+// Offsets own no offset), for three seeds and one non-default
+// Offsets/Dirs, and pins the default seed-1 coefficients to their recorded
+// bits, so neither the split nor the tabled solver moves the force law.
+func TestSplitFitMatchesFitGridForce(t *testing.T) {
+	seed1 := [6]uint64{0x3fd0f92d6880d5ea, 0xbfb1dd541d5193ef, 0x3f82963f3063b97e,
+		0xbf4481860dd8bfaa, 0x3ef4e6f25c2eb150, 0xbe86e8a33928025f}
+	for _, o := range []FitOptions{{Seed: 1}, {Seed: 7}, {Seed: 42}, {Seed: 7, Offsets: 5, Dirs: 3}} {
+		want, err := FitGridForce(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if o.Seed == 1 && o.Offsets == 0 {
+			for i, c := range want.Poly {
+				if math.Float64bits(c) != seed1[i] {
+					t.Fatalf("seed 1 coefficient %d: %#016x, recorded %#016x", i, math.Float64bits(c), seed1[i])
+				}
+			}
+		}
+		for parts := 1; parts <= 8; parts++ {
+			var all []float64
+			for q := 0; q < parts; q++ {
+				s, err := SampleGridForce(o, q, parts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				all = append(all, s...)
+			}
+			got, err := FitSamples(o, parts, all)
+			if err != nil {
+				t.Fatalf("%+v parts %d: %v", o, parts, err)
+			}
+			for i := range got.Poly {
+				if math.Float64bits(got.Poly[i]) != math.Float64bits(want.Poly[i]) {
+					t.Errorf("%+v parts %d coefficient %d: %v want %v", o, parts, i, got.Poly[i], want.Poly[i])
+				}
+			}
+			if math.Float64bits(got.RMSErr) != math.Float64bits(want.RMSErr) || got.Samples != want.Samples {
+				t.Errorf("%+v parts %d: rms %v samples %d, want %v %d", o, parts, got.RMSErr, got.Samples, want.RMSErr, want.Samples)
+			}
+		}
+	}
+}
+
+// TestFitRejectsBadShares checks the split fit's argument errors: a part
+// outside [0, parts), a grid too small for the cut, and a sample set that
+// is missing a part's share.
+func TestFitRejectsBadShares(t *testing.T) {
+	o := FitOptions{Seed: 1, Offsets: 2, Radii: 4, Dirs: 2}
+	for _, pp := range [][2]int{{-1, 2}, {2, 2}, {0, 0}} {
+		if _, err := SampleGridForce(o, pp[0], pp[1]); err == nil {
+			t.Errorf("part %d of %d accepted", pp[0], pp[1])
+		}
+	}
+	if _, err := SampleGridForce(FitOptions{GridN: 12, RCut: 3}, 0, 1); err == nil {
+		t.Error("grid 12 accepted for rcut 3")
+	}
+	s, err := SampleGridForce(o, 0, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := FitSamples(o, 2, s); err == nil {
+		t.Error("fit accepted one of two shares")
+	}
+}

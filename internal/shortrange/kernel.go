@@ -5,7 +5,8 @@ import "math"
 // Kernel evaluates the short-range pair force on contiguous neighbor lists.
 // It is shared by the RCB-tree and P3M backends.
 type Kernel struct {
-	RCut float64 // matching radius in grid cells (paper: 3 cells + margin)
+	RCut float64    // matching radius in grid cells (paper: 3 cells + margin)
+	Poly [6]float64 // the fitted grid-force coefficients it was built from
 	rc2  float32
 	eps  float32
 	gm   float32
@@ -32,7 +33,7 @@ type RangeKernel func(lx, ly, lz, px, py, pz []float32, ranges [][2]int32, ax, a
 // Plummer-like softening added to s (in cells², short-distance cutoff ε of
 // eq. 7); gm is the pair coupling g·m.
 func NewKernel(poly [6]float64, rcut, eps, gm float64) *Kernel {
-	k := &Kernel{RCut: rcut, GM: gm}
+	k := &Kernel{RCut: rcut, Poly: poly, GM: gm}
 	k.rc2 = float32(rcut * rcut)
 	k.eps = float32(eps)
 	k.gm = float32(gm)

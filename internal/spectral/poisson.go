@@ -147,23 +147,27 @@ func NewPoisson(c *mpi.Comm, dec *grid.Decomp, opts Options) *Poisson {
 // kernelTable composes the k-space Green's function on this rank's
 // half-spectrum z-pencil: coupling × filter (or deconvolution) × inverse
 // influence function, with the DC mode zeroed (mean density sources
-// nothing). Every factor but the filter is separable, so the wavenumbers,
-// the 1-D Laplacian eigenvalues lap6 and the CIC windows come from per-axis
-// tables, and λ(k) = lap6(kx)+lap6(ky)+lap6(kz) sums the table entries in
-// Influence6's order: the same bits, without nine cosines per mode.
+// nothing). The influence function and the CIC windows are separable, so
+// the 1-D Laplacian eigenvalues Lap6 and the windows come from per-axis
+// tables, and λ(k) = Lap6(kx)+Lap6(ky)+Lap6(kz) sums the table entries in
+// Influence6's order: the same bits, without nine cosines per mode. The
+// filter depends on |k| alone and comes from a RadialTable.
 // oracle_test.go holds the per-mode kernelAt the table is checked against.
 func (p *Poisson) kernelTable() []float64 {
 	n := p.dec.N
-	var kt, lt, wt [3][]float64
+	var lt, wt [3][]float64
 	for a := 0; a < 3; a++ {
-		kt[a] = make([]float64, n[a])
 		lt[a] = make([]float64, n[a])
 		wt[a] = make([]float64, n[a])
-		for m := range kt[a] {
+		for m := range lt[a] {
 			k := KMode(m, n[a])
-			kt[a][m], lt[a][m], wt[a][m] = k, lap6(k), sinc(k/2)
+			lt[a][m], wt[a][m] = Lap6(k), sinc(k/2)
 		}
 	}
+	sigma, ns := p.opts.Sigma, p.opts.Ns
+	filter := NewRadialTable(n, p.kbox, func(k2 float64) float64 {
+		return Filter(math.Sqrt(k2), sigma, ns)
+	})
 	c := 1.5 * p.opts.OmegaM
 	kernel := make([]float64, p.kbox.Count())
 	p.pen.ForEachKR(func(mx, my, mz, idx int) {
@@ -173,8 +177,7 @@ func (p *Poisson) kernelTable() []float64 {
 		g := 1 / (lt[0][mx] + lt[1][my] + lt[2][mz])
 		f := 1.0
 		if p.opts.Filter {
-			kx, ky, kz := kt[0][mx], kt[1][my], kt[2][mz]
-			f = Filter(math.Sqrt(kx*kx+ky*ky+kz*kz), p.opts.Sigma, p.opts.Ns)
+			f = filter.At(mx, my, mz)
 		} else if p.opts.Deconvolve {
 			w := wt[0][mx] * wt[1][my] * wt[2][mz]
 			f = 1 / (w * w * w * w)
