@@ -19,12 +19,20 @@ import (
 // the domain exchange's 0x100000–0x1fffff and the pfft redistributor tag.
 const tagGhostBase = 0x200000
 
-// gLeg is one planned neighbor leg of the ghost exchange: the peer rank plus
-// views of the ghost-slot and owned-cell index lists for that peer.
+// span is a run of n consecutive storage cells starting at index at.
+type span struct{ at, n int }
+
+// wrapSpan is a self-wrap run: the n ghost slots from ghost mirror the n
+// interior cells from owned, both on this rank.
+type wrapSpan struct{ ghost, owned, n int }
+
+// gLeg is one planned neighbor leg of the ghost exchange: the peer rank,
+// my ghost runs that mirror its cells and my interior runs that its ghosts
+// mirror, each list in message order, and their cell counts.
 type gLeg struct {
-	rank  int
-	ghost []int
-	owned []int
+	rank           int
+	ghost, owned   []span
+	nGhost, nOwned int
 }
 
 // Exchanger moves ghost-cell data between neighboring ranks of a block
@@ -36,29 +44,26 @@ type gLeg struct {
 //     (e.g. before force interpolation of overloaded particles).
 //
 // The plan is built once per (decomposition, ghost width) and reused every
-// step; only values move afterwards. Both directions split into Begin (pack
-// + post non-blocking legs) and End (wait + unpack), so callers can overlap
-// the exchange with computation; Accumulate/Fill are the sequential
-// Begin+End compositions. oracle_test.go holds the dense all-to-all form
-// the legs are checked against.
+// step; only values move afterwards. It holds runs, not cells: every leg
+// and the self-wraps are lists of z-runs whose concatenation is the
+// message (or the wrap) in cell order, so a ghost-6 plan on a 32×64×64
+// box is ≈ 8 k runs instead of ≈ 250 k cell indices, and packing and
+// unpacking are copy (fill) and add (accumulate) loops over them. Both
+// directions split into Begin (pack + post non-blocking legs) and End
+// (wait + unpack), so callers can overlap the exchange with computation;
+// Accumulate/Fill are the sequential Begin+End compositions. The receives
+// let go of their frames as they are unpacked, so a pooled op pins no
+// message between collectives. The dense all-to-all form the legs are
+// checked against lives in oracle_test.go, with its own per-cell lists.
 type Exchanger struct {
 	comm *mpi.Comm
-	// ghostSlots[r] lists my local ghost storage indices whose canonical
-	// cell is owned by rank r; ownedIdx[r] lists my interior storage indices
-	// that rank r's ghost slots mirror (in r's canonical order). Dense
-	// (per-rank) form; legs holds the planned neighbor-only view of the
-	// same lists.
-	ghostSlots [][]int
-	ownedIdx   [][]int
-	legs       []gLeg
-	// Self-wrap pairs (periodic images landing on the same rank).
-	selfGhost []int
-	selfOwned []int
+	legs []gLeg
+	// self lists the periodic images landing on this rank.
+	self []wrapSpan
 
-	// Per-destination send buffers, reused across Accumulate/Fill calls
-	// (the eager mpi sends copy outgoing payloads at post time, so the
-	// buffers are free for the next Begin as soon as the posts return).
-	send [][]float64
+	// send is the one pack buffer, reused leg after leg: the mpi runtime
+	// copies or writes a payload before Send returns.
+	send []float64
 
 	id   int
 	seq  int
@@ -78,42 +83,49 @@ type GhostOp struct {
 // NewExchanger builds an exchange plan. Collective over comm; the field f
 // supplies the local box shape and ghost width (its data is not touched).
 func NewExchanger(c *mpi.Comm, d *Decomp, f *Field) *Exchanger {
-	p := c.Size()
-	me := c.Rank()
-	pl := planGhosts(d, f, me)
-	e := &Exchanger{
-		comm:       c,
-		id:         c.NextPlanID(),
-		ghostSlots: pl.ghostSlots,
-		ownedIdx:   make([][]int, p),
-		selfGhost:  pl.selfGhost,
-		selfOwned:  pl.selfOwned,
-	}
-	// Owners translate requested coordinates to interior indices. One-time
-	// plan construction; the per-step path below uses only neighbor legs.
-	recvd := mpi.AllToAll(c, pl.coords)
-	for r := 0; r < p; r++ {
-		cs := recvd[r]
-		idx := make([]int, len(cs)/3)
-		for i := range idx {
-			x, y, z := int(cs[3*i]), int(cs[3*i+1]), int(cs[3*i+2])
-			if !f.Box.Contains(x, y, z) {
-				panic(fmt.Sprintf("grid: rank %d asked rank %d for non-owned cell (%d,%d,%d)", r, me, x, y, z))
-			}
-			idx[i] = f.index(x, y, z)
-		}
-		e.ownedIdx[r] = idx
-	}
-	// Neighbor legs: the ranks with traffic in either direction (the halo
-	// geometry is symmetric, so both lists are non-empty together, but the
-	// leg carries each direction's list independently).
-	for r := 0; r < p; r++ {
-		if len(e.ghostSlots[r]) == 0 && len(e.ownedIdx[r]) == 0 {
+	pl := planGhosts(d, f, c.Rank())
+	e := &Exchanger{comm: c, id: c.NextPlanID(), self: pl.self}
+	// Owners translate requested runs to interior runs. One-time plan
+	// construction; the per-step path below uses only neighbor legs.
+	recvd := mpi.AllToAll(c, pl.want)
+	for r := range recvd {
+		owned := f.ownedRuns(recvd[r], r)
+		if len(pl.ghost[r]) == 0 && len(owned) == 0 {
 			continue
 		}
-		e.legs = append(e.legs, gLeg{rank: r, ghost: e.ghostSlots[r], owned: e.ownedIdx[r]})
+		// Neighbor legs: the ranks with traffic in either direction (the
+		// halo geometry is symmetric, so both lists are non-empty together,
+		// but the leg carries each direction's list independently).
+		e.legs = append(e.legs, gLeg{rank: r, ghost: pl.ghost[r], owned: owned,
+			nGhost: cells(pl.ghost[r]), nOwned: cells(owned)})
 	}
 	return e
+}
+
+// ownedRuns translates rank r's requested runs — (x, y, z, n) quads of
+// canonical coordinates, n cells along z — to interior storage runs.
+func (f *Field) ownedRuns(want []int32, r int) []span {
+	if len(want) == 0 {
+		return nil
+	}
+	runs := make([]span, len(want)/4)
+	for i := range runs {
+		x, y, z, n := int(want[4*i]), int(want[4*i+1]), int(want[4*i+2]), int(want[4*i+3])
+		if !f.Box.Contains(x, y, z) || !f.Box.Contains(x, y, z+n-1) {
+			panic(fmt.Sprintf("grid: rank %d asked for non-owned cells (%d,%d,%d..%d)", r, x, y, z, z+n-1))
+		}
+		runs[i] = span{at: f.index(x, y, z), n: n}
+	}
+	return runs
+}
+
+// cells counts the cells of a run list.
+func cells(runs []span) int {
+	k := 0
+	for _, r := range runs {
+		k += r.n
+	}
+	return k
 }
 
 // NumLegs returns the number of planned neighbor legs (≤ the 26-stencil for
@@ -146,18 +158,12 @@ func (e *Exchanger) getOp(f *Field, fill bool) *GhostOp {
 func (e *Exchanger) AccumulateBegin(f *Field) *GhostOp {
 	op := e.getOp(f, false)
 	tag := e.nextTag()
-	send := e.sendScratch()
 	for li := range e.legs {
 		leg := &e.legs[li]
-		if len(leg.ghost) > 0 {
-			buf := par.Resize(send[leg.rank], len(leg.ghost))
-			for i, s := range leg.ghost {
-				buf[i] = f.Data[s]
-			}
-			send[leg.rank] = buf
-			mpi.Isend(e.comm, leg.rank, tag, buf)
+		if leg.nGhost > 0 {
+			e.post(tag, leg.rank, f.Data, leg.ghost, leg.nGhost)
 		}
-		if len(leg.owned) > 0 {
+		if leg.nOwned > 0 {
 			mpi.IrecvInit(e.comm, leg.rank, tag, &op.reqs[li])
 		}
 	}
@@ -170,62 +176,85 @@ func (e *Exchanger) AccumulateBegin(f *Field) *GhostOp {
 func (e *Exchanger) FillBegin(f *Field) *GhostOp {
 	op := e.getOp(f, true)
 	tag := e.nextTag()
-	send := e.sendScratch()
 	for li := range e.legs {
 		leg := &e.legs[li]
-		if len(leg.owned) > 0 {
-			buf := par.Resize(send[leg.rank], len(leg.owned))
-			for i, idx := range leg.owned {
-				buf[i] = f.Data[idx]
-			}
-			send[leg.rank] = buf
-			mpi.Isend(e.comm, leg.rank, tag, buf)
+		if leg.nOwned > 0 {
+			e.post(tag, leg.rank, f.Data, leg.owned, leg.nOwned)
 		}
-		if len(leg.ghost) > 0 {
+		if leg.nGhost > 0 {
 			mpi.IrecvInit(e.comm, leg.rank, tag, &op.reqs[li])
 		}
 	}
 	return op
 }
 
+// post packs the n cells of runs into the pack buffer and sends them.
+func (e *Exchanger) post(tag, rank int, data []float64, runs []span, n int) {
+	e.send = par.Resize(e.send, n)
+	k := 0
+	for _, r := range runs {
+		k += copy(e.send[k:k+r.n], data[r.at:r.at+r.n])
+	}
+	mpi.Isend(e.comm, rank, tag, e.send)
+}
+
 // End waits for the op's neighbor legs and unpacks them (in rank order,
-// matching the dense oracle bitwise), applies the self-wrap pairs, and — for
-// accumulates — zeroes the ghost halo. The op returns to the pool.
+// matching the dense oracle bitwise), applies the self-wraps, and — for
+// accumulates — zeroes the ghost halo. Every received frame is released
+// as it is unpacked; the op returns to the pool.
 func (op *GhostOp) End() {
 	e := op.e
-	f := op.f
+	data := op.f.Data
 	if op.fill {
 		for li := range e.legs {
 			leg := &e.legs[li]
-			if len(leg.ghost) == 0 {
+			if leg.nGhost == 0 {
 				continue
 			}
-			buf := mpi.WaitRecv[float64](&op.reqs[li])
-			for i, s := range leg.ghost {
-				f.Data[s] = buf[i]
+			buf := recvLeg(&op.reqs[li], leg.rank, leg.nGhost)
+			for _, r := range leg.ghost {
+				buf = buf[copy(data[r.at:r.at+r.n], buf):]
 			}
 		}
-		for i, s := range e.selfGhost {
-			f.Data[s] = f.Data[e.selfOwned[i]]
+		for _, w := range e.self {
+			copy(data[w.ghost:w.ghost+w.n], data[w.owned:w.owned+w.n])
 		}
 	} else {
 		for li := range e.legs {
 			leg := &e.legs[li]
-			if len(leg.owned) == 0 {
+			if leg.nOwned == 0 {
 				continue
 			}
-			buf := mpi.WaitRecv[float64](&op.reqs[li])
-			for i, idx := range leg.owned {
-				f.Data[idx] += buf[i]
+			buf := recvLeg(&op.reqs[li], leg.rank, leg.nOwned)
+			for _, r := range leg.owned {
+				addInto(data[r.at:r.at+r.n], buf)
+				buf = buf[r.n:]
 			}
 		}
-		for i, s := range e.selfGhost {
-			f.Data[e.selfOwned[i]] += f.Data[s]
+		for _, w := range e.self {
+			addInto(data[w.owned:w.owned+w.n], data[w.ghost:w.ghost+w.n])
 		}
-		f.ZeroGhosts()
+		op.f.ZeroGhosts()
 	}
 	op.f = nil
 	e.free = append(e.free, op)
+}
+
+// recvLeg completes a leg's receive, checking that it carries n cells.
+func recvLeg(req *mpi.Request, rank, n int) []float64 {
+	buf := mpi.WaitRecv[float64](req)
+	if len(buf) != n {
+		panic(fmt.Sprintf("grid: ghost leg from rank %d carried %d cells, want %d", rank, len(buf), n))
+	}
+	return buf
+}
+
+// addInto adds src[i] into dst[i] for every i < len(dst).
+func addInto(dst, src []float64) {
+	src = src[:len(dst)]
+	for i, v := range src {
+		dst[i] += v
+	}
 }
 
 // Accumulate adds every ghost value into its owning cell (local pairs and
@@ -236,36 +265,32 @@ func (e *Exchanger) Accumulate(f *Field) { e.AccumulateBegin(f).End() }
 // periodic value of its canonical cell. Collective.
 func (e *Exchanger) Fill(f *Field) { e.FillBegin(f).End() }
 
-// sendScratch returns the reusable per-destination send buffers, emptied
-// (capacity retained).
-func (e *Exchanger) sendScratch() [][]float64 {
-	if e.send == nil {
-		e.send = make([][]float64, e.comm.Size())
-	}
-	for r := range e.send {
-		e.send[r] = e.send[r][:0]
-	}
-	return e.send
-}
-
-// ghostPlan is the rank-local half of an exchanger plan: every ghost slot
-// of the extended box, in storage order, either paired with the interior
-// cell it mirrors on this rank (selfGhost/selfOwned) or listed under its
-// owner rank together with the canonical coordinates of the cell it mirrors
-// (ghostSlots/coords, x,y,z triples), which the owner translates to its own
-// interior indices.
+// ghostPlan is the rank-local half of an exchanger plan: the ghost slots
+// of the extended box cut into z-runs, in storage order, each either a
+// self-wrap (its canonical cells are mine) or listed under its owner rank
+// (ghost) together with the canonical coordinates of its first cell and
+// its length (want, x,y,z,n quads), which the owner translates to its own
+// interior runs.
 type ghostPlan struct {
-	selfGhost, selfOwned []int
-	ghostSlots           [][]int
-	coords               [][]int32
+	self  []wrapSpan
+	ghost [][]span
+	want  [][]int32
 }
 
-// planGhosts walks the ghost slots of f's extended box in storage order.
-// Wrapping and ownership are separable per axis, so they come from per-axis
-// tables over the extended coordinates — the wrapped global coordinate and
-// the owner's process coordinate along that axis — and the interior is
-// skipped a z-row span at a time. oracle_test.go holds the per-cell
-// planner (wrap + RankOf per slot) the lists are checked against.
+// zRun is a maximal run of extended z coordinates [lz, lz+n) with one owner
+// process coordinate c and consecutive wrapped coordinates from z.
+type zRun struct{ lz, n, c, z int }
+
+// planGhosts walks the ghost slots of f's extended box in storage order,
+// one z-row at a time. Wrapping and ownership are separable per axis, so
+// they come from per-axis tables over the extended coordinates — the
+// wrapped global coordinate and the owner's process coordinate along that
+// axis — and a row is cut into runs where the z owner changes or the wrap
+// jumps: every row outside the interior columns takes the full row's runs,
+// every interior-column row the runs of its two z rims. A first pass
+// counts each list, so every list is allocated once at its final length.
+// oracle_test.go holds the per-cell planner (wrap + RankOf per slot) the
+// expanded runs are checked against.
 func planGhosts(d *Decomp, f *Field, me int) ghostPlan {
 	g := f.Ghost
 	var wc, oc [3][]int
@@ -283,61 +308,61 @@ func planGhosts(d *Decomp, f *Field, me int) ghostPlan {
 			wc[a][l], oc[a][l] = x, c
 		}
 	}
-	// Ownership is separable too, so each list's length is the product of
-	// per-axis owner histograms (less the interior, which is mine): every
-	// list is allocated once at its final size.
-	var hist [3][]int
-	for a := 0; a < 3; a++ {
-		hist[a] = make([]int, d.Dims[a])
-		for _, c := range oc[a] {
-			hist[a][c]++
-		}
-	}
-	p := d.NumRanks()
-	pl := ghostPlan{ghostSlots: make([][]int, p), coords: make([][]int32, p)}
-	for r := 0; r < p; r++ {
-		cz := r % d.Dims[2]
-		cy := (r / d.Dims[2]) % d.Dims[1]
-		cx := r / (d.Dims[1] * d.Dims[2])
-		k := hist[0][cx] * hist[1][cy] * hist[2][cz]
-		if r == me {
-			k -= f.size[0] * f.size[1] * f.size[2]
-		}
-		switch {
-		case k == 0: // no traffic: the list stays nil
-		case r == me:
-			pl.selfGhost = make([]int, 0, k)
-			pl.selfOwned = make([]int, 0, k)
-		default:
-			pl.ghostSlots[r] = make([]int, 0, k)
-			pl.coords[r] = make([]int32, 0, 3*k)
-		}
-	}
-	for lx := 0; lx < f.ext[0]; lx++ {
-		inX := lx >= g && lx < g+f.size[0]
-		for ly := 0; ly < f.ext[1]; ly++ {
-			inXY := inX && ly >= g && ly < g+f.size[1]
-			ownerXY := (oc[0][lx]*d.Dims[1] + oc[1][ly]) * d.Dims[2]
-			row := (lx*f.ext[1] + ly) * f.ext[2]
-			for lz := 0; lz < f.ext[2]; lz++ {
-				if inXY && lz == g {
-					lz = g + f.size[2] - 1 // skip the interior span
+	zRuns := func(runs []zRun, lo, hi int) []zRun {
+		for lz := lo; lz < hi; lz++ {
+			if n := len(runs); n > 0 {
+				r := &runs[n-1]
+				if r.lz+r.n == lz && r.c == oc[2][lz] && r.z+r.n == wc[2][lz] {
+					r.n++
 					continue
 				}
-				owner := ownerXY + oc[2][lz]
-				cx, cy, cz := wc[0][lx], wc[1][ly], wc[2][lz]
-				if owner == me {
-					// The cell is in my box, so its interior slot needs no wrap.
-					pl.selfGhost = append(pl.selfGhost, row+lz)
-					pl.selfOwned = append(pl.selfOwned,
-						((cx-f.Box.Lo[0]+g)*f.ext[1]+cy-f.Box.Lo[1]+g)*f.ext[2]+cz-f.Box.Lo[2]+g)
-					continue
+			}
+			runs = append(runs, zRun{lz: lz, n: 1, c: oc[2][lz], z: wc[2][lz]})
+		}
+		return runs
+	}
+	full := zRuns(nil, 0, f.ext[2])
+	rims := zRuns(zRuns(nil, 0, g), g+f.size[2], f.ext[2])
+	walk := func(emit func(owner, slot int, r zRun, lx, ly int)) {
+		for lx := 0; lx < f.ext[0]; lx++ {
+			inX := lx >= g && lx < g+f.size[0]
+			for ly := 0; ly < f.ext[1]; ly++ {
+				runs := full
+				if inX && ly >= g && ly < g+f.size[1] {
+					runs = rims
 				}
-				pl.ghostSlots[owner] = append(pl.ghostSlots[owner], row+lz)
-				pl.coords[owner] = append(pl.coords[owner], int32(cx), int32(cy), int32(cz))
+				ownerXY := (oc[0][lx]*d.Dims[1] + oc[1][ly]) * d.Dims[2]
+				row := (lx*f.ext[1] + ly) * f.ext[2]
+				for _, r := range runs {
+					emit(ownerXY+r.c, row+r.lz, r, lx, ly)
+				}
 			}
 		}
 	}
+	count := make([]int, d.NumRanks())
+	walk(func(owner, _ int, _ zRun, _, _ int) { count[owner]++ })
+	pl := ghostPlan{ghost: make([][]span, len(count)), want: make([][]int32, len(count))}
+	for r, k := range count {
+		switch {
+		case k == 0: // no traffic: the list stays nil
+		case r == me:
+			pl.self = make([]wrapSpan, 0, k)
+		default:
+			pl.ghost[r] = make([]span, 0, k)
+			pl.want[r] = make([]int32, 0, 4*k)
+		}
+	}
+	walk(func(owner, slot int, r zRun, lx, ly int) {
+		cx, cy := wc[0][lx], wc[1][ly]
+		if owner == me {
+			// The cells are in my box, so their interior slots need no wrap.
+			pl.self = append(pl.self, wrapSpan{ghost: slot, n: r.n,
+				owned: ((cx-f.Box.Lo[0]+g)*f.ext[1]+cy-f.Box.Lo[1]+g)*f.ext[2] + r.z - f.Box.Lo[2] + g})
+			return
+		}
+		pl.ghost[owner] = append(pl.ghost[owner], span{at: slot, n: r.n})
+		pl.want[owner] = append(pl.want[owner], int32(cx), int32(cy), int32(r.z), int32(r.n))
+	})
 	return pl
 }
 

@@ -29,28 +29,33 @@ func sameData(t *testing.T, what string, a, b *Field) {
 
 // TestGhostPlannedMatchesDense pins the planned neighbor-leg exchange
 // against the dense all-to-all oracle bitwise, both directions, across rank
-// counts (including 1, where everything is a self wrap).
+// counts (including 1, where everything is a self wrap) and ghost widths.
+// At ghost 5 and 6 on 16³ a halo reaches past the neighbor's box and back,
+// so one leg mirrors an owned cell twice: the accumulate must add both
+// contributions in the oracle's order.
 func TestGhostPlannedMatchesDense(t *testing.T) {
 	n := [3]int{16, 16, 16}
-	for _, p := range []int{1, 2, 4, 8} {
+	for _, tc := range []struct{ p, ghost int }{{1, 2}, {2, 2}, {4, 2}, {8, 2}, {2, 5}, {2, 6}, {8, 5}, {8, 6}} {
+		p, g := tc.p, tc.ghost
 		err := mpi.Run(p, func(c *mpi.Comm) {
 			dec := NewDecomp(n, p)
 			box := dec.Box(c.Rank())
-			fp := NewField(n, box, 2)
-			fd := NewField(n, box, 2)
+			fp := NewField(n, box, g)
+			fd := NewField(n, box, g)
 			e := NewExchanger(c, dec, fp)
+			o := newDenseExchanger(c, dec, fd)
 			for round := 0; round < 2; round++ {
-				seed := int64(1000*p + 10*c.Rank() + round)
+				seed := int64(1000*p + 100*g + 10*c.Rank() + round)
 				randomField(fp, seed)
 				randomField(fd, seed)
 				e.Accumulate(fp)
-				e.AccumulateDense(fd)
-				sameData(t, fmt.Sprintf("p=%d round=%d accumulate", p, round), fp, fd)
+				o.Accumulate(fd)
+				sameData(t, fmt.Sprintf("p=%d ghost=%d round=%d accumulate", p, g, round), fp, fd)
 				randomField(fp, seed+7)
 				randomField(fd, seed+7)
 				e.Fill(fp)
-				e.FillDense(fd)
-				sameData(t, fmt.Sprintf("p=%d round=%d fill", p, round), fp, fd)
+				o.Fill(fd)
+				sameData(t, fmt.Sprintf("p=%d ghost=%d round=%d fill", p, g, round), fp, fd)
 			}
 		})
 		if err != nil {
@@ -59,10 +64,11 @@ func TestGhostPlannedMatchesDense(t *testing.T) {
 	}
 }
 
-// TestGhostPlanMatchesPerCell pins the table-driven planner against the
-// per-cell one: identical self pairs, ghost slots and requested coordinates,
-// in the same order and each list allocated at its final length, for ghost widths 1–6 on 1–8 ranks, on a cubic uniform
-// decomposition and on a non-cubic one with uneven cuts.
+// TestGhostPlanMatchesPerCell pins the run planner against the per-cell
+// one: the runs, expanded cell by cell, give identical self pairs, ghost
+// slots and requested coordinates, in the same order, and each run list is
+// allocated at its final length — for ghost widths 1–6 on 1–8 ranks, on a
+// cubic uniform decomposition and on a non-cubic one with uneven cuts.
 func TestGhostPlanMatchesPerCell(t *testing.T) {
 	type layout struct {
 		name string
@@ -78,17 +84,16 @@ func TestGhostPlanMatchesPerCell(t *testing.T) {
 		for g := 1; g <= 6; g++ {
 			for me := 0; me < l.dec.NumRanks(); me++ {
 				f := NewField(l.dec.N, l.dec.Box(me), g)
-				got, want := planGhosts(l.dec, f, me), planGhostsPerCell(l.dec, f, me)
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s ghost=%d rank %d: table plan differs from the per-cell plan", l.name, g, me)
+				runs := planGhosts(l.dec, f, me)
+				if got, want := runs.expand(), planGhostsPerCell(l.dec, f, me); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s ghost=%d rank %d: expanded run plan differs from the per-cell plan", l.name, g, me)
 				}
-				// Every list was sized exactly up front.
-				exact := cap(got.selfGhost) == len(got.selfGhost) && cap(got.selfOwned) == len(got.selfOwned)
-				for r := range got.ghostSlots {
-					exact = exact && cap(got.ghostSlots[r]) == len(got.ghostSlots[r]) && cap(got.coords[r]) == len(got.coords[r])
+				exact := cap(runs.self) == len(runs.self)
+				for r := range runs.ghost {
+					exact = exact && cap(runs.ghost[r]) == len(runs.ghost[r]) && cap(runs.want[r]) == len(runs.want[r])
 				}
 				if !exact {
-					t.Fatalf("%s ghost=%d rank %d: a list was not allocated at its final length", l.name, g, me)
+					t.Fatalf("%s ghost=%d rank %d: a run list was not allocated at its final length", l.name, g, me)
 				}
 			}
 		}
@@ -125,13 +130,14 @@ func TestGhostFillPipelined(t *testing.T) {
 		// isolated (distinct sequenced tags).
 		acc := NewField(n, box, 2)
 		accRef := NewField(n, box, 2)
+		o := newDenseExchanger(c, dec, accRef)
 		randomField(acc, int64(c.Rank()+99))
 		randomField(accRef, int64(c.Rank()+99))
 		fillOp := e.FillBegin(pip[0])
 		accOp := e.AccumulateBegin(acc)
 		accOp.End()
 		fillOp.End()
-		e.AccumulateDense(accRef)
+		o.Accumulate(accRef)
 		sameData(t, "interleaved accumulate", acc, accRef)
 	})
 	if err != nil {
@@ -153,18 +159,19 @@ func TestGhostMessageCountStencil(t *testing.T) {
 		err := w.Run(func(c *mpi.Comm) {
 			dec := NewDecomp(n, p)
 			f := NewField(n, dec.Box(c.Rank()), 2)
-			e := NewExchanger(c, dec, f)
 			randomField(f, int64(c.Rank()))
+			if dense {
+				o := newDenseExchanger(c, dec, f)
+				o.Accumulate(f)
+				o.Fill(f)
+				return
+			}
+			e := NewExchanger(c, dec, f)
 			if c.Rank() == 0 {
 				legs = e.NumLegs()
 			}
-			if dense {
-				e.AccumulateDense(f)
-				e.FillDense(f)
-			} else {
-				e.Accumulate(f)
-				e.Fill(f)
-			}
+			e.Accumulate(f)
+			e.Fill(f)
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -260,27 +260,16 @@ func (f *Field) Fill(v float64) {
 }
 
 // Owned extracts the interior (owned) region as a contiguous array in the
-// canonical block-layout order (z fastest), ready for a pfft.Redistributor.
+// canonical block-layout order (z fastest). The block↔pencil
+// redistributions do not need it: a padded pfft layout reads and writes
+// the interior in place.
 func (f *Field) Owned() []float64 {
-	return f.OwnedInto(nil)
-}
-
-// OwnedInto is Owned with a caller-provided destination: dst is grown only
-// if its capacity is insufficient and returned at the owned-region length,
-// so a buffer reused across calls makes the block↔pencil boundary
-// allocation-free (SetOwned is already the non-allocating inverse).
-func (f *Field) OwnedInto(dst []float64) []float64 {
-	n := f.size[0] * f.size[1] * f.size[2]
-	if cap(dst) < n {
-		dst = make([]float64, n)
-	}
-	dst = dst[:n]
+	dst := make([]float64, f.size[0]*f.size[1]*f.size[2])
 	k := 0
 	for x := 0; x < f.size[0]; x++ {
 		for y := 0; y < f.size[1]; y++ {
 			base := ((x+f.Ghost)*f.ext[1]+y+f.Ghost)*f.ext[2] + f.Ghost
-			copy(dst[k:k+f.size[2]], f.Data[base:base+f.size[2]])
-			k += f.size[2]
+			k += copy(dst[k:k+f.size[2]], f.Data[base:base+f.size[2]])
 		}
 	}
 	return dst

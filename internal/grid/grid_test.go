@@ -110,27 +110,6 @@ func TestOwnedRoundTrip(t *testing.T) {
 			t.Fatalf("round trip differs at %d", i)
 		}
 	}
-	// OwnedInto must agree, reuse a big-enough buffer without reallocating,
-	// and grow an undersized one.
-	big := make([]float64, len(vals)+7)
-	into := f.OwnedInto(big)
-	if &into[0] != &big[0] || len(into) != len(vals) {
-		t.Fatal("OwnedInto did not reuse the provided buffer")
-	}
-	for i := range vals {
-		if into[i] != vals[i] {
-			t.Fatalf("OwnedInto differs at %d", i)
-		}
-	}
-	grown := f.OwnedInto(make([]float64, 3))
-	if len(grown) != len(vals) {
-		t.Fatalf("OwnedInto grew to %d want %d", len(grown), len(vals))
-	}
-	for i := range vals {
-		if grown[i] != vals[i] {
-			t.Fatalf("grown OwnedInto differs at %d", i)
-		}
-	}
 }
 
 func TestExchangerAccumulate(t *testing.T) {

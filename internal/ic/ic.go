@@ -123,9 +123,8 @@ func Generate(c *mpi.Comm, dec *grid.Decomp, lp *cosmology.LinearPower, o Option
 	// the block layout, ghost-filled and read off at the lattice sites.
 	spec := make([]complex128, len(delta))
 	vals := make([]float64, pen.LocalX().Count())
-	toBlock := pfft.NewRedistributor[float64](c, pen.LayoutX(), dec.Layout())
-	owned := make([]float64, toBlock.DstLen())
 	disp := grid.NewField(n, box, 2)
+	toBlock := pfft.NewRedistributor[float64](c, pen.LayoutX(), dec.Layout().Padded(disp.Ghost))
 	ex := grid.NewExchanger(c, dec, disp)
 	var displ [3][]float32
 	for d := 0; d < 3; d++ {
@@ -144,7 +143,7 @@ func Generate(c *mpi.Comm, dec *grid.Decomp, lp *cosmology.LinearPower, o Option
 		for i, v := range rs {
 			vals[i] = real(v)
 		}
-		disp.SetOwned(toBlock.Run(vals, owned))
+		toBlock.Run(vals, disp.Data)
 		ex.Fill(disp)
 		displ[d] = make([]float32, np)
 		grid.InterpCIC(disp, qx, qy, qz, displ[d], 1)

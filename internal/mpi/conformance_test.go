@@ -543,6 +543,40 @@ var conformanceChecks = []conformanceCheck{
 		})
 	}},
 
+	{"WaitRecvReleasesPayload", func(t *testing.T, tc transportCase) {
+		// WaitRecv hands the payload over: a request it completed (even one
+		// re-armed in place, as persistent plans reuse theirs) references no
+		// frame afterwards, while Wait followed by Payload keeps it.
+		mustRun(t, tc, 2, func(c *Comm) {
+			if c.Rank() == 0 {
+				Send(c, 1, 4, []float64{1, 2, 3})
+				Send(c, 1, 5, []float64{4, 5})
+				Send(c, 1, 6, []float64{6})
+				return
+			}
+			var req Request
+			IrecvInit(c, 0, 4, &req)
+			if got := WaitRecv[float64](&req); len(got) != 3 || got[2] != 3 {
+				t.Errorf("got %v", got)
+			}
+			if req.holdsPayload() || Payload[float64](&req) != nil {
+				t.Error("request completed by WaitRecv still references its payload")
+			}
+			IrecvInit(c, 0, 5, &req)
+			if got := WaitRecv[float64](&req); len(got) != 2 || got[1] != 5 {
+				t.Errorf("got %v", got)
+			}
+			if req.holdsPayload() {
+				t.Error("re-armed request completed by WaitRecv still references its payload")
+			}
+			IrecvInit(c, 0, 6, &req)
+			req.Wait()
+			if got := Payload[float64](&req); len(got) != 1 || got[0] != 6 || !req.holdsPayload() {
+				t.Errorf("Wait then Payload: got %v", got)
+			}
+		})
+	}},
+
 	{"IrecvCompletionOrdering", func(t *testing.T, tc transportCase) {
 		// Posts receives before any message exists and completes them against
 		// messages arriving in the opposite order: each request must match its

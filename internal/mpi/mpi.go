@@ -3,6 +3,7 @@ package mpi
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -129,11 +130,13 @@ func (m *mailbox) take(ctx int64, src, tag int, timeout time.Duration) (message,
 }
 
 // match removes and returns the first pending message matching
-// (ctx, src, tag). Caller holds m.mu. Wire-delivered messages carry the
-// sender's wall-clock timestamp; the send→match delta is the wire latency a
-// receiver actually experienced (transport plus any time the message sat
-// unmatched), recorded here so every Recv/Wait/collective leg feeds the
-// histogram without instrumenting each call site. Wall clocks across
+// (ctx, src, tag), clearing the slot the removal vacates so the queue's
+// spare capacity pins no payload. Caller holds m.mu. Wire-delivered
+// messages carry the sender's wall-clock timestamp; the send→match delta
+// is the wire latency a receiver actually experienced (transport plus any
+// time the message sat unmatched), recorded here so every
+// Recv/Wait/collective leg feeds the histogram without instrumenting each
+// call site. Wall clocks across
 // processes can skew; a negative delta clamps to zero rather than
 // corrupting the distribution.
 func (m *mailbox) match(ctx int64, src, tag int) (message, bool) {
@@ -147,7 +150,7 @@ func (m *mailbox) match(ctx int64, src, tag int) (message, bool) {
 		if tag != AnyTag && msg.tag != tag {
 			continue
 		}
-		m.pending = append(m.pending[:i], m.pending[i+1:]...)
+		m.pending = slices.Delete(m.pending, i, i+1)
 		if msg.sentNs != 0 && m.lat != nil {
 			d := time.Now().UnixNano() - msg.sentNs
 			if d < 0 {

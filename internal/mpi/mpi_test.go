@@ -151,3 +151,24 @@ func TestSplitCtxDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestMailboxMatchVacatesSlot pins that a matched message leaves no copy of
+// itself in the queue's spare capacity: a receive that hands its payload
+// over must not have it pinned by the mailbox until later traffic
+// overwrites the slot.
+func TestMailboxMatchVacatesSlot(t *testing.T) {
+	m := newMailbox(0)
+	for tag := 0; tag < 3; tag++ {
+		m.put(message{tag: tag, payload: []float64{float64(tag)}})
+	}
+	for _, tag := range []int{1, 0, 2} {
+		if msg, ok := m.match(0, 0, tag); !ok || msg.tag != tag {
+			t.Fatalf("match tag %d: got %+v, %v", tag, msg, ok)
+		}
+	}
+	for i, msg := range m.pending[:cap(m.pending)] {
+		if msg.payload != nil {
+			t.Errorf("queue slot %d still holds a payload after every message was matched", i)
+		}
+	}
+}

@@ -63,8 +63,9 @@ func IrecvInit(c *Comm, src, tag int, r *Request) {
 }
 
 // Wait blocks until the request completes. For receives the payload becomes
-// available via Payload. Wait panics if the world aborted or the world's
-// operation timeout (World.SetTimeout) elapsed.
+// available via Payload (WaitRecv completes and takes it in one call). Wait
+// panics if the world aborted or the world's operation timeout
+// (World.SetTimeout) elapsed.
 func (r *Request) Wait() {
 	if err := r.WaitTimeout(0); err != nil {
 		panic(err)
@@ -100,9 +101,6 @@ func (r *Request) WaitTimeout(timeout time.Duration) error {
 	return nil
 }
 
-// Done reports completion without attempting to complete the request.
-func (r *Request) Done() bool { return r.done }
-
 // Payload returns the received buffer of a completed receive request. It
 // panics if the request has not completed or the element type mismatches.
 // Send requests return nil.
@@ -123,8 +121,14 @@ func Payload[T any](r *Request) []T {
 	return buf
 }
 
-// WaitRecv completes a receive request and returns its payload.
+// WaitRecv completes a receive request and hands its payload over: the
+// request keeps no reference to it, so a plan that reuses its requests
+// across collectives does not pin the last frame of each leg until the
+// next one. Payload on the request returns nil afterwards; Wait followed
+// by Payload leaves the payload on the request.
 func WaitRecv[T any](r *Request) []T {
 	r.Wait()
-	return Payload[T](r)
+	buf := Payload[T](r)
+	r.payload = nil
+	return buf
 }

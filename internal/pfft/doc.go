@@ -7,7 +7,9 @@
 // The package is plan-based. Redistributor[T] precomputes a
 // layout-intersection schedule for moving data between arbitrary
 // rectangular layouts: empty legs are dropped, the self overlap is a direct
-// move, pack buffers persist, and every leg is a short list of runs
+// move, sends stage in a Pack that plans run one at a time may share, a
+// padded layout (Layout.Pad) reads or writes a ghosted field's interior in
+// place, and every leg is a short list of runs
 // (src, dst, n, stride) — n elements stored consecutively and loaded stride
 // apart, a plain copy when the stride is one — instead of an index per
 // element. Messages are packed in the sender's storage order (so a send is

@@ -47,24 +47,52 @@ func Intersect(a, b Box) Box {
 // one rectangular box per rank, and in what axis order each rank stores its
 // local data. Order is a permutation of {0,1,2} from slowest to fastest
 // varying axis; e.g. Order={2,1,0} stores x fastest (contiguous).
+//
+// Pad is the width of a ghost halo around every rank's storage: a rank
+// stores its box grown by Pad on each side, in the same order, and only
+// the box itself is partitioned data. A padded block layout indexes a
+// grid.Field's storage directly (Decomp.Layout().Padded(f.Ghost)), so a
+// redistribution reads or writes a field's interior in place.
 type Layout struct {
 	N     [3]int
 	Boxes []Box
 	Order [3]int
+	Pad   int
 }
 
 // Box returns the box owned by the given rank.
 func (l *Layout) Box(rank int) Box { return l.Boxes[rank] }
+
+// Padded returns the layout with the given ghost width around every rank's
+// storage; the boxes are shared with l.
+func (l *Layout) Padded(pad int) *Layout {
+	p := *l
+	p.Pad = pad
+	return &p
+}
+
+// StorageLen returns the length of the given rank's local storage: its box
+// count, or the padded box's when Pad > 0.
+func (l *Layout) StorageLen(rank int) int {
+	b := l.Boxes[rank]
+	if l.Pad == 0 {
+		return b.Count()
+	}
+	return l.extent(b, 0) * l.extent(b, 1) * l.extent(b, 2)
+}
+
+// extent returns the stored extent of box b along axis d.
+func (l *Layout) extent(b Box, d int) int { return b.Size(d) + 2*l.Pad }
 
 // LocalIndex converts global coordinates to the local storage index within
 // the given rank's box.
 func (l *Layout) LocalIndex(rank int, g [3]int) int {
 	b := l.Boxes[rank]
 	o := l.Order
-	c0 := g[o[0]] - b.Lo[o[0]]
-	c1 := g[o[1]] - b.Lo[o[1]]
-	c2 := g[o[2]] - b.Lo[o[2]]
-	return (c0*b.Size(o[1])+c1)*b.Size(o[2]) + c2
+	c0 := g[o[0]] - b.Lo[o[0]] + l.Pad
+	c1 := g[o[1]] - b.Lo[o[1]] + l.Pad
+	c2 := g[o[2]] - b.Lo[o[2]] + l.Pad
+	return (c0*l.extent(b, o[1])+c1)*l.extent(b, o[2]) + c2
 }
 
 // axisStride returns the distance in the given rank's local storage between
@@ -75,9 +103,9 @@ func (l *Layout) axisStride(rank, axis int) int {
 	case o[2]:
 		return 1
 	case o[1]:
-		return b.Size(o[2])
+		return l.extent(b, o[2])
 	default:
-		return b.Size(o[1]) * b.Size(o[2])
+		return l.extent(b, o[1]) * l.extent(b, o[2])
 	}
 }
 

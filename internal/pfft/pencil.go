@@ -55,6 +55,10 @@ type Pencil struct {
 	bufXr, bufYr, bufZr []complex128
 	rowsYr, rowsZr      int
 
+	// pack is the one send staging buffer of every transpose plan above:
+	// transforms run one transpose at a time.
+	pack Pack[complex128]
+
 	// pool, when set, dispatches the batched 1-D transforms across the
 	// worker pool; rows are independent so the result is bitwise identical
 	// to the serial path. The dispatch bodies are built once and read their
@@ -204,10 +208,18 @@ func (p *Pencil) initComplex() {
 	p.rowInv = NewRedistributor[complex128](p.rowComm, rowTo, rowFrom)
 	p.colFwd = NewRedistributor[complex128](p.colComm, colFrom, colTo)
 	p.colInv = NewRedistributor[complex128](p.colComm, colTo, colFrom)
+	p.sharePack(p.rowFwd, p.rowInv, p.colFwd, p.colInv)
 	me := p.comm.Rank()
 	p.bufX = make([]complex128, p.layX.Boxes[me].Count())
 	p.bufY = make([]complex128, p.layY.Boxes[me].Count())
 	p.bufZ = make([]complex128, p.layZ.Boxes[me].Count())
+}
+
+// sharePack points the given transpose plans at the plan's one pack buffer.
+func (p *Pencil) sharePack(rds ...*Redistributor[complex128]) {
+	for _, rd := range rds {
+		rd.SetPack(&p.pack)
+	}
 }
 
 // Forward transforms data (local x-pencil block, x fastest) and returns the
@@ -277,6 +289,7 @@ func (p *Pencil) initR2C() {
 	p.rowInvR = NewRedistributor[complex128](p.rowComm, rowTo, rowFrom)
 	p.colFwdR = NewRedistributor[complex128](p.colComm, colFrom, colTo)
 	p.colInvR = NewRedistributor[complex128](p.colComm, colTo, colFrom)
+	p.sharePack(p.rowFwdR, p.rowInvR, p.colFwdR, p.colInvR)
 	me := p.comm.Rank()
 	p.rowsYr = layYr.Boxes[me].Count() / nh[1]
 	p.rowsZr = p.layZr.Boxes[me].Count() / nh[2]

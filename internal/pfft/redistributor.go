@@ -19,33 +19,41 @@ type run struct {
 }
 
 // peerXfer is one planned transfer leg: the peer rank, the moves between
-// local storage and the message (packed in the sender's storage order), the
-// message length, and (sends only) a persistent staging buffer reused
-// across Runs.
-type peerXfer[T any] struct {
+// local storage and the message (packed in the sender's storage order), and
+// the message length.
+type peerXfer struct {
 	rank  int
 	runs  []run
 	count int
-	buf   []T
 }
+
+// Pack is a send staging buffer. Every plan has one; plans that never run
+// at the same time may share one (SetPack), since the mpi runtime copies or
+// writes a payload before Send returns. It grows on first use to the
+// largest leg of the plans that use it.
+type Pack[T any] struct{ buf []T }
 
 // Redistributor is a planned layout-to-layout redistribution. Building the
 // plan walks the box intersections once: empty intersections are dropped (no
 // zero-length messages), the rank's own overlap becomes a direct src→dst
 // move that never touches the mpi mailbox, and every remaining leg gets a
-// precomputed run list plus (for sends) a persistent pack buffer. Run then
-// reduces to pack→send, local move, recv→unpack.
+// precomputed run list. Run then reduces to pack→send, local move,
+// recv→unpack. Either layout may be padded (Layout.Pad), in which case
+// the runs read or write the interior of the padded storage and leave its
+// halo alone.
 //
 // A Redistributor is collective state: every rank of the communicator must
 // build the plan over the same layout pair and call Run collectively. Run is
-// not safe for concurrent use of one plan.
+// not safe for concurrent use of one plan, or of plans sharing a Pack.
 type Redistributor[T any] struct {
 	comm           *mpi.Comm
 	from, to       *Layout
 	srcLen, dstLen int
 
 	self         []run // direct moves src → dst
-	sends, recvs []peerXfer[T]
+	sends, recvs []peerXfer
+	pack         *Pack[T]
+	maxSend      int // the largest send leg
 }
 
 // NewRedistributor plans the redistribution from one layout to the other on
@@ -59,8 +67,9 @@ func NewRedistributor[T any](c *mpi.Comm, from, to *Layout) *Redistributor[T] {
 	me := c.Rank()
 	rd := &Redistributor[T]{
 		comm: c, from: from, to: to,
-		srcLen: from.Boxes[me].Count(),
-		dstLen: to.Boxes[me].Count(),
+		srcLen: from.StorageLen(me),
+		dstLen: to.StorageLen(me),
+		pack:   new(Pack[T]),
 	}
 	mine := from.Boxes[me]
 	dstBox := to.Boxes[me]
@@ -71,20 +80,24 @@ func NewRedistributor[T any](c *mpi.Comm, from, to *Layout) *Redistributor[T] {
 			if r == me {
 				rd.self = planRuns(itc, from, me, to, me)
 			} else {
-				rd.sends = append(rd.sends, peerXfer[T]{rank: r, count: itc.Count(),
-					runs: planRuns(itc, from, me, wireLayout(itc, from), 0),
-					buf:  make([]T, itc.Count())})
+				rd.sends = append(rd.sends, peerXfer{rank: r, count: itc.Count(),
+					runs: planRuns(itc, from, me, wireLayout(itc, from), 0)})
+				rd.maxSend = max(rd.maxSend, itc.Count())
 			}
 		}
 		// Incoming: the part of my destination box that rank r owns under
 		// `from`, arriving in that rank's storage order.
 		if itc := Intersect(from.Boxes[r], dstBox); !itc.Empty() && r != me {
-			rd.recvs = append(rd.recvs, peerXfer[T]{rank: r, count: itc.Count(),
+			rd.recvs = append(rd.recvs, peerXfer{rank: r, count: itc.Count(),
 				runs: planRuns(itc, wireLayout(itc, from), 0, to, me)})
 		}
 	}
 	return rd
 }
+
+// SetPack makes the plan stage its sends in pk, which other plans of the
+// same element type may use too.
+func (rd *Redistributor[T]) SetPack(pk *Pack[T]) { rd.pack = pk }
 
 // wireLayout describes a message as a one-rank layout: the intersection
 // itc, packed in the sender's storage order.
@@ -143,31 +156,37 @@ func move[T any](out, in []T, runs []run) {
 	}
 }
 
-// SrcLen returns this rank's local element count under the source layout.
+// SrcLen returns this rank's local storage length under the source layout.
 func (rd *Redistributor[T]) SrcLen() int { return rd.srcLen }
 
-// DstLen returns this rank's local element count under the destination
+// DstLen returns this rank's local storage length under the destination
 // layout.
 func (rd *Redistributor[T]) DstLen() int { return rd.dstLen }
 
-// Run moves src (local data under the source layout) into dst (local data
-// under the destination layout) and returns dst; a nil dst is allocated.
+// Run moves src (local storage under the source layout) into dst (local
+// storage under the destination layout) and returns dst; a nil dst is
+// allocated. Only box points are written: a padded dst keeps its halo.
 // src and dst must not alias. Collective over the plan's communicator.
 func (rd *Redistributor[T]) Run(src, dst []T) []T {
 	if len(src) != rd.srcLen {
-		panic(fmt.Sprintf("pfft: local data length %d != box count %d", len(src), rd.srcLen))
+		panic(fmt.Sprintf("pfft: local data length %d != storage length %d", len(src), rd.srcLen))
 	}
 	if dst == nil {
 		dst = make([]T, rd.dstLen)
 	} else if len(dst) != rd.dstLen {
-		panic(fmt.Sprintf("pfft: destination length %d != box count %d", len(dst), rd.dstLen))
+		panic(fmt.Sprintf("pfft: destination length %d != storage length %d", len(dst), rd.dstLen))
+	}
+	if cap(rd.pack.buf) < rd.maxSend {
+		rd.pack.buf = make([]T, rd.maxSend)
 	}
 	// Sends are eager (buffered) in the mpi runtime, so posting them all
-	// before any receive cannot deadlock.
+	// before any receive cannot deadlock, and the pack buffer is free again
+	// as soon as a Send returns.
 	for i := range rd.sends {
 		s := &rd.sends[i]
-		move(s.buf, src, s.runs)
-		mpi.Send(rd.comm, s.rank, redistTag, s.buf)
+		buf := rd.pack.buf[:s.count]
+		move(buf, src, s.runs)
+		mpi.Send(rd.comm, s.rank, redistTag, buf)
 	}
 	move(dst, src, rd.self)
 	for i := range rd.recvs {

@@ -371,7 +371,7 @@ func TestRedistributorRunsMatchIndexPlan(t *testing.T) {
 			}
 			for _, s := range rd.sends {
 				idx := want.sends[s.rank]
-				if !reflect.DeepEqual(runMap(t, s.runs), indexMap(idx, nil)) || s.count != len(idx) || len(s.buf) != len(idx) {
+				if !reflect.DeepEqual(runMap(t, s.runs), indexMap(idx, nil)) || s.count != len(idx) || rd.maxSend < len(idx) {
 					t.Errorf("%s rank %d: send leg to %d differs from the index plan", tc.name, me, s.rank)
 				}
 			}

@@ -35,7 +35,11 @@ type Options struct {
 // k-space tables on this rank's share of the (Hermitian-halved) spectrum,
 // and all solve scratch — steady-state Solve allocates nothing beyond the
 // mpi runtime's one buffer per message (the sender's copy in-process, the
-// received frame, handed to Recv in place, over a wire).
+// received frame, handed to Recv in place, over a wire). The
+// redistributions work on the ghosted fields in place: their block side is
+// the decomposition's layout padded by the field's ghost width, so the
+// forward reads rho's interior and the inverse writes each acceleration
+// component's interior, with no owned-region copy between.
 type Poisson struct {
 	comm *mpi.Comm
 	dec  *grid.Decomp
@@ -51,12 +55,15 @@ type Poisson struct {
 	dTab   [3][]float64
 	kbox   pfft.Box // this rank's half-spectrum z-pencil box
 
-	// Planned block↔x-pencil redistributions and persistent scratch.
-	toPen    *pfft.Redistributor[float64]
-	fromPen  *pfft.Redistributor[float64]
-	ownedBuf []float64    // block-layout owned region
-	realBuf  []float64    // x-pencil real field
-	comp     []complex128 // half-spectrum gradient component
+	// Planned block↔x-pencil redistributions, keyed by the ghost width of
+	// the fields they serve and built on first use (the solve's fields and
+	// P(k)'s 1-ghost field), all staging sends in one pack buffer; and
+	// persistent scratch.
+	toPen   map[int]*pfft.Redistributor[float64]
+	fromPen map[int]*pfft.Redistributor[float64]
+	pack    pfft.Pack[float64]
+	realBuf []float64    // x-pencil real field
+	comp    []complex128 // half-spectrum gradient component
 
 	// Persistent pool-dispatch bodies for the k-space loops; per-call
 	// parameters (the spectrum slice, the gradient axis) live in the fields
@@ -96,10 +103,8 @@ func NewPoisson(c *mpi.Comm, dec *grid.Decomp, opts Options) *Poisson {
 		}
 	}
 
-	me := c.Rank()
-	p.toPen = pfft.NewRedistributor[float64](c, dec.Layout(), pen.LayoutX())
-	p.fromPen = pfft.NewRedistributor[float64](c, pen.LayoutX(), dec.Layout())
-	p.ownedBuf = make([]float64, dec.Layout().Boxes[me].Count())
+	p.toPen = map[int]*pfft.Redistributor[float64]{}
+	p.fromPen = map[int]*pfft.Redistributor[float64]{}
 	p.realBuf = make([]float64, pen.LocalX().Count())
 	p.comp = make([]complex128, nk)
 	p.kernBody = func(lo, hi int) {
@@ -206,18 +211,36 @@ func (p *Poisson) parFor(n int, body func(lo, hi int)) {
 	body(0, n)
 }
 
+// plan returns the block↔x-pencil redistribution for fields of the given
+// ghost width in one direction, building it on first use. Plan
+// construction is purely local, so laziness stays collective-safe.
+func (p *Poisson) plan(plans map[int]*pfft.Redistributor[float64], ghost int, toPencil bool) *pfft.Redistributor[float64] {
+	rd := plans[ghost]
+	if rd == nil {
+		block := p.dec.Layout().Padded(ghost)
+		if toPencil {
+			rd = pfft.NewRedistributor[float64](p.comm, block, p.pen.LayoutX())
+		} else {
+			rd = pfft.NewRedistributor[float64](p.comm, p.pen.LayoutX(), block)
+		}
+		rd.SetPack(&p.pack)
+		plans[ghost] = rd
+	}
+	return rd
+}
+
 // Solve computes the acceleration field −∇ψ with ∇²ψ = (3/2)Ωm·δ from the
 // deposited density (rho must already have ghost contributions folded in).
-// The three acceleration components are stored into acc[0..2] (owned
-// regions; the caller fills ghosts afterwards). Collective over comm.
+// The three acceleration components are stored into the interiors of
+// acc[0..2] in place (the caller fills ghosts afterwards). Collective over
+// comm.
 func (p *Poisson) Solve(rho *grid.Field, acc *[3]*grid.Field) {
 	psi := p.forwardPotential(rho)
 	for d := 0; d < 3; d++ {
 		p.spec, p.gradD = psi, d
 		p.parFor(len(psi), p.gradBody)
 		p.pen.InverseReal(p.comp, p.realBuf)
-		p.fromPen.Run(p.realBuf, p.ownedBuf)
-		acc[d].SetOwned(p.ownedBuf)
+		p.plan(p.fromPen, acc[d].Ghost, false).Run(p.realBuf, acc[d].Data)
 	}
 	p.spec = nil
 }
@@ -233,8 +256,8 @@ func (p *Poisson) forwardPotential(rho *grid.Field) []complex128 {
 	return spec
 }
 
-// Spectrum moves the owned region of rho (any ghost width, decomposed like
-// this solver) into x-pencils and runs the real-to-complex forward
+// Spectrum moves the interior of rho (any ghost width, decomposed like this
+// solver) into x-pencils, in place, and runs the real-to-complex forward
 // transform — Hermitian symmetry halves the transform and all k-space work
 // on the purely real field — returning ρ̂ on this rank's half-spectrum
 // z-pencil share, in Pencil().ForEachKR index order. It is the first half
@@ -242,7 +265,6 @@ func (p *Poisson) forwardPotential(rho *grid.Field) []complex128 {
 // spectral plan. The slice is plan scratch, valid until the next transform
 // on this plan. Collective over comm.
 func (p *Poisson) Spectrum(rho *grid.Field) []complex128 {
-	p.ownedBuf = rho.OwnedInto(p.ownedBuf)
-	p.toPen.Run(p.ownedBuf, p.realBuf)
+	p.plan(p.toPen, rho.Ghost, true).Run(rho.Data, p.realBuf)
 	return p.pen.ForwardReal(p.realBuf)
 }
