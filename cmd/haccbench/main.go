@@ -95,20 +95,14 @@ func usage() {
 }
 
 func fftExp(n, maxRanks int) error {
-	fmt.Println("Table I: distributed FFT scaling (pencil + slab)")
+	fmt.Println("Table I: distributed FFT scaling (r2c pencil, wall time per transform)")
 	var rows []bench.FFTResult
 	for r := 1; r <= maxRanks; r *= 2 {
-		row, err := bench.RunFFT(n, r, true, 2)
+		row, err := bench.RunFFT(n, r, 2)
 		if err != nil {
 			return err
 		}
 		rows = append(rows, row)
-		// The r2c production path rides along at each rank count.
-		rr, err := bench.RunFFTReal(n, r, 2)
-		if err != nil {
-			return err
-		}
-		rows = append(rows, rr)
 	}
 	// Weak-scaling block with non-power-of-two sizes (paper's 9216³ etc.).
 	weak := []struct{ n, ranks int }{{32, 1}, {40, 2}, {48, 4}, {64, 8}}
@@ -116,7 +110,7 @@ func fftExp(n, maxRanks int) error {
 		if tc.ranks > maxRanks {
 			break
 		}
-		row, err := bench.RunFFT(tc.n, tc.ranks, true, 2)
+		row, err := bench.RunFFT(tc.n, tc.ranks, 2)
 		if err != nil {
 			return err
 		}

@@ -29,29 +29,6 @@ func CorrelationFromPower(ps *PowerSpectrum, radii []float64) []float64 {
 	return out
 }
 
-// CorrelationFromSpectrum evaluates the same transform for an analytic
-// spectrum over [kMin, kMax] with n log-spaced intervals, e.g. to get the
-// linear-theory ξ(r) with its BAO peak at ~105 Mpc/h.
-func CorrelationFromSpectrum(p func(float64) float64, kMin, kMax float64, n int, radii []float64) []float64 {
-	out := make([]float64, len(radii))
-	lk0, lk1 := math.Log(kMin), math.Log(kMax)
-	h := (lk1 - lk0) / float64(n)
-	for ri, r := range radii {
-		var sum float64
-		for i := 0; i <= n; i++ {
-			k := math.Exp(lk0 + float64(i)*h)
-			w := 1.0
-			if i == 0 || i == n {
-				w = 0.5
-			}
-			// dk = k·dlnk for the log grid.
-			sum += w * p(k) * k * k * k * j0(k*r) * h
-		}
-		out[ri] = sum / (2 * math.Pi * math.Pi)
-	}
-	return out
-}
-
 // j0 is the spherical Bessel function sin(x)/x.
 func j0(x float64) float64 {
 	if math.Abs(x) < 1e-8 {

@@ -4,15 +4,16 @@ import (
 	"math"
 
 	"hacc/internal/domain"
+	"hacc/internal/fft"
 	"hacc/internal/grid"
 	"hacc/internal/mpi"
-	"hacc/internal/pfft"
 	"hacc/internal/spectral"
 )
 
-// powerSerial is the pre-plan estimator — full complex-spectrum FFT through
-// the one-shot redistribution — retained as the equivalence oracle for
-// Power.Measure. Collective over comm.
+// powerSerial is the pre-plan estimator — full complex-spectrum FFT —
+// retained as the equivalence oracle for Power.Measure. Every rank gathers
+// the whole density grid, transforms it with a serial fft.Plan3 and bins
+// every mode. Collective over comm.
 func powerSerial(c *mpi.Comm, dec *grid.Decomp, dom *domain.Domain, boxMpc float64, nbins int, subtractShot bool) *PowerSpectrum {
 	n := dec.N
 	ng := n[0]
@@ -24,14 +25,21 @@ func powerSerial(c *mpi.Comm, dec *grid.Decomp, dom *domain.Domain, boxMpc float
 	grid.DepositCIC(rho, dom.Active.X, dom.Active.Y, dom.Active.Z, mass)
 	ex.Accumulate(rho)
 
-	pen := pfft.NewAuto(c, n)
-	owned := rho.Owned()
-	moved := pfft.NewRedistributor[float64](c, dec.Layout(), pen.LayoutX()).Run(owned, nil)
-	data := make([]complex128, len(moved))
-	for i, v := range moved {
-		data[i] = complex(v-1, 0) // δ = ρ−1 (ρ̄ = 1 by mass choice)
+	full := make([]float64, ng*ng*ng)
+	box := dec.Box(c.Rank())
+	for x := box.Lo[0]; x < box.Hi[0]; x++ {
+		for y := box.Lo[1]; y < box.Hi[1]; y++ {
+			for z := box.Lo[2]; z < box.Hi[2]; z++ {
+				full[(x*ng+y)*ng+z] = rho.At(x, y, z)
+			}
+		}
 	}
-	spec := pen.Forward(data)
+	full = mpi.AllReduce(c, full, mpi.SumF64)
+	spec := make([]complex128, len(full))
+	for i, v := range full {
+		spec[i] = complex(v-1, 0) // δ = ρ−1 (ρ̄ = 1 by mass choice)
+	}
+	fft.NewPlan3(ng, ng, ng).Forward(spec)
 
 	vol := boxMpc * boxMpc * boxMpc
 	nc3 := float64(ng) * float64(ng) * float64(ng)
@@ -42,9 +50,10 @@ func powerSerial(c *mpi.Comm, dec *grid.Decomp, dom *domain.Domain, boxMpc float
 	pk := make([]float64, nbins)
 	kw := make([]float64, nbins)
 	nm := make([]int64, nbins)
-	pen.ForEachK(func(mx, my, mz, idx int) {
+	for idx := range spec {
+		mx, my, mz := idx/(ng*ng), idx/ng%ng, idx%ng
 		if mx == 0 && my == 0 && mz == 0 {
-			return
+			continue
 		}
 		kx := spectral.KMode(mx, ng)
 		ky := spectral.KMode(my, ng)
@@ -52,7 +61,7 @@ func powerSerial(c *mpi.Comm, dec *grid.Decomp, dom *domain.Domain, boxMpc float
 		kPhys := math.Sqrt(kx*kx+ky*ky+kz*kz) * float64(ng) / boxMpc
 		bin := int(kPhys / dk)
 		if bin >= nbins {
-			return
+			continue
 		}
 		// Deconvolve the CIC assignment window (one deposit → sinc² per
 		// axis).
@@ -62,10 +71,7 @@ func powerSerial(c *mpi.Comm, dec *grid.Decomp, dom *domain.Domain, boxMpc float
 		pk[bin] += p
 		kw[bin] += kPhys
 		nm[bin]++
-	})
-	pk = mpi.AllReduce(c, pk, mpi.SumF64)
-	kw = mpi.AllReduce(c, kw, mpi.SumF64)
-	nm = mpi.AllReduce(c, nm, mpi.SumI64)
+	}
 
 	shot := vol / float64(nGlobal)
 	out := &PowerSpectrum{ShotNoise: shot}

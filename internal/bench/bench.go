@@ -18,53 +18,15 @@ import (
 type FFTResult struct {
 	N       int
 	Ranks   int
-	Pencil  bool
-	R2C     bool    // real-to-complex production path (Hermitian-halved)
 	Seconds float64 // wall-clock per 3-D transform
 }
 
-// RunFFT times `reps` forward distributed FFTs of an n³ grid on the given
-// number of ranks.
-func RunFFT(n, ranks int, pencil bool, reps int) (FFTResult, error) {
-	res := FFTResult{N: n, Ranks: ranks, Pencil: pencil}
-	var elapsed time.Duration
-	err := mpi.Run(ranks, func(c *mpi.Comm) {
-		var p *pfft.Pencil
-		if pencil {
-			p = pfft.NewAuto(c, [3]int{n, n, n})
-		} else {
-			p = pfft.NewSlab(c, [3]int{n, n, n})
-		}
-		rng := rand.New(rand.NewSource(int64(c.Rank())))
-		local := make([]complex128, p.LocalX().Count())
-		for i := range local {
-			local[i] = complex(rng.NormFloat64(), 0)
-		}
-		mpi.Barrier(c)
-		start := time.Now()
-		data := local
-		for r := 0; r < reps; r++ {
-			spec := p.Forward(data)
-			data = p.Inverse(spec)
-		}
-		mpi.Barrier(c)
-		if c.Rank() == 0 {
-			elapsed = time.Since(start)
-		}
-	})
-	if err != nil {
-		return res, err
-	}
-	res.Seconds = elapsed.Seconds() / float64(2*reps)
-	return res, nil
-}
-
-// RunFFTReal times `reps` r2c forward + c2r inverse round trips of an n³
-// real field on the given number of ranks — the production long-range path,
-// where Hermitian symmetry halves the x transforms, both transposes, and
-// the spectral volume.
-func RunFFTReal(n, ranks, reps int) (FFTResult, error) {
-	res := FFTResult{N: n, Ranks: ranks, Pencil: true, R2C: true}
+// RunFFT times `reps` r2c forward + c2r inverse round trips of an n³ real
+// field on the given number of ranks over a balanced pencil grid — the
+// production long-range path, where Hermitian symmetry halves the x
+// transforms, both transposes, and the spectral volume.
+func RunFFT(n, ranks, reps int) (FFTResult, error) {
+	res := FFTResult{N: n, Ranks: ranks}
 	var elapsed time.Duration
 	err := mpi.Run(ranks, func(c *mpi.Comm) {
 		p := pfft.NewAuto(c, [3]int{n, n, n})
@@ -93,17 +55,10 @@ func RunFFTReal(n, ranks, reps int) (FFTResult, error) {
 
 // PrintFFTTable writes Table I-style rows.
 func PrintFFTTable(w io.Writer, rows []FFTResult) {
-	fmt.Fprintf(w, "%-10s %-8s %-12s %-14s %s\n", "FFT Size", "Ranks", "Decomp", "Wall [s]", "per-rank grid")
+	fmt.Fprintf(w, "%-10s %-8s %-14s %s\n", "FFT Size", "Ranks", "Wall [s]", "per-rank grid")
 	for _, r := range rows {
-		d := "pencil"
-		if !r.Pencil {
-			d = "slab"
-		}
-		if r.R2C {
-			d += "-r2c"
-		}
 		per := float64(r.N) * float64(r.N) * float64(r.N) / float64(r.Ranks)
-		fmt.Fprintf(w, "%4d^3     %-8d %-12s %-14.6f %8.0f\n", r.N, r.Ranks, d, r.Seconds, per)
+		fmt.Fprintf(w, "%4d^3     %-8d %-14.6f %8.0f\n", r.N, r.Ranks, r.Seconds, per)
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 )
 
 func TestRunFFTSmoke(t *testing.T) {
-	r, err := RunFFT(16, 2, true, 1)
+	r, err := RunFFT(16, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

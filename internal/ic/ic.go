@@ -40,11 +40,12 @@ func (o Options) Validate() error {
 // realization on the decomposition's grid. Collective over comm.
 //
 // The density modes δ̂ₖ — an amplitude and a modeGaussian draw each — are
-// computed once on this rank's z-pencil, the amplitude √P(k) once per
-// sign-folded |k|; each displacement axis then only scales them by
-// i·k_d/k², inverse-transforms, moves the result to the block layout and
-// fills its ghosts, through one redistribution plan, one ghost exchanger
-// and one field shared by the three axes.
+// computed once on this rank's half-spectrum z-pencil (δ is real, so its
+// kx ≥ 0 half determines it), the amplitude √P(k) once per sign-folded |k|;
+// each displacement axis then only scales them by i·k_d/k², runs the c2r
+// inverse, moves the result to the block layout and fills its ghosts,
+// through one redistribution plan, one ghost exchanger and one field shared
+// by the three axes.
 func Generate(c *mpi.Comm, dec *grid.Decomp, lp *cosmology.LinearPower, o Options, dom *domain.Domain) error {
 	if err := o.Validate(); err != nil {
 		return err
@@ -72,12 +73,12 @@ func Generate(c *mpi.Comm, dec *grid.Decomp, lp *cosmology.LinearPower, o Option
 	}
 	// The amplitude depends on |k| alone: one LinearPower.P per sign-folded
 	// mode this rank holds.
-	ampTab := spectral.NewRadialTable(n, pen.LocalZ(), func(k2 float64) float64 {
+	ampTab := spectral.NewRadialTable(n, pen.LocalZR(), func(k2 float64) float64 {
 		kPhys := math.Sqrt(k2) * float64(ng) / o.BoxMpc
 		return math.Sqrt(lp.P(kPhys)) * ampNorm
 	})
-	delta := make([]complex128, pen.LocalZ().Count())
-	pen.ForEachK(func(mx, my, mz, idx int) {
+	delta := make([]complex128, pen.LocalZR().Count())
+	pen.ForEachKR(func(mx, my, mz, idx int) {
 		if mx == 0 && my == 0 && mz == 0 {
 			return
 		}
@@ -121,6 +122,12 @@ func Generate(c *mpi.Comm, dec *grid.Decomp, lp *cosmology.LinearPower, o Option
 	// Displacement fields, one axis at a time: Ψ_k = i·k_d/k²·δ_k
 	// (continuum gradient for IC fidelity), inverse-transformed, moved to
 	// the block layout, ghost-filled and read off at the lattice sites.
+	//
+	// On axis d's Nyquist plane (2·m_d = ng) the mode −k has the same k_d
+	// as k, so there i·k_d/k²·δ̂ is anti-Hermitian: its inverse transform is
+	// purely imaginary. The real part of a full complex inverse drops it; a
+	// c2r inverse assumes Hermitian input and would keep it, so that plane
+	// is zeroed, as is the DC mode (mean displacement zero).
 	spec := make([]complex128, len(delta))
 	vals := make([]float64, pen.LocalX().Count())
 	disp := grid.NewField(n, box, 2)
@@ -128,21 +135,18 @@ func Generate(c *mpi.Comm, dec *grid.Decomp, lp *cosmology.LinearPower, o Option
 	ex := grid.NewExchanger(c, dec, disp)
 	var displ [3][]float32
 	for d := 0; d < 3; d++ {
-		pen.ForEachK(func(mx, my, mz, idx int) {
-			if mx == 0 && my == 0 && mz == 0 {
+		pen.ForEachKR(func(mx, my, mz, idx int) {
+			m := [3]int{mx, my, mz}
+			if 2*m[d] == ng || mx == 0 && my == 0 && mz == 0 {
 				spec[idx] = 0
 				return
 			}
-			m := [3]int{mx, my, mz}
 			kx, ky, kz := kTab[mx], kTab[my], kTab[mz]
 			w := kTab[m[d]] / (kx*kx + ky*ky + kz*kz)
 			dk := delta[idx]
 			spec[idx] = complex(-imag(dk)*w, real(dk)*w)
 		})
-		rs := pen.Inverse(spec)
-		for i, v := range rs {
-			vals[i] = real(v)
-		}
+		pen.InverseReal(spec, vals)
 		toBlock.Run(vals, disp.Data)
 		ex.Fill(disp)
 		displ[d] = make([]float32, np)

@@ -8,16 +8,19 @@ import (
 
 	"hacc/internal/cosmology"
 	"hacc/internal/domain"
+	"hacc/internal/fft"
 	"hacc/internal/grid"
 	"hacc/internal/mpi"
-	"hacc/internal/pfft"
 	"hacc/internal/spectral"
 )
 
 // generateThreePass is the earlier Generate, kept as the bitwise oracle for
 // the single-pass one: it draws δ̂ₖ — LinearPower.P and modeGaussian — once
-// per displacement axis, allocates every buffer per axis, and plans a
-// redistribution and a ghost exchanger per field. Collective over comm.
+// per displacement axis over the full complex spectrum, inverts it with a
+// serial fft.Plan3 on every rank and keeps the real part, and reads each
+// field's block and ghosts straight off the whole grid. Plan3.Inverse runs
+// z→y→x one row at a time, like the pencil, so the bits are the
+// distributed transform's. Collective over comm.
 func generateThreePass(c *mpi.Comm, dec *grid.Decomp, lp *cosmology.LinearPower, o Options, dom *domain.Domain) error {
 	if err := o.Validate(); err != nil {
 		return err
@@ -27,7 +30,7 @@ func generateThreePass(c *mpi.Comm, dec *grid.Decomp, lp *cosmology.LinearPower,
 		return fmt.Errorf("ic: non-cubic grids not supported for IC generation: %v", n)
 	}
 	ng := n[0]
-	pen := pfft.NewAuto(c, n)
+	plan := fft.NewPlan3(ng, ng, ng)
 	vol := o.BoxMpc * o.BoxMpc * o.BoxMpc
 	nc3 := float64(ng) * float64(ng) * float64(ng)
 	// <|δ̂_k|²> = P(k)·Nc⁶/V for the unnormalized forward FFT convention.
@@ -38,53 +41,42 @@ func generateThreePass(c *mpi.Comm, dec *grid.Decomp, lp *cosmology.LinearPower,
 	f0 := growth.F(o.AInit)
 	pfac := float32(o.AInit * o.AInit * lp.Params().E(o.AInit) * f0 * d0)
 
-	// Displacement fields, one per axis, built in spectral space on this
-	// rank's z-pencil and inverse-transformed.
+	// Displacement fields, one per axis, built in spectral space over the
+	// whole grid (x slowest, z fastest) and inverse-transformed.
+	box := dec.Box(c.Rank())
 	var disp [3]*grid.Field
 	for d := 0; d < 3; d++ {
-		spec := make([]complex128, pen.LocalZ().Count())
-		pen.ForEachK(func(mx, my, mz, idx int) {
-			if mx == 0 && my == 0 && mz == 0 {
-				return
+		spec := make([]complex128, plan.Len())
+		for mx := 0; mx < ng; mx++ {
+			for my := 0; my < ng; my++ {
+				for mz := 0; mz < ng; mz++ {
+					if mx == 0 && my == 0 && mz == 0 {
+						continue
+					}
+					kx := spectral.KMode(mx, ng)
+					ky := spectral.KMode(my, ng)
+					kz := spectral.KMode(mz, ng)
+					k2 := kx*kx + ky*ky + kz*kz
+					kPhys := math.Sqrt(k2) * float64(ng) / o.BoxMpc
+					amp := math.Sqrt(lp.P(kPhys)) * ampNorm
+					re, im := modeGaussian(o.Seed, mx, my, mz, ng, o.Fixed)
+					dk := complex(amp*re, amp*im)
+					kd := [3]float64{kx, ky, kz}[d]
+					// Ψ_k = i·k_d/k²·δ_k (continuum gradient for IC fidelity).
+					w := kd / k2
+					spec[(mx*ng+my)*ng+mz] = complex(-imag(dk)*w, real(dk)*w)
+				}
 			}
-			kx := spectral.KMode(mx, ng)
-			ky := spectral.KMode(my, ng)
-			kz := spectral.KMode(mz, ng)
-			k2 := kx*kx + ky*ky + kz*kz
-			kPhys := math.Sqrt(k2) * float64(ng) / o.BoxMpc
-			amp := math.Sqrt(lp.P(kPhys)) * ampNorm
-			re, im := modeGaussian(o.Seed, mx, my, mz, ng, o.Fixed)
-			dk := complex(amp*re, amp*im)
-			var kd float64
-			switch d {
-			case 0:
-				kd = kx
-			case 1:
-				kd = ky
-			default:
-				kd = kz
-			}
-			// Ψ_k = i·k_d/k²·δ_k (continuum gradient for IC fidelity).
-			w := kd / k2
-			spec[idx] = complex(-imag(dk)*w, real(dk)*w)
-		})
-		rs := pen.Inverse(spec)
-		vals := make([]float64, len(rs))
-		for i, v := range rs {
-			vals[i] = real(v)
 		}
-		back := pfft.NewRedistributor[float64](c, pen.LayoutX(), dec.Layout()).Run(vals, nil)
-		disp[d] = grid.NewField(n, dec.Box(c.Rank()), 2)
-		disp[d].SetOwned(back)
-		ex := grid.NewExchanger(c, dec, disp[d])
-		ex.Fill(disp[d])
+		plan.Inverse(spec)
+		disp[d] = grid.NewField(n, box, 2)
+		fillGhosted(disp[d], spec)
 	}
 
 	// Lay down the lattice sites owned by this rank and displace them. The
 	// lattice sits on grid nodes: when Np == Ng the displacement is read
 	// off exactly (no CIC smoothing of the IC spectrum).
 	step := float64(ng) / float64(o.Np)
-	box := dec.Box(c.Rank())
 	dom.Active.Reset()
 	var qx, qy, qz []float32
 	var ids []uint64
@@ -130,14 +122,34 @@ func generateThreePass(c *mpi.Comm, dec *grid.Decomp, lp *cosmology.LinearPower,
 	return nil
 }
 
+// fillGhosted sets every cell of f, its ghost halo included, to the real
+// part of the periodic whole-grid array full (x slowest, z fastest).
+func fillGhosted(f *grid.Field, full []complex128) {
+	n, g := f.N, f.Ghost
+	var ext [3]int
+	for a := range ext {
+		ext[a] = f.Box.Size(a) + 2*g
+	}
+	wrap := func(a, l int) int { return ((f.Box.Lo[a]-g+l)%n[a] + n[a]) % n[a] }
+	for lx := 0; lx < ext[0]; lx++ {
+		for ly := 0; ly < ext[1]; ly++ {
+			for lz := 0; lz < ext[2]; lz++ {
+				v := full[(wrap(0, lx)*n[1]+wrap(1, ly))*n[2]+wrap(2, lz)]
+				f.Data[(lx*ext[1]+ly)*ext[2]+lz] = real(v)
+			}
+		}
+	}
+}
+
 // TestGenerateMatchesThreePass pins Generate bitwise against the three-pass
 // oracle: every rank's particles, in order, on 1–8 ranks (3 included, an
-// uneven split), with fixed and free amplitudes, and with a particle
-// lattice coarser and finer than the grid.
+// uneven split), with fixed and free amplitudes, with a particle lattice
+// coarser and finer than the grid, and on odd grids, which have no Nyquist
+// plane to zero.
 func TestGenerateMatchesThreePass(t *testing.T) {
 	params := cosmology.Default()
 	lp := cosmology.NewLinearPower(params, cosmology.EisensteinHuNoWiggle(params))
-	for _, tc := range []struct{ ng, np int }{{16, 16}, {16, 8}, {12, 16}} {
+	for _, tc := range []struct{ ng, np int }{{16, 16}, {16, 8}, {12, 16}, {9, 9}, {15, 10}} {
 		n := [3]int{tc.ng, tc.ng, tc.ng}
 		for _, procs := range []int{1, 2, 3, 4, 8} {
 			for _, fixed := range []bool{false, true} {

@@ -1,8 +1,9 @@
-// Package pfft implements distributed 3-D FFTs over the mpi runtime, with
-// both the slab decomposition (HACC's first-generation FFT, limited to
-// Nrank < N) and the 2-D pencil decomposition (Nrank < N², paper §IV-A).
-// Transposes are pairwise exchanges inside row/column sub-communicators,
-// interleaved with local 1-D FFTs, mirroring the paper's description.
+// Package pfft implements distributed real-to-complex 3-D FFTs over the mpi
+// runtime, with both the slab decomposition (HACC's first-generation FFT,
+// limited to Nrank < N) and the 2-D pencil decomposition (Nrank < N², paper
+// §IV-A). Transposes are pairwise exchanges inside row/column
+// sub-communicators, interleaved with local 1-D FFTs, mirroring the paper's
+// description.
 //
 // The package is plan-based. Redistributor[T] precomputes a
 // layout-intersection schedule for moving data between arbitrary
@@ -15,12 +16,11 @@
 // element. Messages are packed in the sender's storage order (so a send is
 // all copies); unpacking and the self move walk the destination's order,
 // because a core overlaps the misses of strided loads but retires strided
-// stores one miss at a time. Pencil is a plan in the FFTW sense — four
-// persistent transpose plans, per-stage scratch, pooled batched 1-D
-// transforms, and a real-to-complex path (ForwardReal/InverseReal/
-// ForEachKR) on the Hermitian half grid [n/2+1, n, n] that halves the x
-// transforms, the transposes, and all downstream k-space work. Each path
-// builds its transposes and scratch on first use, so the Poisson solver,
-// which runs only the real path, never holds the complex one's. Slices
-// returned by transforms are plan-owned and valid until the next call.
+// stores one miss at a time. Pencil is a plan in the FFTW sense with one
+// path, real-to-complex (ForwardReal/InverseReal/ForEachKR) on the
+// Hermitian half grid [n/2+1, n, n], which halves the x transforms, the
+// transposes, and all downstream k-space work: NewPencil builds its four
+// persistent transpose plans, per-stage scratch and pooled batched 1-D
+// transforms once. Slices returned by transforms are plan-owned and valid
+// until the next call.
 package pfft

@@ -3,24 +3,13 @@ package pfft
 import (
 	"math/cmplx"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
 	"hacc/internal/fft"
 	"hacc/internal/mpi"
 )
-
-// gatherGlobal reconstructs the full global array from local pieces.
-func gatherGlobal(c *mpi.Comm, local []complex128, lay *Layout) []complex128 {
-	n := lay.N
-	full := make([]complex128, n[0]*n[1]*n[2])
-	me := c.Rank()
-	forEach(lay.Boxes[me], lay.Order, func(g [3]int, k int) {
-		full[(g[0]*n[1]+g[1])*n[2]+g[2]] = local[k]
-	})
-	sum := mpi.AllReduce(c, full, func(a, b complex128) complex128 { return a + b })
-	return sum
-}
 
 // scatterGlobal extracts this rank's local piece from a global array.
 func scatterGlobal(rank int, full []complex128, lay *Layout) []complex128 {
@@ -138,139 +127,78 @@ func TestRedistributeRoundTrip(t *testing.T) {
 	}
 }
 
-func TestPencilForwardMatchesSerial(t *testing.T) {
-	cases := []struct {
-		n      [3]int
-		p1, p2 int
-	}{
-		{[3]int{8, 8, 8}, 1, 1},
-		{[3]int{8, 8, 8}, 2, 2},
-		{[3]int{8, 8, 8}, 4, 1}, // slab
-		{[3]int{8, 8, 8}, 1, 4},
-		{[3]int{12, 10, 8}, 3, 2}, // non-cubic, non-power-of-two
-		{[3]int{10, 10, 10}, 5, 2},
-	}
-	for _, tc := range cases {
-		full := randomGlobal(tc.n, 42)
-		want := append([]complex128(nil), full...)
-		fft.NewPlan3(tc.n[0], tc.n[1], tc.n[2]).Forward(want)
-		err := mpi.Run(tc.p1*tc.p2, func(c *mpi.Comm) {
-			p := NewPencil(c, tc.n, tc.p1, tc.p2)
-			local := scatterGlobal(c.Rank(), full, p.LayoutX())
-			spec := p.Forward(local)
-			wantLocal := scatterGlobal(c.Rank(), want, p.LayoutZ())
-			for i := range spec {
-				if cmplx.Abs(spec[i]-wantLocal[i]) > 1e-8 {
-					t.Errorf("n=%v p=%d×%d rank=%d idx=%d got %v want %v",
-						tc.n, tc.p1, tc.p2, c.Rank(), i, spec[i], wantLocal[i])
-					return
-				}
+// TestForEachKCoversSpectrum: ForEachKR visits every mode of the half
+// spectrum [n0/2+1, n1, n2] exactly once across the ranks, on even and odd
+// x extents.
+func TestForEachKCoversSpectrum(t *testing.T) {
+	for _, n := range [][3]int{{6, 6, 6}, {7, 6, 5}} {
+		nh := [3]int{n[0]/2 + 1, n[1], n[2]}
+		counts := make([]int64, nh[0]*nh[1]*nh[2])
+		err := mpi.Run(4, func(c *mpi.Comm) {
+			p := NewPencil(c, n, 2, 2)
+			local := make([]int64, len(counts))
+			p.ForEachKR(func(kx, ky, kz, idx int) {
+				local[(kx*nh[1]+ky)*nh[2]+kz]++
+			})
+			tot := mpi.AllReduce(c, local, mpi.SumI64)
+			if c.Rank() == 0 {
+				copy(counts, tot)
 			}
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-	}
-}
-
-func TestPencilRoundTrip(t *testing.T) {
-	n := [3]int{16, 16, 16}
-	full := randomGlobal(n, 3)
-	err := mpi.Run(4, func(c *mpi.Comm) {
-		p := NewAuto(c, n)
-		local := scatterGlobal(c.Rank(), full, p.LayoutX())
-		orig := append([]complex128(nil), local...)
-		spec := p.Forward(local)
-		back := p.Inverse(spec)
-		for i := range back {
-			if cmplx.Abs(back[i]-orig[i]) > 1e-9 {
-				t.Errorf("rank %d idx %d: %v != %v", c.Rank(), i, back[i], orig[i])
-				return
+		for i, v := range counts {
+			if v != 1 {
+				t.Fatalf("n=%v: half-spectrum mode %d visited %d times", n, i, v)
 			}
 		}
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }
 
-func TestSlabMatchesPencil(t *testing.T) {
-	n := [3]int{8, 12, 8}
-	full := randomGlobal(n, 9)
-	want := append([]complex128(nil), full...)
-	fft.NewPlan3(n[0], n[1], n[2]).Forward(want)
-	err := mpi.Run(4, func(c *mpi.Comm) {
-		p := NewSlab(c, n)
-		local := scatterGlobal(c.Rank(), full, p.LayoutX())
-		spec := p.Forward(local)
-		wantLocal := scatterGlobal(c.Rank(), want, p.LayoutZ())
-		for i := range spec {
-			if cmplx.Abs(spec[i]-wantLocal[i]) > 1e-8 {
-				t.Errorf("slab rank %d idx %d mismatch", c.Rank(), i)
-				return
-			}
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestForEachKCoversSpectrum(t *testing.T) {
-	n := [3]int{6, 6, 6}
-	counts := make([]int64, n[0]*n[1]*n[2])
-	err := mpi.Run(4, func(c *mpi.Comm) {
-		p := NewPencil(c, n, 2, 2)
-		local := make([]int64, n[0]*n[1]*n[2])
-		p.ForEachK(func(kx, ky, kz, idx int) {
-			local[(kx*n[1]+ky)*n[2]+kz]++
-		})
-		tot := mpi.AllReduce(c, local, mpi.SumI64)
-		if c.Rank() == 0 {
-			copy(counts, tot)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range counts {
-		if v != 1 {
-			t.Fatalf("mode %d visited %d times", i, v)
-		}
-	}
-}
-
-// Property: the distributed transform of a random field on a random process
-// grid matches the serial transform.
+// Property: the distributed r2c transform of a random real field on a random
+// process grid matches the non-negative-kx half of the serial complex
+// transform.
 func TestPencilMatchesSerialProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		nside := []int{4, 6, 8}[rng.Intn(3)]
+		nside := []int{4, 5, 6, 8}[rng.Intn(4)]
 		n := [3]int{nside, nside, nside}
 		grids := [][2]int{{1, 1}, {2, 1}, {2, 2}, {1, 2}, {4, 1}, {2, 3}}
 		g := grids[rng.Intn(len(grids))]
 		if g[0] > nside || g[1] > nside {
 			return true
 		}
-		full := randomGlobal(n, seed)
-		want := append([]complex128(nil), full...)
+		full := make([]float64, n[0]*n[1]*n[2])
+		want := make([]complex128, len(full))
+		for i := range full {
+			full[i] = rng.NormFloat64()
+			want[i] = complex(full[i], 0)
+		}
 		fft.NewPlan3(n[0], n[1], n[2]).Forward(want)
-		ok := true
+		var bad atomic.Bool
 		err := mpi.Run(g[0]*g[1], func(c *mpi.Comm) {
 			p := NewPencil(c, n, g[0], g[1])
-			local := scatterGlobal(c.Rank(), full, p.LayoutX())
-			spec := p.Forward(local)
-			wantLocal := scatterGlobal(c.Rank(), want, p.LayoutZ())
-			for i := range spec {
-				if cmplx.Abs(spec[i]-wantLocal[i]) > 1e-7 {
-					ok = false
-					return
+			spec := p.ForwardReal(scatterReal(c.Rank(), full, p.LayoutX()))
+			p.ForEachKR(func(kx, ky, kz, idx int) {
+				if cmplx.Abs(spec[idx]-want[(kx*n[1]+ky)*n[2]+kz]) > 1e-7 {
+					bad.Store(true)
 				}
-			}
+			})
 		})
-		return err == nil && ok
+		return err == nil && !bad.Load()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// scatterReal extracts this rank's local piece of a real global array.
+func scatterReal(rank int, full []float64, lay *Layout) []float64 {
+	n := lay.N
+	local := make([]float64, lay.Boxes[rank].Count())
+	forEach(lay.Boxes[rank], lay.Order, func(g [3]int, k int) {
+		local[k] = full[(g[0]*n[1]+g[1])*n[2]+g[2]]
+	})
+	return local
 }

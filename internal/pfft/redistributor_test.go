@@ -2,6 +2,7 @@ package pfft
 
 import (
 	"fmt"
+	"math"
 	"math/cmplx"
 	"reflect"
 	"testing"
@@ -113,27 +114,31 @@ func TestRedistributorMatchesLegacy(t *testing.T) {
 }
 
 // TestPencilPlannedMatchesUnplanned pins the planned, persistent-buffer
-// Forward/Inverse bitwise against a manually composed legacy pipeline
-// (per-call batch transforms + one-shot redistributions).
+// ForwardReal/InverseReal bitwise against a manually composed legacy
+// pipeline on the half layouts (per-call batch transforms + one-shot
+// reference redistributions).
 func TestPencilPlannedMatchesUnplanned(t *testing.T) {
 	n := [3]int{12, 10, 8}
 	const p1, p2 = 3, 2
-	full := randomGlobal(n, 77)
+	full := make([]float64, n[0]*n[1]*n[2])
+	for i, v := range randomGlobal(n, 77) {
+		full[i] = real(v)
+	}
 	err := mpi.Run(p1*p2, func(c *mpi.Comm) {
 		p := NewPencil(c, n, p1, p2)
-		rowFrom, rowTo, colFrom, colTo := restrictTransposes(n, p1, p2, p.c1, p.c2,
-			p.layX, p.layY, p.layZ)
+		rowFrom, rowTo, colFrom, colTo := restrictTransposes(p.nh, p1, p2, p.c1, p.c2,
+			p.layXr, PencilY(p.nh, p1, p2), p.layZr)
 
-		local := scatterGlobal(c.Rank(), full, p.layX)
+		local := scatterReal(c.Rank(), full, p.layX)
 		// Legacy composition, allocating at every stage.
-		ref := append([]complex128(nil), local...)
-		p.planX.ForwardBatch(ref, p.rowsX)
+		ref := make([]complex128, len(p.bufXr))
+		p.planX.ForwardRealBatch(ref, local, p.rowsX)
 		ref = redistributeReference(p.rowComm, ref, rowFrom, rowTo)
-		p.planY.ForwardBatch(ref, p.rowsY)
+		p.planY.ForwardBatch(ref, p.rowsYr)
 		ref = redistributeReference(p.colComm, ref, colFrom, colTo)
-		p.planZ.ForwardBatch(ref, p.rowsZ)
+		p.planZ.ForwardBatch(ref, p.rowsZr)
 
-		spec := p.Forward(local)
+		spec := p.ForwardReal(local)
 		for i := range spec {
 			if spec[i] != ref[i] {
 				t.Errorf("rank %d idx %d: planned %v != legacy %v", c.Rank(), i, spec[i], ref[i])
@@ -143,17 +148,18 @@ func TestPencilPlannedMatchesUnplanned(t *testing.T) {
 
 		// Inverse likewise.
 		refInv := append([]complex128(nil), ref...)
-		p.planZ.InverseBatch(refInv, p.rowsZ)
+		p.planZ.InverseBatch(refInv, p.rowsZr)
 		refInv = redistributeReference(p.colComm, refInv, colTo, colFrom)
-		p.planY.InverseBatch(refInv, p.rowsY)
+		p.planY.InverseBatch(refInv, p.rowsYr)
 		refInv = redistributeReference(p.rowComm, refInv, rowTo, rowFrom)
-		p.planX.InverseBatch(refInv, p.rowsX)
+		want := make([]float64, len(local))
+		p.planX.InverseRealBatch(want, refInv, p.rowsX)
 
-		specCopy := append([]complex128(nil), spec...)
-		back := p.Inverse(specCopy)
+		back := make([]float64, len(local))
+		p.InverseReal(append([]complex128(nil), spec...), back)
 		for i := range back {
-			if back[i] != refInv[i] {
-				t.Errorf("rank %d idx %d: planned inverse %v != legacy %v", c.Rank(), i, back[i], refInv[i])
+			if math.Float64bits(back[i]) != math.Float64bits(want[i]) {
+				t.Errorf("rank %d idx %d: planned inverse %v != legacy %v", c.Rank(), i, back[i], want[i])
 				return
 			}
 		}

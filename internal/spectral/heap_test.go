@@ -15,7 +15,7 @@ import (
 // — 5.9 MB measured, bounded at 7 MB (≈ 20 % for allocator variance). It
 // held 9.8 MB while the solve copied the owned region through a buffer of
 // its own and every redistribution kept its own pack buffers, and ≈ 17 MB
-// more while it built the complex path's transposes eagerly.
+// more when the pencil also built a complex-to-complex path, eagerly.
 func TestPoissonPlanHeap(t *testing.T) {
 	if testing.Short() {
 		t.Skip("64³ plan")

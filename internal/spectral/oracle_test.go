@@ -5,51 +5,53 @@ import (
 	"math"
 	"testing"
 
+	"hacc/internal/fft"
 	"hacc/internal/grid"
 	"hacc/internal/mpi"
 	"hacc/internal/pfft"
 )
 
 // solveReference is the pre-plan implementation — full complex transforms,
-// one-shot redistributions, per-call allocation — retained as the pinned
-// equivalence oracle for the planned r2c pipeline (see spectral_test.go).
+// per-call allocation — retained as the pinned equivalence oracle for the
+// planned r2c pipeline (see spectral_test.go). Every rank gathers the whole
+// density grid, transforms it with a serial fft.Plan3, and reads its own
+// block of each acceleration component off the whole-grid inverse.
 func (p *Poisson) solveReference(rho *grid.Field, acc *[3]*grid.Field) {
-	owned := rho.Owned()
-	moved := pfft.NewRedistributor[float64](p.comm, p.dec.Layout(), p.pen.LayoutX()).Run(owned, nil)
-	data := make([]complex128, len(moved))
-	for i, v := range moved {
-		data[i] = complex(v, 0)
-	}
-	spec := p.pen.Forward(data)
-	psi := make([]complex128, len(spec))
-	p.pen.ForEachK(func(mx, my, mz, idx int) {
-		psi[idx] = spec[idx] * complex(p.kernelAt(mx, my, mz), 0)
-	})
 	n := p.dec.N
-	blockLay := p.dec.Layout()
-	penXLay := p.pen.LayoutX()
+	box := p.dec.Box(p.comm.Rank())
+	at := func(x, y, z int) int { return (x*n[1]+y)*n[2] + z }
+	full := make([]float64, n[0]*n[1]*n[2])
+	forBox(box, func(x, y, z int) { full[at(x, y, z)] = rho.At(x, y, z) })
+	full = mpi.AllReduce(p.comm, full, mpi.SumF64)
+	plan := fft.NewPlan3(n[0], n[1], n[2])
+	psi := make([]complex128, len(full))
+	for i, v := range full {
+		psi[i] = complex(v, 0)
+	}
+	plan.Forward(psi)
+	forBox(pfft.Box{Hi: n}, func(mx, my, mz int) {
+		psi[at(mx, my, mz)] *= complex(p.kernelAt(mx, my, mz), 0)
+	})
 	for d := 0; d < 3; d++ {
 		comp := make([]complex128, len(psi))
-		p.pen.ForEachK(func(mx, my, mz, idx int) {
-			var dk float64
-			switch d {
-			case 0:
-				dk = GradSL4(KMode(mx, n[0]))
-			case 1:
-				dk = GradSL4(KMode(my, n[1]))
-			default:
-				dk = GradSL4(KMode(mz, n[2]))
-			}
-			v := psi[idx]
-			comp[idx] = complex(imag(v)*dk, -real(v)*dk)
+		forBox(pfft.Box{Hi: n}, func(mx, my, mz int) {
+			dk := GradSL4(KMode([3]int{mx, my, mz}[d], n[d]))
+			v := psi[at(mx, my, mz)]
+			comp[at(mx, my, mz)] = complex(imag(v)*dk, -real(v)*dk)
 		})
-		rs := p.pen.Inverse(comp)
-		vals := make([]float64, len(rs))
-		for i, v := range rs {
-			vals[i] = real(v)
+		plan.Inverse(comp)
+		forBox(box, func(x, y, z int) { acc[d].Set(x, y, z, real(comp[at(x, y, z)])) })
+	}
+}
+
+// forBox visits every cell of b, x slowest and z fastest.
+func forBox(b pfft.Box, fn func(x, y, z int)) {
+	for x := b.Lo[0]; x < b.Hi[0]; x++ {
+		for y := b.Lo[1]; y < b.Hi[1]; y++ {
+			for z := b.Lo[2]; z < b.Hi[2]; z++ {
+				fn(x, y, z)
+			}
 		}
-		back := pfft.NewRedistributor[float64](p.comm, penXLay, blockLay).Run(vals, nil)
-		acc[d].SetOwned(back)
 	}
 }
 
