@@ -52,7 +52,7 @@ type Power struct {
 	binOf []int32   // per local half-spectrum mode: bin index, -1 outside
 	pfac  []float64 // per mode: weight · norm / W_CIC²
 	kfac  []float64 // per mode: weight · |k| (h/Mpc)
-	wgt   []int64   // per mode: Hermitian pair weight (1 or 2)
+	wgt   []uint8   // per mode: Hermitian pair weight (1 or 2)
 
 	// Partial histograms for the pooled binning sweep, one per fixed mode
 	// stripe (not per worker): workers claim stripes round-robin and the
@@ -99,7 +99,7 @@ func NewPower(ps *spectral.Poisson, pool *par.Pool, boxMpc float64, nbins int) *
 	pw.binOf = make([]int32, nk)
 	pw.pfac = make([]float64, nk)
 	pw.kfac = make([]float64, nk)
-	pw.wgt = make([]int64, nk)
+	pw.wgt = make([]uint8, nk)
 	vol := boxMpc * boxMpc * boxMpc
 	nc3 := float64(ng) * float64(ng) * float64(ng)
 	norm := vol / (nc3 * nc3)
@@ -127,7 +127,7 @@ func NewPower(ps *spectral.Poisson, pool *par.Pool, boxMpc float64, nbins int) *
 		pw.binOf[idx] = int32(bin)
 		pw.pfac[idx] = w * norm / (cw * cw)
 		pw.kfac[idx] = w * kPhys
-		pw.wgt[idx] = int64(w)
+		pw.wgt[idx] = uint8(w)
 	})
 
 	pw.workers = 1
@@ -155,7 +155,7 @@ func NewPower(ps *spectral.Poisson, pool *par.Pool, boxMpc float64, nbins int) *
 				v := spec[i]
 				pk[b] += (real(v)*real(v) + imag(v)*imag(v)) * pw.pfac[i]
 				kw[b] += pw.kfac[i]
-				nm[b] += pw.wgt[i]
+				nm[b] += int64(pw.wgt[i])
 			}
 		}
 	}

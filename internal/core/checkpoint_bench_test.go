@@ -10,6 +10,7 @@ package core
 import (
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"hacc/internal/mpi"
@@ -68,20 +69,50 @@ func BenchmarkCheckpoint(b *testing.B) {
 	}
 }
 
+// BenchmarkRestore times Restore, CRC verification and replica restore
+// included, from a checkpoint written once outside the timer; every
+// iteration restores into a fresh in-process world:
+//   - pmonly-1rank: benchSim's 32³ PMOnly state on one rank (no kernel fit);
+//   - tree-uniform: BenchmarkNew's tree-uniform shape on 2 ranks, where
+//     the short-range kernel fit dominates.
 func BenchmarkRestore(b *testing.B) {
-	s, stop := benchSim(b, 1)
-	defer stop()
-	dir := filepath.Join(b.TempDir(), "ck")
-	if err := s.Checkpoint(dir); err != nil {
-		b.Fatal(err)
-	}
-	bytes := ckptBytes(s)
-	stop() // the restore worlds are spun up per iteration
+	b.Run("pmonly-1rank", func(b *testing.B) {
+		s, stop := benchSim(b, 1)
+		defer stop()
+		dir := filepath.Join(b.TempDir(), "ck")
+		if err := s.Checkpoint(dir); err != nil {
+			b.Fatal(err)
+		}
+		bytes := ckptBytes(s)
+		stop() // the restore worlds are spun up per iteration
+		benchRestore(b, 1, dir, bytes)
+	})
+	b.Run("tree-uniform", func(b *testing.B) {
+		dir := filepath.Join(b.TempDir(), "ck")
+		var bytes atomic.Int64
+		err := mpi.Run(2, func(c *mpi.Comm) {
+			s, err := New(c, treeUniformBench)
+			if err != nil {
+				panic(err)
+			}
+			if err := s.Checkpoint(dir); err != nil {
+				panic(err)
+			}
+			bytes.Add(ckptBytes(s))
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchRestore(b, 2, dir, bytes.Load())
+	})
+}
+
+func benchRestore(b *testing.B, ranks int, dir string, bytes int64) {
 	b.SetBytes(bytes)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		err := mpi.Run(1, func(c *mpi.Comm) {
+		err := mpi.Run(ranks, func(c *mpi.Comm) {
 			if _, err := Restore(c, dir, nil); err != nil {
 				panic(err)
 			}

@@ -6,6 +6,13 @@ import (
 	"hacc/internal/mpi"
 )
 
+// treeUniformBench is skybench tree-uniform's shape, shared by BenchmarkNew
+// and BenchmarkRestore.
+var treeUniformBench = Config{
+	Solver: PPTreePM, NParticles: 20, NGrid: 20, BoxMpc: 80,
+	ZInit: 24, ZFinal: 0, Steps: 40, SubCycles: 5, FixedAmp: true, Seed: 42,
+}
+
 // BenchmarkNew times set-up — domain, fields, exchangers, the spectral plan,
 // the short-range kernel fit and the Zel'dovich initial conditions — over 2
 // in-process ranks, allocations reported, at two workload shapes:
@@ -24,10 +31,7 @@ func BenchmarkNew(b *testing.B) {
 			Solver: PMOnly, NParticles: 32, NGrid: 64, BoxMpc: 128,
 			ZInit: 24, ZFinal: 0, Steps: 40, FixedAmp: true, Seed: 42,
 		}},
-		{"tree-uniform", Config{
-			Solver: PPTreePM, NParticles: 20, NGrid: 20, BoxMpc: 80,
-			ZInit: 24, ZFinal: 0, Steps: 40, SubCycles: 5, FixedAmp: true, Seed: 42,
-		}},
+		{"tree-uniform", treeUniformBench},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()

@@ -188,8 +188,9 @@ func FuzzPlanBitExact(f *testing.F) {
 	})
 }
 
-// TestBatchAllocFree pins the batch entry points and Plan3 at zero
-// steady-state allocations: scratch comes from the plan, once per batch.
+// TestBatchAllocFree pins the batch entry points and Plan3 (full, sparse
+// and boxed) at zero steady-state allocations: scratch comes from the plan,
+// once per batch.
 func TestBatchAllocFree(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector makes sync.Pool drop items and allocates itself")
@@ -215,8 +216,10 @@ func TestBatchAllocFree(t *testing.T) {
 	if allocs := testing.AllocsPerRun(10, func() {
 		p3.Forward(data)
 		p3.Inverse(data)
+		p3.ForwardSparse(data, Span{5, 2}, Span{-1, 3})
+		p3.InverseBox(data, Span{4, 3}, Span{7, 2}, Span{1, 3})
 	}); allocs != 0 {
-		t.Errorf("Plan3: %v allocations per forward+inverse", allocs)
+		t.Errorf("Plan3: %v allocations per forward+inverse and sparse forward+boxed inverse", allocs)
 	}
 }
 

@@ -29,6 +29,16 @@
 // multiplies by the unit twiddle (1, −0), and use no fused multiply-add.
 //
 // A Plan is immutable after creation and safe for concurrent use by
-// multiple goroutines; per-call scratch comes from an internal pool. A
-// Plan3 owns its transpose tile and is not.
+// multiple goroutines; per-call scratch comes from an internal pool.
+//
+// Plan3 is the serial 3-D transform: z rows, then y lines, then x lines,
+// one independent 1-D transform each. Its production caller is the
+// short-range kernel fit's point-source PM solve, which uses the index-set
+// forms of the one loop: ForwardSparse skips the lines an input that is +0
+// outside a few z rows leaves all +0 (only when the plan maps a +0 row to
+// +0 bits, which Bluestein lengths need not), and InverseBox transforms
+// only the lines a box of outputs depends on. Both give Forward's and
+// Inverse's bits where they promise them. Tests use Plan3 as the serial
+// oracle of pfft's distributed transforms. A Plan3 owns its transpose tile
+// and is not safe for concurrent use.
 package fft

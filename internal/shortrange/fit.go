@@ -109,7 +109,7 @@ func SampleGridForce(o FitOptions, part, parts int) ([]float64, error) {
 			if probe == nil {
 				probe = newSerialPM(n, o.Sigma, o.Ns)
 			}
-			probe.solve(src)
+			probe.solveWithin(src, o.RCut+0.5)
 		}
 		for ir := 0; ir < o.Radii; ir++ {
 			frac := (float64(ir) + 0.5) / float64(o.Radii)
@@ -272,7 +272,8 @@ type serialPM struct {
 	grad  []float64 // per 1-D mode index: GradSL4
 	rho   []complex128
 	comp  []complex128
-	acc   [3][]float64
+	win   [3]fft.Span  // the cells the last solve stored, per axis
+	acc   [3][]float64 // acceleration on win, index (j0·len1 + j1)·len2 + j2 (grown on demand)
 }
 
 func newSerialPM(n int, sigma float64, ns int) *serialPM {
@@ -311,15 +312,20 @@ func newSerialPM(n int, sigma float64, ns int) *serialPM {
 			}
 		}
 	}
-	for d := range p.acc {
-		p.acc[d] = make([]float64, n*n*n)
-	}
 	return p
 }
 
 // solve computes the acceleration field of a unit CIC-deposited point mass
-// with far-field normalization 1/r².
-func (p *serialPM) solve(src [3]float64) {
+// with far-field normalization 1/r², on every cell.
+func (p *serialPM) solve(src [3]float64) { p.solveWithin(src, math.Inf(1)) }
+
+// solveWithin is solve storing the acceleration only on the window of
+// cells accelAt reads for a probe within reach of src: a probe at x reads
+// cells ⌊x⌋ and ⌊x⌋+1, so each axis needs ⌊c−reach⌋ … ⌊c+reach⌋+1, and the
+// window adds a cell on each side for the rounding of src + r·dir. The
+// forward transform starts from the 2×2 z rows the CIC source fills and
+// the inverses finish only that window; both give solve's bits there.
+func (p *serialPM) solveWithin(src [3]float64, reach float64) {
 	n := p.n
 	rho := p.rho
 	clear(rho)
@@ -343,12 +349,16 @@ func (p *serialPM) solve(src [3]float64) {
 			}
 		}
 	}
-	p.plan.Forward(rho)
+	p.plan.ForwardSparse(rho, fft.Span{Lo: ix, Len: 2}, fft.Span{Lo: iy, Len: 2})
 	psi := rho
 	psi[0] = 0
 	for i := 1; i < len(psi); i++ {
 		psi[i] *= complex(p.green[i], 0)
 	}
+	for d := range p.win {
+		p.win[d] = window(src[d], reach, n)
+	}
+	w0, w1, w2 := p.win[0], p.win[1], p.win[2]
 	comp := p.comp
 	for d := 0; d < 3; d++ {
 		for mx := 0; mx < n; mx++ {
@@ -369,18 +379,41 @@ func (p *serialPM) solve(src [3]float64) {
 				}
 			}
 		}
-		p.plan.Inverse(comp)
-		for i, v := range comp {
-			p.acc[d][i] = real(v)
+		p.plan.InverseBox(comp, w0, w1, w2)
+		acc := p.acc[d][:0]
+		for j0 := 0; j0 < w0.Len; j0++ {
+			g0 := mod(w0.Lo+j0, n)
+			for j1 := 0; j1 < w1.Len; j1++ {
+				g1 := mod(w1.Lo+j1, n)
+				for j2 := 0; j2 < w2.Len; j2++ {
+					acc = append(acc, real(comp[(g0*n+g1)*n+mod(w2.Lo+j2, n)]))
+				}
+			}
 		}
+		p.acc[d] = acc
 	}
 }
 
-// accelAt CIC-interpolates the acceleration at a position.
+// window returns the cells of an n-cell periodic axis that solveWithin
+// stores for a source at c: the whole axis when they would cover it.
+func window(c, reach float64, n int) fft.Span {
+	if reach >= float64(n) {
+		return fft.Span{Lo: 0, Len: n}
+	}
+	lo := int(math.Floor(c-reach)) - 1
+	hi := int(math.Floor(c+reach)) + 2 // exclusive
+	if hi-lo >= n {
+		return fft.Span{Lo: 0, Len: n}
+	}
+	return fft.Span{Lo: mod(lo, n), Len: hi - lo}
+}
+
+// accelAt CIC-interpolates the acceleration at a position. It panics on a
+// cell outside the last solve's window.
 func (p *serialPM) accelAt(x, y, z float64) [3]float64 {
-	n := p.n
 	ix, iy, iz := int(math.Floor(x)), int(math.Floor(y)), int(math.Floor(z))
 	fx, fy, fz := x-float64(ix), y-float64(iy), z-float64(iz)
+	l1, l2 := p.win[1].Len, p.win[2].Len
 	var out [3]float64
 	for dx := 0; dx < 2; dx++ {
 		for dy := 0; dy < 2; dy++ {
@@ -395,7 +428,7 @@ func (p *serialPM) accelAt(x, y, z float64) [3]float64 {
 				if dz == 1 {
 					wz = fz
 				}
-				i := ((mod(ix+dx, n))*n+mod(iy+dy, n))*n + mod(iz+dz, n)
+				i := (p.local(0, ix+dx)*l1+p.local(1, iy+dy))*l2 + p.local(2, iz+dz)
 				w := wx * wy * wz
 				for d := 0; d < 3; d++ {
 					out[d] += p.acc[d][i] * w
@@ -404,6 +437,16 @@ func (p *serialPM) accelAt(x, y, z float64) [3]float64 {
 		}
 	}
 	return out
+}
+
+// local maps cell i of an axis to its index in the solved window.
+func (p *serialPM) local(axis, i int) int {
+	w := p.win[axis]
+	j := mod(i-w.Lo, p.n)
+	if j >= w.Len {
+		panic(fmt.Sprintf("shortrange: accelAt reads cell %d of axis %d outside the solved window %+v", mod(i, p.n), axis, w))
+	}
+	return j
 }
 
 func mod(x, n int) int { return ((x % n) + n) % n }

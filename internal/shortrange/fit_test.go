@@ -86,7 +86,8 @@ func solveReference(n int, sigma float64, ns int, src [3]float64) [3][]float64 {
 
 // TestSerialPMTablesMatchPerSource pins the fit's solver, whose k-space
 // tables are built once and reused for every source, bit for bit against
-// the per-source form, over the fit's default grid and offset draws.
+// the per-source form on the whole field (solve, no reach), over the fit's
+// default grid and offset draws.
 func TestSerialPMTablesMatchPerSource(t *testing.T) {
 	var o FitOptions
 	o.setDefaults()
@@ -103,6 +104,9 @@ func TestSerialPMTablesMatchPerSource(t *testing.T) {
 			probe.solve(src)
 			want := solveReference(n, o.Sigma, o.Ns, src)
 			for d := 0; d < 3; d++ {
+				if len(probe.acc[d]) != len(want[d]) {
+					t.Fatalf("axis %d: %d cells stored, want the whole field's %d", d, len(probe.acc[d]), len(want[d]))
+				}
 				for i, w := range want[d] {
 					if got := probe.acc[d][i]; math.Float64bits(got) != math.Float64bits(w) {
 						t.Fatalf("seed %d offset %d axis %d cell %d: %v want %v", seed, off, d, i, got, w)
@@ -110,6 +114,89 @@ func TestSerialPMTablesMatchPerSource(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestSolveWithinMatchesSolve pins the windowed solve bit for bit against
+// the whole-field solve on every cell of its window, for sources in the
+// middle of the grid and next to its edges, where the window wraps, and
+// checks that the window holds every cell a probe within reach reads.
+func TestSolveWithinMatchesSolve(t *testing.T) {
+	var o FitOptions
+	o.setDefaults()
+	n, reach := o.GridN, o.RCut+0.5
+	full := newSerialPM(n, o.Sigma, o.Ns)
+	win := newSerialPM(n, o.Sigma, o.Ns)
+	for _, src := range [][3]float64{
+		{16.2, 15.7, 16.4},
+		{0.3, 31.6, 16.1}, // wraps below x = 0 and above y = n
+		{31.9, 0.02, 2.5},
+	} {
+		full.solve(src)
+		win.solveWithin(src, reach)
+		for d := 0; d < 3; d++ {
+			w := win.win[d]
+			if w.Len >= n {
+				t.Fatalf("src %v axis %d: window %+v spans the grid", src, d, w)
+			}
+			if lo := int(math.Floor(src[d] - reach)); mod(lo-w.Lo, n) >= w.Len {
+				t.Fatalf("src %v axis %d: window %+v misses cell %d", src, d, w, mod(lo, n))
+			}
+			if hi := int(math.Floor(src[d]+reach)) + 1; mod(hi-w.Lo, n) >= w.Len {
+				t.Fatalf("src %v axis %d: window %+v misses cell %d", src, d, w, mod(hi, n))
+			}
+		}
+		w0, w1, w2 := win.win[0], win.win[1], win.win[2]
+		for d := 0; d < 3; d++ {
+			if len(win.acc[d]) != w0.Len*w1.Len*w2.Len {
+				t.Fatalf("src %v axis %d: %d cells stored, window holds %d", src, d, len(win.acc[d]), w0.Len*w1.Len*w2.Len)
+			}
+			for j0 := 0; j0 < w0.Len; j0++ {
+				for j1 := 0; j1 < w1.Len; j1++ {
+					for j2 := 0; j2 < w2.Len; j2++ {
+						g := (mod(w0.Lo+j0, n)*n+mod(w1.Lo+j1, n))*n + mod(w2.Lo+j2, n)
+						got := win.acc[d][(j0*w1.Len+j1)*w2.Len+j2]
+						if math.Float64bits(got) != math.Float64bits(full.acc[d][g]) {
+							t.Fatalf("src %v axis %d cell %d: %v, whole field %v", src, d, g, got, full.acc[d][g])
+						}
+					}
+				}
+			}
+		}
+		rng := rand.New(rand.NewSource(5))
+		for range 200 {
+			dir := randDir(rng)
+			r := reach * rng.Float64()
+			px, py, pz := src[0]+r*dir[0], src[1]+r*dir[1], src[2]+r*dir[2]
+			if got, want := win.accelAt(px, py, pz), full.accelAt(px, py, pz); got != want {
+				t.Fatalf("src %v probe (%v, %v, %v): %v, whole field %v", src, px, py, pz, got, want)
+			}
+		}
+	}
+}
+
+// TestAccelAtOutsideWindowPanics checks that a probe reading a cell the
+// windowed solve did not store panics instead of returning stale values.
+func TestAccelAtOutsideWindowPanics(t *testing.T) {
+	var o FitOptions
+	o.setDefaults()
+	pm := newSerialPM(o.GridN, o.Sigma, o.Ns)
+	src := [3]float64{0.3, 16.5, 16.5}
+	pm.solveWithin(src, o.RCut+0.5)
+	pm.accelAt(src[0]-o.RCut, src[1], src[2]) // inside
+	for _, p := range [][3]float64{
+		{src[0] + 8, src[1], src[2]},
+		{src[0], src[1] - 8, src[2]},
+		{src[0], src[1], src[2] + 16},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("accelAt%v outside window %+v did not panic", p, pm.win)
+				}
+			}()
+			pm.accelAt(p[0], p[1], p[2])
+		}()
 	}
 }
 
