@@ -11,19 +11,11 @@ import (
 	"hacc/internal/par"
 )
 
-// The analysis stitch gets its own tag block, disjoint from the domain
-// exchange (0x100000–0x1fffff), the grid ghost exchanger (0x200000–0x2fffff)
-// and the pfft redistributor tag. As with those plans, every collective
-// draws a fresh tag from a rolling per-plan sequence, so an analysis pass
-// can legally overlap other planned collectives in flight.
-const tagStitchBase = 0x300000
-
-// stitchLeg is one neighbor leg of the boundary stitch: persistent send
-// buffer and request storage, mirroring domain.exLeg.
+// stitchLeg is one neighbor leg of the boundary stitch: the peer rank and
+// a persistent send buffer, mirroring domain.exLeg.
 type stitchLeg struct {
 	rank int
 	send []uint64
-	req  mpi.Request
 }
 
 // recWords is the wire size of one boundary-group record: the group key,
@@ -65,7 +57,9 @@ type Plan struct {
 
 	legs    []stitchLeg
 	rankLeg []int32 // comm rank -> leg index, -1 when not a neighbor
-	id, seq int
+	// tags gives every stitch a fresh tag, so an analysis pass can overlap
+	// the other plans' collectives in flight.
+	tags mpi.Tags
 
 	// Combined particle scratch: actives [0,na) then passives [na,n).
 	x, y, z []float32
@@ -141,7 +135,7 @@ func NewPlan(d *domain.Domain, pool *par.Pool) *Plan {
 		d:       d,
 		comm:    d.Comm,
 		pool:    pool,
-		id:      d.Comm.NextPlanID(),
+		tags:    d.Comm.NewTags(),
 		idMap:   map[uint64]int32{},
 		gRecIdx: map[uint64]int32{},
 		rankLeg: make([]int32, d.Comm.Size()),
@@ -199,12 +193,6 @@ func NewPlan(d *domain.Domain, pool *par.Pool) *Plan {
 // NumLegs returns the number of stitch messages this rank sends per
 // FindHalos call (one per 26-stencil neighbor leg).
 func (p *Plan) NumLegs() int { return len(p.legs) }
-
-func (p *Plan) nextTag() int {
-	t := tagStitchBase | (p.id&0xff)<<12 | (p.seq & 0xfff)
-	p.seq++
-	return t
-}
 
 // findAtomic returns the root of i with best-effort path halving. Safe for
 // concurrent use during the pooled link phase; parent pointers only ever
@@ -529,15 +517,13 @@ func (p *Plan) stitch() {
 		}
 		off += seg.N
 	}
-	tag := p.nextTag()
+	tag := p.tags.Next()
 	for li := range p.legs {
-		leg := &p.legs[li]
-		mpi.Isend(p.comm, leg.rank, tag, leg.send)
-		mpi.IrecvInit(p.comm, leg.rank, tag, &leg.req)
+		mpi.Send(p.comm, p.legs[li].rank, tag, p.legs[li].send)
 	}
 	p.edges = p.edges[:0]
 	for li := range p.legs {
-		buf := mpi.WaitRecv[uint64](&p.legs[li].req)
+		buf := mpi.Recv[uint64](p.comm, p.legs[li].rank, tag)
 		for k := 0; k+1 < len(buf); k += 2 {
 			id, rkey := buf[k], buf[k+1]
 			ai, ok := p.idMap[id]

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"reflect"
 	"runtime"
 	"testing"
 
@@ -24,11 +23,11 @@ func pmWireConfig() Config {
 // transposes' buffers, real and gradient scratch, kernel table, run lists
 // and pack buffers), the particles and the domain and ghost exchange plans.
 // The bound leaves 5 MiB (≈ 14 %) for allocator and collector variance;
-// with per-cell ghost lists, receive frames pinned by requests and by the
-// mailbox, and the solve's owned-region copies it measured 52.5 MiB. After
-// a halo-finding pass too, no mpi.Request reachable from the simulation —
-// the pooled ghost ops, the domain exchange legs, the FOF plan's legs — may
-// still reference a received payload.
+// with per-cell ghost lists, receive frames pinned by plan-owned requests
+// and by the mailbox, and the solve's owned-region copies it measured
+// 52.5 MiB. The exchange plans keep only a tag between Begin and End and
+// take each frame with mpi.Recv as they unpack it, so no plan can pin a
+// received payload.
 func TestPMWireLiveHeap(t *testing.T) {
 	if testing.Short() {
 		t.Skip("64³ simulation")
@@ -53,13 +52,7 @@ func TestPMWireLiveHeap(t *testing.T) {
 			runtime.ReadMemStats(&m)
 		}
 		mpi.Barrier(c)
-		s.FindHalos(0.168, 10)
-		mpi.Barrier(c)
-		if held, recvs := pinnedPayloads(s); held > 0 || recvs == 0 {
-			t.Errorf("rank %d: %d of %d receive requests reachable from the simulation still reference a payload",
-				c.Rank(), held, recvs)
-		}
-		mpi.Barrier(c)
+		runtime.KeepAlive(s) // the simulation must be live when rank 0 measures
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -69,75 +62,4 @@ func TestPMWireLiveHeap(t *testing.T) {
 	if live > boundMiB {
 		t.Errorf("live heap %.1f MiB, want ≤ %d MiB", live, boundMiB)
 	}
-}
-
-// pinnedPayloads walks everything reachable from s and counts the receive
-// requests it meets and those of them that still hold a payload.
-func pinnedPayloads(s *Simulation) (held, recvs int) {
-	reqType := reflect.TypeFor[mpi.Request]()
-	type key struct {
-		p uintptr
-		t reflect.Type
-	}
-	seen := map[key]bool{}
-	var walk func(v reflect.Value)
-	walk = func(v reflect.Value) {
-		switch v.Kind() {
-		case reflect.Pointer:
-			if v.IsNil() || seen[key{v.Pointer(), v.Type()}] {
-				return
-			}
-			seen[key{v.Pointer(), v.Type()}] = true
-			walk(v.Elem())
-		case reflect.Interface:
-			if !v.IsNil() {
-				walk(v.Elem())
-			}
-		case reflect.Struct:
-			if v.Type() == reqType {
-				if v.FieldByName("recv").Bool() {
-					recvs++
-					if !v.FieldByName("payload").IsNil() {
-						held++
-					}
-				}
-				return
-			}
-			for i := 0; i < v.NumField(); i++ {
-				walk(v.Field(i))
-			}
-		case reflect.Slice:
-			if v.IsNil() || seen[key{v.Pointer(), v.Type()}] {
-				return
-			}
-			seen[key{v.Pointer(), v.Type()}] = true
-			fallthrough
-		case reflect.Array:
-			if !holdsRefs(v.Type().Elem()) {
-				return
-			}
-			for i := 0; i < v.Len(); i++ {
-				walk(v.Index(i))
-			}
-		case reflect.Map:
-			for it := v.MapRange(); it.Next(); {
-				walk(it.Key())
-				walk(it.Value())
-			}
-		}
-	}
-	walk(reflect.ValueOf(s))
-	return held, recvs
-}
-
-// holdsRefs reports whether values of t can lead to a Request: basic
-// scalars cannot, so their (large) slices are skipped.
-func holdsRefs(t reflect.Type) bool {
-	switch t.Kind() {
-	case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
-		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
-		reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128, reflect.String:
-		return false
-	}
-	return true
 }

@@ -7,18 +7,6 @@ import (
 	"hacc/internal/mpi"
 )
 
-// The planned exchange gives every Begin a fresh tag from a rolling
-// sequence, so collectives that overlap in flight (a deferred RefreshEnd
-// racing the next step's MigrateBegin) can never mismatch messages: the
-// in-process mpi matches on (source, tag), and every rank advances the
-// sequence at the same collectively-ordered Begin calls. Each plan instance
-// additionally gets its own tag block (Comm.NextPlanID: plans are built in
-// the same collective order on every rank, so the numbering agrees), so two
-// plans in flight on one communicator cannot collide either. The domain
-// block 0x100000–0x1fffff is disjoint from the grid exchanger's
-// 0x200000–0x2fffff and the pfft redistributor tag.
-const tagExchangeBase = 0x100000
-
 const (
 	pendNone = iota
 	pendMigrate
@@ -26,14 +14,13 @@ const (
 )
 
 // exLeg is one planned point-to-point transfer leg: a neighbor rank, the
-// catch entries routed to it, and persistent pack/index/request storage so
-// the warm exchange path allocates nothing.
+// catch entries routed to it, and persistent pack/index storage so the warm
+// exchange path allocates nothing.
 type exLeg struct {
 	rank    int
 	catches []int32 // indices into Domain.catches targeting this rank, ascending
 	idx     []int32 // migrate scratch: particle indices bound for this rank
 	packed  []uint64
-	req     mpi.Request
 }
 
 // ExchangePlan is the persistent neighbor-stencil particle-exchange plan, in
@@ -41,9 +28,12 @@ type exLeg struct {
 // domain geometry, so Migrate and Refresh become point-to-point legs over at
 // most the 26-stencil of sub-box neighbors (one packed message per leg per
 // collective) instead of dense all-to-all sweeps over every rank. Both
-// collectives split into Begin (classify + pack + post Isends/Irecvs) and
-// End (wait + unpack), which is what lets core hide the exchange behind
-// computation; all index lists, pack buffers, and requests are plan-owned.
+// collectives split into Begin (classify + pack + send) and End (receive +
+// unpack), which is what lets core hide the exchange behind computation;
+// all index lists and pack buffers are plan-owned. Every Begin draws a
+// fresh tag from the plan's mpi.Tags, so a rank still in a deferred
+// RefreshEnd cannot take a faster peer's next MigrateBegin messages, nor
+// another plan's.
 //
 // A plan is collective state: every rank builds it in Domain.New and must
 // issue Begin/End calls in the same collective order.
@@ -67,8 +57,8 @@ type ExchangePlan struct {
 	hits     [][]int32
 	catchIdx [][]int32 // per-catch particle index lists, reused across steps
 
-	id      int
-	seq     int
+	tags    mpi.Tags
+	tag     int // the in-flight collective's tag
 	pending int
 
 	neighbors []int // lazily materialized leg-rank list for Neighbors
@@ -79,7 +69,7 @@ type ExchangePlan struct {
 func newExchangePlan(d *Domain) *ExchangePlan {
 	me := d.Comm.Rank()
 	p := d.Comm.Size()
-	pl := &ExchangePlan{d: d, id: d.Comm.NextPlanID(), rankLeg: make([]int32, p)}
+	pl := &ExchangePlan{d: d, tags: d.Comm.NewTags(), rankLeg: make([]int32, p)}
 	for i := range pl.rankLeg {
 		pl.rankLeg[i] = -1
 	}
@@ -194,12 +184,6 @@ func (pl *ExchangePlan) Neighbors() []int {
 	return pl.neighbors
 }
 
-func (pl *ExchangePlan) nextTag() int {
-	t := tagExchangeBase | (pl.id&0xff)<<12 | (pl.seq & 0xfff)
-	pl.seq++
-	return t
-}
-
 // interval returns the index i with bp[i] <= x < bp[i+1]. bp is tiny (a
 // handful of catch bounds), so a linear scan beats a binary search.
 func interval(bp []float64, x float64) int {
@@ -230,15 +214,15 @@ func (pl *ExchangePlan) classify() {
 }
 
 // MigrateBegin wraps active positions, classifies departures onto the
-// neighbor legs, compacts the stayers, and posts one packed message per leg
-// (plus the matching receives). Collective; complete with MigrateEnd.
+// neighbor legs, compacts the stayers, and sends one packed message per
+// leg. Collective; complete with MigrateEnd.
 func (d *Domain) MigrateBegin() {
 	pl := d.plan
 	if pl.pending != pendNone {
 		panic("domain: MigrateBegin with an exchange already in flight")
 	}
 	pl.pending = pendMigrate
-	tag := pl.nextTag()
+	pl.tag = pl.tags.Next()
 	a := &d.Active
 	n := d.Dec.N
 	me := d.Comm.Rank()
@@ -286,13 +270,12 @@ func (d *Domain) MigrateBegin() {
 	a.Truncate(stay)
 	for li := range pl.legs {
 		leg := &pl.legs[li]
-		mpi.Isend(d.Comm, leg.rank, tag, leg.packed)
-		mpi.IrecvInit(d.Comm, leg.rank, tag, &leg.req)
+		mpi.Send(d.Comm, leg.rank, pl.tag, leg.packed)
 	}
 	d.Migrated += moved
 }
 
-// MigrateEnd waits for the neighbor legs and unpacks arrivals (in rank
+// MigrateEnd receives the neighbor legs and unpacks arrivals (in rank
 // order, matching the dense path bitwise).
 func (d *Domain) MigrateEnd() {
 	pl := d.plan
@@ -300,13 +283,13 @@ func (d *Domain) MigrateEnd() {
 		panic("domain: MigrateEnd without MigrateBegin")
 	}
 	for li := range pl.legs {
-		d.Active.unpackParticles(mpi.WaitRecv[uint64](&pl.legs[li].req))
+		d.Active.unpackParticles(mpi.Recv[uint64](d.Comm, pl.legs[li].rank, pl.tag))
 	}
 	pl.pending = pendNone
 }
 
 // RefreshBegin classifies every active against the catch list in a single
-// pass, packs per-leg replica messages, and posts the sends and receives.
+// pass, packs per-leg replica messages, and sends them.
 // Collective; complete with RefreshEnd. Active positions must already be
 // canonical (call Migrate first after any position update). The passive set
 // keeps its previous (stale) contents until RefreshEnd runs, so analysis
@@ -317,7 +300,7 @@ func (d *Domain) RefreshBegin() {
 		panic("domain: RefreshBegin with an exchange already in flight")
 	}
 	pl.pending = pendRefresh
-	tag := pl.nextTag()
+	pl.tag = pl.tags.Next()
 	pl.classify()
 	a := &d.Active
 	pl.selfPacked = pl.selfPacked[:0]
@@ -330,12 +313,11 @@ func (d *Domain) RefreshBegin() {
 		for _, ci := range leg.catches {
 			leg.packed = a.packParticlesInto(leg.packed, pl.catchIdx[ci], d.catches[ci].shift)
 		}
-		mpi.Isend(d.Comm, leg.rank, tag, leg.packed)
-		mpi.IrecvInit(d.Comm, leg.rank, tag, &leg.req)
+		mpi.Send(d.Comm, leg.rank, pl.tag, leg.packed)
 	}
 }
 
-// RefreshEnd waits for the neighbor legs and rebuilds the passive set:
+// RefreshEnd receives the neighbor legs and rebuilds the passive set:
 // remote replicas in rank order, then the rank's own periodic images —
 // the same order as the dense path, so the result is bitwise identical.
 func (d *Domain) RefreshEnd() {
@@ -347,7 +329,7 @@ func (d *Domain) RefreshEnd() {
 	d.origins = d.origins[:0]
 	for li := range pl.legs {
 		n0 := d.Passive.Len()
-		d.Passive.unpackParticles(mpi.WaitRecv[uint64](&pl.legs[li].req))
+		d.Passive.unpackParticles(mpi.Recv[uint64](d.Comm, pl.legs[li].rank, pl.tag))
 		d.origins = append(d.origins, Origin{Rank: pl.legs[li].rank, N: d.Passive.Len() - n0})
 	}
 	n0 := d.Passive.Len()

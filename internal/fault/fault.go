@@ -13,7 +13,7 @@ const (
 	// PointSend fires in the comm layer before a point-to-point message is
 	// delivered (including the sends inside collectives).
 	PointSend = "send"
-	// PointRecv fires before a blocking receive or request wait parks.
+	// PointRecv fires before a blocking receive parks.
 	PointRecv = "recv"
 	// PointCollective fires on entry to a collective operation.
 	PointCollective = "collective"

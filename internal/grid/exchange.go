@@ -7,18 +7,6 @@ import (
 	"hacc/internal/par"
 )
 
-// Ghost traffic tags: every Begin draws a fresh tag from a rolling sequence
-// (advanced identically on all ranks by the collective call order), so
-// several ghost collectives may be in flight at once — e.g. the three
-// acceleration-component Fills pipelined against interpolation — without
-// message mismatches. Each exchanger instance additionally gets its own tag
-// block (Comm.NextPlanID: instances are built in the same collective order
-// on every rank, so the numbering agrees): the density and acceleration
-// exchangers of one simulation can never collide even when both have
-// collectives in flight. The grid block 0x200000–0x2fffff is disjoint from
-// the domain exchange's 0x100000–0x1fffff and the pfft redistributor tag.
-const tagGhostBase = 0x200000
-
 // span is a run of n consecutive storage cells starting at index at.
 type span struct{ at, n int }
 
@@ -49,12 +37,15 @@ type gLeg struct {
 // message (or the wrap) in cell order, so a ghost-6 plan on a 32×64×64
 // box is ≈ 8 k runs instead of ≈ 250 k cell indices, and packing and
 // unpacking are copy (fill) and add (accumulate) loops over them. Both
-// directions split into Begin (pack + post non-blocking legs) and End
-// (wait + unpack), so callers can overlap the exchange with computation;
-// Accumulate/Fill are the sequential Begin+End compositions. The receives
-// let go of their frames as they are unpacked, so a pooled op pins no
-// message between collectives. The dense all-to-all form the legs are
-// checked against lives in oracle_test.go, with its own per-cell lists.
+// directions split into Begin (pack + send every leg) and End (receive +
+// unpack), so callers can overlap the exchange with computation;
+// Accumulate/Fill are the sequential Begin+End compositions. Every Begin
+// draws a fresh tag from the exchanger's mpi.Tags, so several ghost
+// collectives may be in flight at once — the three acceleration-component
+// Fills pipelined against interpolation — and the density and acceleration
+// exchangers of one simulation never match each other's messages. The
+// dense all-to-all form the legs are checked against lives in
+// oracle_test.go, with its own per-cell lists.
 type Exchanger struct {
 	comm *mpi.Comm
 	legs []gLeg
@@ -65,8 +56,7 @@ type Exchanger struct {
 	// copies or writes a payload before Send returns.
 	send []float64
 
-	id   int
-	seq  int
+	tags mpi.Tags
 	free []*GhostOp
 }
 
@@ -77,14 +67,14 @@ type GhostOp struct {
 	e    *Exchanger
 	f    *Field
 	fill bool
-	reqs []mpi.Request // parallel to e.legs
+	tag  int
 }
 
 // NewExchanger builds an exchange plan. Collective over comm; the field f
 // supplies the local box shape and ghost width (its data is not touched).
 func NewExchanger(c *mpi.Comm, d *Decomp, f *Field) *Exchanger {
 	pl := planGhosts(d, f, c.Rank())
-	e := &Exchanger{comm: c, id: c.NextPlanID(), self: pl.self}
+	e := &Exchanger{comm: c, tags: c.NewTags(), self: pl.self}
 	// Owners translate requested runs to interior runs. One-time plan
 	// construction; the per-step path below uses only neighbor legs.
 	recvd := mpi.AllToAll(c, pl.want)
@@ -132,76 +122,49 @@ func cells(runs []span) int {
 // sub-boxes wider than the ghost halo), for message-count accounting.
 func (e *Exchanger) NumLegs() int { return len(e.legs) }
 
-func (e *Exchanger) nextTag() int {
-	t := tagGhostBase | (e.id&0xff)<<12 | (e.seq & 0xfff)
-	e.seq++
-	return t
-}
+// AccumulateBegin packs every remote ghost value and sends one message per
+// neighbor leg. Collective (all ranks must call their Begin/End pairs in
+// the same order); complete with End.
+func (e *Exchanger) AccumulateBegin(f *Field) *GhostOp { return e.begin(f, false) }
 
-// getOp pops a pooled op (or allocates the first time).
-func (e *Exchanger) getOp(f *Field, fill bool) *GhostOp {
+// FillBegin packs every interior value mirrored by a neighbor's halo and
+// sends one message per leg. Collective; complete with End.
+func (e *Exchanger) FillBegin(f *Field) *GhostOp { return e.begin(f, true) }
+
+// begin pops a pooled op (or allocates the first time), draws its tag and
+// sends every leg's runs — the owned runs for a fill, the ghost runs for
+// an accumulate — packed one leg at a time into the one pack buffer.
+func (e *Exchanger) begin(f *Field, fill bool) *GhostOp {
 	var op *GhostOp
 	if n := len(e.free); n > 0 {
 		op = e.free[n-1]
 		e.free = e.free[:n-1]
 	} else {
-		op = &GhostOp{e: e, reqs: make([]mpi.Request, len(e.legs))}
+		op = &GhostOp{e: e}
 	}
-	op.f = f
-	op.fill = fill
-	return op
-}
-
-// AccumulateBegin packs every remote ghost value and posts one message per
-// neighbor leg plus the matching receives. Collective (all ranks must call
-// their Begin/End pairs in the same order); complete with End.
-func (e *Exchanger) AccumulateBegin(f *Field) *GhostOp {
-	op := e.getOp(f, false)
-	tag := e.nextTag()
+	op.f, op.fill, op.tag = f, fill, e.tags.Next()
 	for li := range e.legs {
 		leg := &e.legs[li]
-		if leg.nGhost > 0 {
-			e.post(tag, leg.rank, f.Data, leg.ghost, leg.nGhost)
+		runs, n := leg.ghost, leg.nGhost
+		if fill {
+			runs, n = leg.owned, leg.nOwned
 		}
-		if leg.nOwned > 0 {
-			mpi.IrecvInit(e.comm, leg.rank, tag, &op.reqs[li])
+		if n == 0 {
+			continue
 		}
+		e.send = par.Resize(e.send, n)
+		k := 0
+		for _, r := range runs {
+			k += copy(e.send[k:k+r.n], f.Data[r.at:r.at+r.n])
+		}
+		mpi.Send(e.comm, leg.rank, op.tag, e.send)
 	}
 	return op
 }
 
-// FillBegin packs every interior value mirrored by a neighbor's halo and
-// posts one message per leg plus the matching receives. Collective;
-// complete with End.
-func (e *Exchanger) FillBegin(f *Field) *GhostOp {
-	op := e.getOp(f, true)
-	tag := e.nextTag()
-	for li := range e.legs {
-		leg := &e.legs[li]
-		if leg.nOwned > 0 {
-			e.post(tag, leg.rank, f.Data, leg.owned, leg.nOwned)
-		}
-		if leg.nGhost > 0 {
-			mpi.IrecvInit(e.comm, leg.rank, tag, &op.reqs[li])
-		}
-	}
-	return op
-}
-
-// post packs the n cells of runs into the pack buffer and sends them.
-func (e *Exchanger) post(tag, rank int, data []float64, runs []span, n int) {
-	e.send = par.Resize(e.send, n)
-	k := 0
-	for _, r := range runs {
-		k += copy(e.send[k:k+r.n], data[r.at:r.at+r.n])
-	}
-	mpi.Isend(e.comm, rank, tag, e.send)
-}
-
-// End waits for the op's neighbor legs and unpacks them (in rank order,
+// End receives the op's neighbor legs and unpacks them (in rank order,
 // matching the dense oracle bitwise), applies the self-wraps, and — for
-// accumulates — zeroes the ghost halo. Every received frame is released
-// as it is unpacked; the op returns to the pool.
+// accumulates — zeroes the ghost halo. The op returns to the pool.
 func (op *GhostOp) End() {
 	e := op.e
 	data := op.f.Data
@@ -211,7 +174,7 @@ func (op *GhostOp) End() {
 			if leg.nGhost == 0 {
 				continue
 			}
-			buf := recvLeg(&op.reqs[li], leg.rank, leg.nGhost)
+			buf := op.recvLeg(leg.rank, leg.nGhost)
 			for _, r := range leg.ghost {
 				buf = buf[copy(data[r.at:r.at+r.n], buf):]
 			}
@@ -225,7 +188,7 @@ func (op *GhostOp) End() {
 			if leg.nOwned == 0 {
 				continue
 			}
-			buf := recvLeg(&op.reqs[li], leg.rank, leg.nOwned)
+			buf := op.recvLeg(leg.rank, leg.nOwned)
 			for _, r := range leg.owned {
 				addInto(data[r.at:r.at+r.n], buf)
 				buf = buf[r.n:]
@@ -240,9 +203,10 @@ func (op *GhostOp) End() {
 	e.free = append(e.free, op)
 }
 
-// recvLeg completes a leg's receive, checking that it carries n cells.
-func recvLeg(req *mpi.Request, rank, n int) []float64 {
-	buf := mpi.WaitRecv[float64](req)
+// recvLeg receives the op's message from rank, checking that it carries n
+// cells.
+func (op *GhostOp) recvLeg(rank, n int) []float64 {
+	buf := mpi.Recv[float64](op.e.comm, rank, op.tag)
 	if len(buf) != n {
 		panic(fmt.Sprintf("grid: ghost leg from rank %d carried %d cells, want %d", rank, len(buf), n))
 	}

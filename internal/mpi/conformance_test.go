@@ -1,10 +1,10 @@
 package mpi
 
 // The transport-conformance suite: every behavioral contract of the mpi API
-// — point-to-point matching, eager-send buffer semantics, non-blocking
-// completion ordering, the seven collectives, AllOK agreement, split
-// contexts, abort/timeout classification, fault-hook parity — expressed once
-// and run against every transport. The inproc goroutine world is the
+// — point-to-point matching, eager-send buffer semantics, FIFO order per
+// envelope, the seven collectives, AllOK agreement, split contexts,
+// abort/timeout classification, fault-hook parity — expressed once and run
+// against every transport. The inproc goroutine world is the
 // reference; the wire transports (tcp and the unix fast path, driven through
 // the RunWire loopback harness) must be observationally identical, which is
 // what licenses `haccsim -par` to call a multi-process run equivalent to the
@@ -525,100 +525,22 @@ var conformanceChecks = []conformanceCheck{
 		})
 	}},
 
-	{"IsendIrecvBasic", func(t *testing.T, tc transportCase) {
-		mustRun(t, tc, 2, func(c *Comm) {
-			if c.Rank() == 0 {
-				req := Isend(c, 1, 3, []float64{1, 2, 3})
-				if !req.Done() {
-					t.Error("eager Isend must complete at post time")
-				}
-				req.Wait() // must be a no-op
-			} else {
-				req := Irecv(c, 0, 3)
-				got := WaitRecv[float64](&req)
-				if len(got) != 3 || got[0] != 1 || got[2] != 3 {
-					t.Errorf("got %v", got)
-				}
-			}
-		})
-	}},
-
-	{"WaitRecvReleasesPayload", func(t *testing.T, tc transportCase) {
-		// WaitRecv hands the payload over: a request it completed (even one
-		// re-armed in place, as persistent plans reuse theirs) references no
-		// frame afterwards, while Wait followed by Payload keeps it.
-		mustRun(t, tc, 2, func(c *Comm) {
-			if c.Rank() == 0 {
-				Send(c, 1, 4, []float64{1, 2, 3})
-				Send(c, 1, 5, []float64{4, 5})
-				Send(c, 1, 6, []float64{6})
-				return
-			}
-			var req Request
-			IrecvInit(c, 0, 4, &req)
-			if got := WaitRecv[float64](&req); len(got) != 3 || got[2] != 3 {
-				t.Errorf("got %v", got)
-			}
-			if req.holdsPayload() || Payload[float64](&req) != nil {
-				t.Error("request completed by WaitRecv still references its payload")
-			}
-			IrecvInit(c, 0, 5, &req)
-			if got := WaitRecv[float64](&req); len(got) != 2 || got[1] != 5 {
-				t.Errorf("got %v", got)
-			}
-			if req.holdsPayload() {
-				t.Error("re-armed request completed by WaitRecv still references its payload")
-			}
-			IrecvInit(c, 0, 6, &req)
-			req.Wait()
-			if got := Payload[float64](&req); len(got) != 1 || got[0] != 6 || !req.holdsPayload() {
-				t.Errorf("Wait then Payload: got %v", got)
-			}
-		})
-	}},
-
-	{"IrecvCompletionOrdering", func(t *testing.T, tc transportCase) {
-		// Posts receives before any message exists and completes them against
-		// messages arriving in the opposite order: each request must match its
-		// own tag regardless of posting or arrival order.
-		mustRun(t, tc, 2, func(c *Comm) {
-			if c.Rank() == 0 {
-				// Wait for the receiver to have posted both requests, then send
-				// tag 9 before tag 8.
-				Recv[byte](c, 1, 0)
-				Send(c, 1, 9, []int{9})
-				Send(c, 1, 8, []int{8})
-			} else {
-				r8 := Irecv(c, 0, 8)
-				r9 := Irecv(c, 0, 9)
-				Send(c, 0, 0, []byte{1})
-				// Complete in post order even though arrival order is 9, 8.
-				if got := WaitRecv[int](&r8); got[0] != 8 {
-					t.Errorf("r8 got %v", got)
-				}
-				if got := WaitRecv[int](&r9); got[0] != 9 {
-					t.Errorf("r9 got %v", got)
-				}
-			}
-		})
-	}},
-
 	{"SameEnvelopeFIFO", func(t *testing.T, tc transportCase) {
-		// Messages on the same (source, tag) envelope complete posted receives
-		// in send order; a connection preserves byte order, so the wire keeps
-		// the same guarantee the inproc mailbox gives.
+		// Messages on one (source, tag) envelope are received in send order
+		// — the property every exchange plan's End relies on. A connection
+		// preserves byte order, so the wire keeps the guarantee the inproc
+		// mailbox gives. The receiver first takes a later message on another
+		// tag, so all eight are queued before the first Recv matches.
 		mustRun(t, tc, 2, func(c *Comm) {
 			if c.Rank() == 0 {
 				for i := 1; i <= 8; i++ {
 					Send(c, 1, 5, []int{i})
 				}
+				Send(c, 1, 6, []byte{1})
 			} else {
-				reqs := make([]Request, 8)
-				for i := range reqs {
-					IrecvInit(c, 0, 5, &reqs[i])
-				}
-				for i := range reqs {
-					if got := WaitRecv[int](&reqs[i]); got[0] != i+1 {
+				Recv[byte](c, 0, 6)
+				for i := 1; i <= 8; i++ {
+					if got := Recv[int](c, 0, 5); got[0] != i {
 						t.Errorf("message %d got %v", i, got)
 					}
 				}
@@ -627,92 +549,21 @@ var conformanceChecks = []conformanceCheck{
 	}},
 
 	{"WaitAllMixedTags", func(t *testing.T, tc transportCase) {
+		// Rank 0 collects one message from every peer, each on its own tag,
+		// in the reverse of rank order: a receive matches its own source
+		// and tag whatever else is queued.
 		const p = 5
 		mustRun(t, tc, p, func(c *Comm) {
 			me := c.Rank()
 			if me == 0 {
-				reqs := make([]Request, p-1)
-				for r := 1; r < p; r++ {
-					IrecvInit(c, r, 100+r, &reqs[r-1])
-				}
-				for i := range reqs {
-					reqs[i].Wait()
-				}
-				for r := 1; r < p; r++ {
-					got := Payload[int](&reqs[r-1])
-					if len(got) != 1 || got[0] != r*r {
+				for r := p - 1; r >= 1; r-- {
+					if got := Recv[int](c, r, 100+r); len(got) != 1 || got[0] != r*r {
 						t.Errorf("from %d: got %v", r, got)
 					}
 				}
 			} else {
-				Isend(c, 0, 100+me, []int{me * me})
+				Send(c, 0, 100+me, []int{me * me})
 			}
-		})
-	}},
-
-	{"BufferReuseAfterPost", func(t *testing.T, tc transportCase) {
-		// The eager-send contract the exchange plans rely on: a persistent
-		// pack buffer may be overwritten as soon as Isend returns, and a
-		// Wait-completed payload is owned by the receiver.
-		mustRun(t, tc, 2, func(c *Comm) {
-			if c.Rank() == 0 {
-				buf := []int{1, 2, 3}
-				Isend(c, 1, 0, buf)
-				buf[0] = 99 // reuse immediately: must not reach the receiver
-				Isend(c, 1, 1, buf)
-			} else {
-				ra := Irecv(c, 0, 0)
-				rb := Irecv(c, 0, 1)
-				a := WaitRecv[int](&ra)
-				if a[0] != 1 {
-					t.Errorf("Isend aliased the caller's buffer: %v", a)
-				}
-				b := WaitRecv[int](&rb)
-				if b[0] != 99 {
-					t.Errorf("second message wrong: %v", b)
-				}
-				a[0] = -1 // receiver owns the payload; must not affect b
-				if b[0] != 99 {
-					t.Error("payloads alias each other")
-				}
-			}
-		})
-	}},
-
-	{"IrecvInitReuse", func(t *testing.T, tc transportCase) {
-		// One plan-owned request reused across rounds, the pattern the
-		// domain/grid exchange plans depend on.
-		mustRun(t, tc, 2, func(c *Comm) {
-			var req Request
-			for round := 0; round < 3; round++ {
-				if c.Rank() == 0 {
-					Isend(c, 1, round, []int{round * 10})
-				} else {
-					IrecvInit(c, 0, round, &req)
-					if got := WaitRecv[int](&req); got[0] != round*10 {
-						t.Errorf("round %d: got %v", round, got)
-					}
-				}
-			}
-		})
-	}},
-
-	{"PayloadIncompletePanics", func(t *testing.T, tc transportCase) {
-		mustRun(t, tc, 2, func(c *Comm) {
-			if c.Rank() != 1 {
-				Recv[byte](c, 1, 2) // hold rank 0 until rank 1 checked the panic
-				return
-			}
-			req := Irecv(c, 0, 0)
-			func() {
-				defer func() {
-					if recover() == nil {
-						t.Error("Payload on incomplete request must panic")
-					}
-				}()
-				Payload[int](&req)
-			}()
-			Send(c, 0, 2, []byte{1})
 		})
 	}},
 
@@ -729,21 +580,6 @@ var conformanceChecks = []conformanceCheck{
 		}
 		if !strings.Contains(err.Error(), "rank 1") {
 			t.Fatalf("error does not identify the failing rank: %v", err)
-		}
-	}},
-
-	{"WaitAbort", func(t *testing.T, tc transportCase) {
-		// A rank blocked in Wait must be released (with a panic that Run
-		// converts to an error) when another rank dies.
-		err := tc.run(2, func(c *Comm) {
-			if c.Rank() == 0 {
-				panic("boom")
-			}
-			req := Irecv(c, 0, 0)
-			req.Wait() // never satisfied; abort must release it
-		})
-		if err == nil {
-			t.Fatal("expected error from aborted world")
 		}
 	}},
 
@@ -808,34 +644,6 @@ var conformanceChecks = []conformanceCheck{
 		}
 	}},
 
-	{"WaitTimeoutRecoverable", func(t *testing.T, tc transportCase) {
-		mustRun(t, tc, 2, func(c *Comm) {
-			if c.Rank() == 0 {
-				r := Irecv(c, 1, 5)
-				err := r.WaitTimeout(100 * time.Millisecond)
-				var te *TimeoutError
-				if !errors.As(err, &te) {
-					panic("WaitTimeout did not time out")
-				}
-				if te.Rank != 0 || te.Src != 1 || te.Tag != 5 {
-					panic("TimeoutError fields wrong: " + te.Error())
-				}
-				// The request is still incomplete and completable: rank 1's
-				// late message must be receivable after a failed wait.
-				if r.Done() {
-					panic("request marked done after timeout")
-				}
-				r.Wait()
-				if got := Payload[byte](&r); len(got) != 1 || got[0] != 42 {
-					panic("late payload corrupted")
-				}
-			} else {
-				time.Sleep(300 * time.Millisecond)
-				Send(c, 0, 5, []byte{42})
-			}
-		})
-	}},
-
 	{"DroppedSendParity", func(t *testing.T, tc transportCase) {
 		// The fault injector's Drop verb must eat the message before it
 		// reaches either the mailbox or the socket: the send-side hook fires
@@ -851,10 +659,17 @@ var conformanceChecks = []conformanceCheck{
 				if len(got) != 1 || got[0] != 2 {
 					panic("wrong message delivered")
 				}
-				r := Irecv(c, 0, 1)
-				if r.WaitTimeout(50*time.Millisecond) == nil {
-					panic("dropped message was delivered")
-				}
+				w := c.World()
+				defer w.SetTimeout(w.Timeout())
+				w.SetTimeout(50 * time.Millisecond)
+				defer func() {
+					var te *TimeoutError
+					if e, ok := recover().(error); !ok || !errors.As(e, &te) || te.Tag != 1 {
+						t.Errorf("receive of the dropped message: want *TimeoutError for tag 1, got %v", e)
+					}
+				}()
+				Recv[byte](c, 0, 1)
+				t.Error("dropped message was delivered")
 			}
 		})
 	}},

@@ -134,11 +134,10 @@ func (m *mailbox) take(ctx int64, src, tag int, timeout time.Duration) (message,
 // spare capacity pins no payload. Caller holds m.mu. Wire-delivered
 // messages carry the sender's wall-clock timestamp; the send→match delta
 // is the wire latency a receiver actually experienced (transport plus any
-// time the message sat unmatched), recorded here so every
-// Recv/Wait/collective leg feeds the histogram without instrumenting each
-// call site. Wall clocks across
-// processes can skew; a negative delta clamps to zero rather than
-// corrupting the distribution.
+// time the message sat unmatched), recorded here so every Recv and
+// collective leg feeds the histogram without instrumenting each call site.
+// Wall clocks across processes can skew; a negative delta clamps to zero
+// rather than corrupting the distribution.
 func (m *mailbox) match(ctx int64, src, tag int) (message, bool) {
 	for i, msg := range m.pending {
 		if msg.ctx != ctx {
@@ -262,9 +261,10 @@ func (w *World) Size() int { return w.size }
 // Wire reports whether this world reaches any rank over a wire transport.
 func (w *World) Wire() bool { return w.tr != nil }
 
-// SetTimeout bounds every subsequent blocking operation (Recv, Wait,
-// collective legs) on this world: a wait that exceeds d fails with a
-// *TimeoutError, which aborts the world and surfaces from Run. Zero disables
+// SetTimeout bounds every subsequent blocking operation (Recv and
+// collective legs) on this world: a wait that exceeds d panics with a
+// *TimeoutError, which aborts the world and surfaces from Run unless the
+// rank recovers it. Zero disables
 // the limit (the default). The limit must comfortably exceed the worst-case
 // compute imbalance between ranks, or healthy-but-slow peers will be
 // misdiagnosed as hung.
@@ -412,18 +412,49 @@ type Comm struct {
 	rank  int   // rank within this communicator
 	ranks []int // world ranks of the members; nil means identity (world comm)
 	seq   int64 // per-comm split sequence counter (same on all members)
-	plans int   // per-comm plan counter (same on all members)
+	plans int   // plans numbered by NewTags (same on all members)
 }
 
-// NextPlanID numbers the persistent communication plans built on this
-// rank's view of c. Plans are built in the same collective order on every
-// member, so the numbering agrees across ranks and each plan can draw a
-// private tag block from it. Like Split, it is called from the rank's own
-// goroutine.
-func (c *Comm) NextPlanID() int {
-	id := c.plans
+// Plan tags. A persistent exchange plan (the grid ghost exchanger, the
+// domain particle exchange, the FOF stitch) draws the tag of every
+// collective it posts from a sequence of its own. The plan's ID — its rank
+// in the communicator's plan numbering, which agrees on every member
+// because plans are built in the same collective order — selects a block
+// of 1<<planSeqBits tags; the sequence cycles through the block, so two
+// collectives of one plan in flight at once (a deferred refresh beside the
+// next migrate) match their own messages, and no two plans on one
+// communicator share a tag. Plan tags are positive int32 values (a wire
+// frame carries the tag as a sign-extended u32) at or above planTagBase,
+// so they meet neither the negative collective tags nor a fixed user tag
+// below it, such as pfft's redistributor tag.
+const (
+	planTagBase = 1 << 20
+	planSeqBits = 12
+	maxPlans    = (1<<31 - planTagBase) >> planSeqBits
+)
+
+// Tags is one plan's tag sequence (see planTagBase).
+type Tags struct{ base, seq int }
+
+// NewTags numbers the next plan built on this rank's view of c and returns
+// its tag sequence. Like Split, it is called from the rank's own goroutine.
+// It panics once the tag field holds no further plan ID: a wrapped ID would
+// share its tags with a live plan.
+func (c *Comm) NewTags() Tags {
+	if c.plans >= maxPlans {
+		panic(fmt.Sprintf("mpi: communicator exhausted its %d plan tag blocks", maxPlans))
+	}
+	t := Tags{base: planTagBase + c.plans<<planSeqBits}
 	c.plans++
-	return id
+	return t
+}
+
+// Next returns the tag of the plan's next collective. Every member calls
+// it at the same collective, so the tags agree across ranks.
+func (t *Tags) Next() int {
+	tag := t.base + t.seq&(1<<planSeqBits-1)
+	t.seq++
+	return tag
 }
 
 // Rank returns the caller's rank within the communicator.
@@ -463,7 +494,7 @@ func (c *Comm) checkRank(r int, what string) {
 }
 
 // Abort marks the world aborted with the given reason and panics with an
-// *AbortError, unblocking every peer parked in a Recv, Wait, or collective.
+// *AbortError, unblocking every peer parked in a Recv or collective.
 // It is the local-failure escape hatch: a rank that detects an unrecoverable
 // condition takes the whole world down deterministically instead of leaving
 // its peers deadlocked waiting for messages that will never come.

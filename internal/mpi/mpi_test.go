@@ -7,6 +7,7 @@ package mpi
 // the legacy process-local world counters.
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -171,4 +172,41 @@ func TestMailboxMatchVacatesSlot(t *testing.T) {
 			t.Errorf("queue slot %d still holds a payload after every message was matched", i)
 		}
 	}
+}
+
+// TestPlanTags pins the plan tag space: every tag of every plan ID the
+// field holds is a positive int32 at or above planTagBase (so it survives
+// the wire's sign-extended u32 and meets no collective tag), one plan's
+// tags differ from its neighbour's, and the communicator panics instead of
+// wrapping once the IDs run out.
+func TestPlanTags(t *testing.T) {
+	var c Comm
+	first := c.NewTags()
+	if tag := first.Next(); tag != planTagBase {
+		t.Fatalf("first plan's first tag %#x, want %#x", tag, planTagBase)
+	}
+	c.plans = maxPlans - 2
+	prev, last := c.NewTags(), c.NewTags()
+	seen := map[int]bool{}
+	for i := 0; i < 2<<planSeqBits; i++ {
+		for _, tags := range []*Tags{&prev, &last} {
+			tag := tags.Next()
+			if tag < planTagBase || tag > math.MaxInt32 || int(int32(uint32(tag))) != tag {
+				t.Fatalf("tag %#x outside the positive int32 plan range", tag)
+			}
+			seen[tag] = true
+		}
+	}
+	if len(seen) != 2<<planSeqBits {
+		t.Errorf("two plans drew %d distinct tags, want %d", len(seen), 2<<planSeqBits)
+	}
+	if !seen[math.MaxInt32] {
+		t.Error("the last plan's block does not end at MaxInt32")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("NewTags past the last plan ID did not panic")
+		}
+	}()
+	c.NewTags()
 }

@@ -67,7 +67,7 @@ func TestPhaseClockMatchesTrace(t *testing.T) {
 				for i := range clock[r] {
 					id := obs.SpanID(i)
 					switch id {
-					case obs.SpanRecv, obs.SpanWait, obs.SpanGioWrite:
+					case obs.SpanRecv, obs.SpanGioWrite:
 						continue // trace-only spans, not on the phase clock
 					}
 					if clock[r][id] != ring[r][id] {

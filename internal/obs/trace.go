@@ -17,8 +17,8 @@ import (
 type SpanID uint8
 
 // Instrumented phases. Core times the step, kick and leaf phases on its
-// phase clock (Phases); the mpi runtime emits SpanRecv/SpanWait around its
-// blocking operations and gio emits SpanGioWrite around container writes,
+// phase clock (Phases); the mpi runtime emits SpanRecv around every
+// blocking receive and gio emits SpanGioWrite around container writes,
 // both into the trace ring only.
 const (
 	// Enclosing phases: each contains leaf phases, so the phase split does
@@ -42,7 +42,6 @@ const (
 
 	// Trace-only spans.
 	SpanRecv
-	SpanWait
 	SpanGioWrite
 	numSpans
 )
@@ -65,7 +64,6 @@ var spanNames = [numSpans]string{
 	SpanCheckpoint: "checkpoint",
 	SpanRebalance:  "rebalance",
 	SpanRecv:       "recv",
-	SpanWait:       "wait",
 	SpanGioWrite:   "gio-write",
 }
 

@@ -430,3 +430,18 @@ func benchRedistribute[T any](b *testing.B, elemBytes int, from, to *Layout) {
 		b.Fatal(err)
 	}
 }
+
+// TestRedistTagBelowPlanTags: the redistributor's fixed tag lies below
+// every tag an exchange plan draws, so a redistribution in flight beside a
+// ghost, particle or stitch exchange never matches their messages.
+func TestRedistTagBelowPlanTags(t *testing.T) {
+	err := mpi.Run(1, func(c *mpi.Comm) {
+		tags := c.NewTags()
+		if first := tags.Next(); redistTag >= first {
+			t.Errorf("redistTag %#x is not below the first plan tag %#x", redistTag, first)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
