@@ -57,6 +57,7 @@ import (
 	"hacc/internal/cosmology"
 	"hacc/internal/fault"
 	"hacc/internal/mpi"
+	"hacc/internal/obs"
 	"hacc/internal/shortrange"
 )
 
@@ -106,8 +107,7 @@ func main() {
 		debugAddr   = flag.String("debug-addr", "", `serve pprof, metrics, and the journal tail over HTTP on rank 0 (e.g. "127.0.0.1:6060")`)
 	)
 	flag.Parse()
-	if err := validateFlags(*ranks, *np, *ng, *box, *zInit, *zFinal, *steps, *nc,
-		*threads, *pkBins, *solver, *transfer, *ckptDir, *ckptEvery, *restart,
+	if err := validateFlags(*ranks, *ng, *nc, *threads, *pkBins, *solver, *restart,
 		*maxRestarts, *opTimeout, *deadline, *faultSpec, *par, *transport); err != nil {
 		log.Fatal(err)
 	}
@@ -152,12 +152,10 @@ func main() {
 			cfg.CheckpointDir = *ckptDir
 			cfg.CheckpointEvery = *ckptEvery
 		}
-		// Observability knobs are output-side, never fingerprinted: a
-		// restart may arm them even though the physics comes from the
-		// checkpoint.
-		if explicit["trace"] || explicit["debug-addr"] {
+		// Tracing is output-side, never fingerprinted: a restart may arm it
+		// even though the physics comes from the checkpoint.
+		if explicit["trace"] {
 			cfg.TraceDir = *traceDir
-			cfg.DebugAddr = *debugAddr
 		}
 		log.Printf("resuming from %s: step %d/%d, a=%.4f, %d particles (written at %d ranks)",
 			dir, info.StepIndex, cfg.Steps, info.A, info.NGlobal, info.NRanks)
@@ -169,8 +167,13 @@ func main() {
 			Seed: *seed, FixedAmp: *fixed, Solver: kind, Threads: *threads,
 			CheckpointDir: *ckptDir, CheckpointEvery: *ckptEvery, ICKind: *icKind,
 			RebalanceThreshold: *rebalance, RebalanceMinSteps: *rebMinSteps,
-			TraceDir: *traceDir, DebugAddr: *debugAddr,
+			TraceDir: *traceDir,
 		}
+	}
+	// Config.Validate is the one check of the physics and output knobs; run
+	// it here so a bad config fails before any world or process is spawned.
+	if err := cfg.WithDefaults().Validate(); err != nil {
+		log.Fatal(err)
 	}
 	mutate := func(c *core.Config) {
 		// Only explicitly-set neutral knobs override the checkpoint.
@@ -184,13 +187,10 @@ func main() {
 		if explicit["trace"] {
 			c.TraceDir = *traceDir
 		}
-		if explicit["debug-addr"] {
-			c.DebugAddr = *debugAddr
-		}
 	}
 
 	start := time.Now()
-	body := func(s *core.Simulation) error { return drive(s, *pkBins, *snapPath, start) }
+	body := func(s *core.Simulation) error { return drive(s, *pkBins, *snapPath, *debugAddr, start) }
 	child := mpi.WireChild()
 	// Faults fire where the physics runs: in-process ranks, or a rank process
 	// on its first attempt (a resumed attempt must run clean or recovery
@@ -257,10 +257,19 @@ func main() {
 
 // drive runs the remaining schedule on one rank's Simulation and reports
 // the final science and performance summary. It is the body every launch
-// path runs, so a restarted attempt replays exactly the same code.
-func drive(s *core.Simulation, pkBins int, snapPath string, start time.Time) error {
+// path runs, so a restarted attempt replays exactly the same code. With
+// debugAddr set, rank 0 first serves pprof, the world's live metrics and,
+// when tracing armed a journal, its tail; EnableDebug is idempotent, so a
+// supervised in-process restart keeps the first listener.
+func drive(s *core.Simulation, pkBins int, snapPath, debugAddr string, start time.Time) error {
 	c := s.Comm
 	nsteps := s.Cfg.Steps
+	if debugAddr != "" && c.Rank() == 0 {
+		obs.SetDebugRegistry(c.World().Metrics())
+		if _, err := obs.EnableDebug(debugAddr); err != nil {
+			return fmt.Errorf("-debug-addr %s: %w", debugAddr, err)
+		}
+	}
 	if c.Rank() == 0 {
 		log.Printf("%s: %d^3 particles, %d^3 grid, %.0f Mpc/h box, %d ranks, z=%.1f→%.1f in %d steps ×%d sub-cycles",
 			s.Cfg.Solver, s.Cfg.NParticles, s.Cfg.NGrid, s.Cfg.BoxMpc, c.Size(),
@@ -338,10 +347,12 @@ func drive(s *core.Simulation, pkBins int, snapPath string, start time.Time) err
 	return nil
 }
 
-// validateFlags rejects nonsensical flag combinations with one-line errors
-// before any world is spun up, instead of panicking ranks mid-run.
-func validateFlags(ranks, np, ng int, box, zInit, zFinal float64, steps, nc,
-	threads, pkBins int, solver, transfer, ckptDir string, ckptEvery int, restart string,
+// validateFlags rejects the flag values only the command can judge — world
+// size, threading, timeouts, spellings the config never sees, and flags
+// that Config's defaults would silently replace — with one-line errors
+// before any world is spun up. Everything the config carries is checked by
+// Config.Validate in main.
+func validateFlags(ranks, ng, nc, threads, pkBins int, solver, restart string,
 	maxRestarts int, opTimeout, deadline time.Duration, faultSpec string,
 	par int, transport string) error {
 	switch {
@@ -353,12 +364,6 @@ func validateFlags(ranks, np, ng int, box, zInit, zFinal float64, steps, nc,
 		return fmt.Errorf("-threads %d must be ≥1", threads)
 	case pkBins < 1:
 		return fmt.Errorf("-pkbins %d must be ≥1", pkBins)
-	case ckptEvery < 0:
-		return fmt.Errorf("-ckpt-every %d must be ≥0 (0 disables checkpoints)", ckptEvery)
-	case ckptEvery > 0 && ckptDir == "":
-		return fmt.Errorf("-ckpt-every %d needs -ckpt-dir", ckptEvery)
-	case ckptEvery == 0 && ckptDir != "":
-		return fmt.Errorf("-ckpt-dir %s needs -ckpt-every ≥1", ckptDir)
 	case maxRestarts < 0:
 		return fmt.Errorf("-max-restarts %d must be ≥0 (0 = no retry)", maxRestarts)
 	case opTimeout < 0 || deadline < 0:
@@ -379,11 +384,6 @@ func validateFlags(ranks, np, ng int, box, zInit, zFinal float64, steps, nc,
 	default:
 		return fmt.Errorf("unknown -solver %q (want tree|p3m|pm)", solver)
 	}
-	switch transfer {
-	case "eh", "eh-nowiggle", "bbks":
-	default:
-		return fmt.Errorf("unknown -transfer %q (want eh|eh-nowiggle|bbks)", transfer)
-	}
 	if restart != "" {
 		var conflict string
 		flag.Visit(func(f *flag.Flag) {
@@ -397,16 +397,8 @@ func validateFlags(ranks, np, ng int, box, zInit, zFinal float64, steps, nc,
 		return nil // problem-definition flags are unused on restart
 	}
 	switch {
-	case np < 2:
-		return fmt.Errorf("-np %d must be ≥2", np)
 	case ng < 0:
 		return fmt.Errorf("-ng %d must be ≥0 (0 means -np)", ng)
-	case box <= 0:
-		return fmt.Errorf("-box %g must be positive", box)
-	case zInit <= zFinal:
-		return fmt.Errorf("-zinit %g must exceed -zfinal %g", zInit, zFinal)
-	case steps < 1:
-		return fmt.Errorf("-steps %d must be ≥1", steps)
 	case nc < 1:
 		return fmt.Errorf("-nc %d must be ≥1", nc)
 	}

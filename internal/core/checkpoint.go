@@ -216,23 +216,32 @@ func (s *Simulation) checkpoint(dir string) error {
 	return nil
 }
 
+// Checkpoint write resilience: a transient collective write failure (a
+// flaky fsync, a momentarily full disk) retries up to ckptRetries times with
+// jittered exponential backoff starting at ckptRetryBackoff, instead of
+// failing the step.
+const (
+	ckptRetries      = 2
+	ckptRetryBackoff = 50 * time.Millisecond
+)
+
 // writeRetry runs one collective container write, retrying transient
-// failures up to Config.CheckpointRetries times with jittered exponential
-// backoff. Every gio failure path is agreed via AllOK (and abandoned
-// attempts remove their temporary file), so all ranks observe the same
-// error, sleep the same deterministic interval, and re-enter the collective
-// write in lockstep — no rank can be retrying while a peer has given up.
+// failures up to ckptRetries times with jittered exponential backoff. Every
+// gio failure path is agreed via AllOK (and abandoned attempts remove their
+// temporary file), so all ranks observe the same error, sleep the same
+// deterministic interval, and re-enter the collective write in lockstep —
+// no rank can be retrying while a peer has given up.
 func (s *Simulation) writeRetry(path string, meta []byte, vars []gio.Var) error {
 	ck := s.ckpt
 	var err error
 	for attempt := 0; ; attempt++ {
 		err = ck.w.Write(path, meta, vars)
-		if err == nil || attempt >= s.Cfg.CheckpointRetries {
+		if err == nil || attempt >= ckptRetries {
 			return err
 		}
 		s.Counters.CkptRetries++
-		d := s.Cfg.CheckpointRetryBackoff << attempt
-		if max := 32 * s.Cfg.CheckpointRetryBackoff; d > max {
+		d := ckptRetryBackoff << attempt
+		if max := 32 * ckptRetryBackoff; d > max {
 			d = max
 		}
 		// Deterministic jitter in [0, d/2): identical on every rank (the
@@ -318,7 +327,22 @@ func Restore(c *mpi.Comm, dir string, mutate func(*Config)) (*Simulation, error)
 	if fp := cfg.Fingerprint(); fp != m.CfgFP {
 		return nil, fmt.Errorf("core: restart config changes the physics (fingerprint %016x, checkpoint %016x); only output and threading knobs may differ across a restart", fp, m.CfgFP)
 	}
-	s, err := newSimulation(c, cfg)
+	// Build the recorded geometry directly: at the writing rank count the
+	// particle blocks were partitioned along these cuts, so the bitwise
+	// round-robin restore below lands every particle on its geometric owner.
+	// At a different rank count the recorded cuts don't apply (the process
+	// grid differs); the uniform decomposition plus the dense reassignment
+	// below handles it.
+	var dec *grid.Decomp
+	if c.Size() == m.NRanks {
+		n := [3]int{cfg.NGrid, cfg.NGrid, cfg.NGrid}
+		dims := grid.NewDecomp(n, c.Size()).Dims
+		if err := grid.ValidateCuts(n, dims, trail.Cuts); err != nil {
+			return nil, fmt.Errorf("core: checkpoint geometry: %w", err)
+		}
+		dec = grid.NewDecompCuts(n, dims, trail.Cuts)
+	}
+	s, err := newSimulation(c, cfg, dec)
 	if err != nil {
 		return nil, err
 	}
@@ -327,20 +351,6 @@ func Restore(c *mpi.Comm, dir string, mutate func(*Config)) (*Simulation, error)
 	}
 	if a := s.sched.AAt(m.StepIndex); math.Float64bits(a) != math.Float64bits(m.A) {
 		return nil, fmt.Errorf("core: checkpoint scale factor %v does not match schedule position %d (%v)", m.A, m.StepIndex, a)
-	}
-	// Adopt the recorded geometry before loading any blocks: at the writing
-	// rank count the particle blocks were partitioned along these cuts, so
-	// the bitwise round-robin restore below lands every particle on its
-	// geometric owner directly. At a different rank count the recorded cuts
-	// don't apply (the process grid differs); the uniform decomposition plus
-	// the dense reassignment below handles it.
-	if c.Size() == m.NRanks {
-		if err := validCuts(trail.Cuts, s.Dec.N, s.Dec.Dims); err != nil {
-			return nil, fmt.Errorf("core: checkpoint geometry: %w", err)
-		}
-		if !sameCuts(trail.Cuts, s.Dec.Cuts()) {
-			s.adoptGeometry(trail.Cuts)
-		}
 	}
 
 	// Adopt a round-robin share of the writer blocks: block order is
@@ -411,15 +421,9 @@ func Restore(c *mpi.Comm, dir string, mutate func(*Config)) (*Simulation, error)
 	} else {
 		// Different rank count: reassign every record to its geometric owner
 		// (arbitrary motion, so the dense path, not the 26-stencil plan),
-		// then rebuild replicas. The migration bookkeeping is restored
-		// state, not new physics — put it back afterwards.
-		mig := s.Dom.Migrated
+		// then rebuild replicas.
 		s.Dom.MigrateDense()
-		s.Dom.Migrated = mig
 		s.Dom.Refresh()
-	}
-	if cfg.AnalysisEvery > 0 {
-		s.ensureAnalysis(cfg.AnalysisBins)
 	}
 	return s, nil
 }
@@ -479,18 +483,31 @@ func LatestCheckpoint(root string) (string, error) {
 	if _, err := os.Stat(root); err != nil {
 		return "", fmt.Errorf("core: scanning checkpoints: %w", err)
 	}
-	for _, dir := range checkpointDirs(root) {
-		gr, err := gio.Open(filepath.Join(dir, StateFile))
-		if err != nil {
-			continue
-		}
-		err = gr.Verify()
-		gr.Close()
-		if err == nil {
-			return dir, nil
-		}
+	if dir := newestRestorable(root, nil); dir != "" {
+		return dir, nil
 	}
 	return "", fmt.Errorf("core: no restorable checkpoint under %s", root)
+}
+
+// newestRestorable probes the step directories under root newest first and
+// returns the first whose state container opens and CRC-verifies cleanly
+// ("" when none does), calling damaged, when non-nil, on every candidate
+// that fails on the way down.
+func newestRestorable(root string, damaged func(dir string)) string {
+	for _, dir := range checkpointDirs(root) {
+		gr, err := gio.Open(filepath.Join(dir, StateFile))
+		if err == nil {
+			err = gr.Verify()
+			gr.Close()
+		}
+		if err == nil {
+			return dir
+		}
+		if damaged != nil {
+			damaged(dir)
+		}
+	}
+	return ""
 }
 
 // ResolveCheckpoint accepts either a checkpoint step directory or a

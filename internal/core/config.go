@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"runtime"
-	"time"
 
 	"hacc/internal/cosmology"
 	"hacc/internal/spectral"
@@ -122,31 +121,16 @@ type Config struct {
 	// the load balancer. Part of the problem definition: fingerprinted.
 	ICKind string
 
-	// Checkpoint write resilience (PR 6). A transient collective write
-	// failure (a flaky fsync, a momentarily full disk) retries up to
-	// CheckpointRetries times with jittered exponential backoff starting at
-	// CheckpointRetryBackoff, instead of failing the step. Every gio failure
-	// path is collectively agreed, so all ranks observe the same error and
-	// retry in lockstep; abandoned attempts leave no temporary files behind.
-	// Zero values take the defaults (2 retries, 50ms); negative values are
-	// rejected by Validate. Both are recovery knobs, not physics: they are
-	// excluded from the config fingerprint, so a restart may change them.
-	CheckpointRetries      int
-	CheckpointRetryBackoff time.Duration
-
 	// Observability (PR 10). TraceDir arms the span tracer and the per-rank
 	// run journal: New (and Restore) arms obs tracing for the world, every
 	// rank appends a JSONL step record to TraceDir/journal.r%03d.jsonl, and
 	// Run flushes each rank's ring as Chrome trace-event JSON
 	// (TraceDir/trace.r%03d.json — load in chrome://tracing or Perfetto).
 	// Empty (the default) keeps tracing disarmed: the span calls left in the
-	// hot path cost one atomic load each and never allocate. DebugAddr is
-	// consumed by cmd/haccsim, which serves pprof, live metrics, and the
-	// journal tail on that address from rank 0. Both are output knobs like
-	// AnalysisDir — bitwise-neutral and excluded from the fingerprint, so a
-	// restart may turn tracing on to diagnose a wedged campaign.
-	TraceDir  string
-	DebugAddr string
+	// hot path cost one atomic load each and never allocate. An output knob
+	// like AnalysisDir — bitwise-neutral and excluded from the fingerprint,
+	// so a restart may turn tracing on to diagnose a wedged campaign.
+	TraceDir string
 }
 
 // WithDefaults returns the config with defaults filled in.
@@ -198,12 +182,6 @@ func (c Config) WithDefaults() Config {
 	}
 	if c.ICKind == "" {
 		c.ICKind = "zeldovich"
-	}
-	if c.CheckpointRetries == 0 {
-		c.CheckpointRetries = 2
-	}
-	if c.CheckpointRetryBackoff == 0 {
-		c.CheckpointRetryBackoff = 50 * time.Millisecond
 	}
 	return c
 }
@@ -290,12 +268,6 @@ func (c Config) Validate() error {
 	}
 	if c.CheckpointEvery == 0 && c.CheckpointDir != "" {
 		return fmt.Errorf("core: CheckpointDir %q needs CheckpointEvery ≥1", c.CheckpointDir)
-	}
-	if c.CheckpointRetries < 0 {
-		return fmt.Errorf("core: CheckpointRetries %d must be ≥0 (0 takes the default)", c.CheckpointRetries)
-	}
-	if c.CheckpointRetryBackoff < 0 {
-		return fmt.Errorf("core: CheckpointRetryBackoff %v must be ≥0 (0 takes the default)", c.CheckpointRetryBackoff)
 	}
 	return nil
 }

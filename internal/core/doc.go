@@ -26,11 +26,13 @@
 //
 // Checkpoint/Restore make the run durable: a checkpoint captures the
 // complete run state (active and replica particles, counters, schedule
-// position, scale factor, seed, and config fingerprint) in gio containers,
-// overlapping the state write with the deferred end-of-step refresh, and a
-// restore at the writing rank count continues bitwise-identically — at a
-// different rank count, records are reassigned through the domain
-// geometry. All checkpoint failures are collectively agreed (mpi.AllOK),
+// position, scale factor, seed, config fingerprint, and the decomposition
+// cuts) in gio containers, overlapping the state write with the deferred
+// end-of-step refresh, and a restore at the writing rank count continues
+// bitwise-identically — at a different rank count, records are reassigned
+// through the domain geometry. One builder (bindGeometry) makes everything
+// bound to a decomposition, for New, for Restore (directly under the
+// recorded cuts) and for a rebalance. All checkpoint failures are collectively agreed (mpi.AllOK),
 // so every rank observes one consistent outcome.
 //
 // One supervisor makes the run self-healing. Its recovery loop classifies
@@ -49,6 +51,7 @@
 // process lives in RunRankProcess, the child half of SuperviseProcs. The
 // recovery history reaches the ranks' machine.Counters under both runners.
 // Transient checkpoint write failures retry in collective lockstep below
-// the supervisor (Config.CheckpointRetries). internal/fault manufactures
-// all of these failures deterministically for tests and chaos runs.
+// the supervisor (twice, with jittered backoff from 50 ms). internal/fault
+// manufactures all of these failures deterministically for tests and chaos
+// runs.
 package core

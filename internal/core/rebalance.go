@@ -1,23 +1,13 @@
 package core
 
 import (
-	"fmt"
-	"math"
+	"slices"
 
 	"hacc/internal/balance"
-	"hacc/internal/domain"
 	"hacc/internal/grid"
 	"hacc/internal/mpi"
 	"hacc/internal/obs"
-	"hacc/internal/spectral"
 )
-
-// minSlabWidth is the narrowest slab a rebalance may produce, in cells: the
-// overload shell plus the CIC+drift ghost must fit inside one slab so the
-// field ghost geometry and the planned 26-stencil exchange keep their
-// one-neighbor-deep structure. Identical to the field ghost width chosen in
-// newSimulation.
-func (s *Simulation) minSlabWidth() int { return int(math.Ceil(s.Cfg.Overload)) + 2 }
 
 // observeCost folds this step's work into the balancer's cost model. The
 // cost is the deterministic counter delta — kernel interactions plus
@@ -60,7 +50,7 @@ func (s *Simulation) maybeRebalance() {
 // its smoothed step cost uniformly over its active particles' cells — and
 // equal-cost-partitions each decomposed axis. Returns the new cut arrays and
 // whether they differ from the current geometry; an infeasible axis (slabs
-// cannot all reach minSlabWidth) reports unchanged. Collective.
+// cannot all reach ghostWidth) reports unchanged. Collective.
 func (s *Simulation) costCuts() ([3][]int, bool) {
 	n := s.Dec.N
 	dims := s.Dec.Dims
@@ -81,7 +71,7 @@ func (s *Simulation) costCuts() ([3][]int, bool) {
 	}
 	global := mpi.AllReduce(s.Comm, hist, mpi.SumF64)
 
-	minW := s.minSlabWidth()
+	minW := s.ghostWidth()
 	var cuts [3][]int
 	changed := false
 	off := 0
@@ -97,7 +87,7 @@ func (s *Simulation) costCuts() ([3][]int, bool) {
 			}
 			cuts[d] = nc
 		}
-		if !equalCuts(cuts[d], s.Dec.Cuts()[d]) {
+		if !slices.Equal(cuts[d], s.Dec.Cuts()[d]) {
 			changed = true
 		}
 	}
@@ -117,50 +107,12 @@ func cellOf(x float32, n int) int {
 	return c
 }
 
-func equalCuts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// sameCuts reports whether two cut-array triples are identical.
-func sameCuts(a, b [3][]int) bool {
-	return equalCuts(a[0], b[0]) && equalCuts(a[1], b[1]) && equalCuts(a[2], b[2])
-}
-
-// validCuts checks checkpoint-recorded cut arrays against the grid and
-// process-grid shape, returning an error instead of the panic
-// grid.NewDecompCuts would raise on malformed input.
-func validCuts(cuts [3][]int, n, dims [3]int) error {
-	for d := 0; d < 3; d++ {
-		cs := cuts[d]
-		if len(cs) != dims[d]+1 {
-			return fmt.Errorf("axis %d has %d cut boundaries, want %d", d, len(cs), dims[d]+1)
-		}
-		if cs[0] != 0 || cs[dims[d]] != n[d] {
-			return fmt.Errorf("axis %d cuts %v do not span [0,%d]", d, cs, n[d])
-		}
-		for c := 0; c < dims[d]; c++ {
-			if cs[c] >= cs[c+1] {
-				return fmt.Errorf("axis %d cuts %v not strictly increasing", d, cs)
-			}
-		}
-	}
-	return nil
-}
-
 // RebalanceTo moves the run onto the given slab geometry: rebuild the
 // decomposition and every structure bound to it, reassign each particle to
 // its new geometric owner, and rebuild the overload replicas. The global
 // particle state is untouched — a rebalance is a pure repartition, exact on
 // the ID-sorted particle state. Collective; cuts must be identical on every
-// rank and satisfy grid.NewDecompCuts.
+// rank and pass grid.ValidateCuts.
 func (s *Simulation) RebalanceTo(cuts [3][]int) {
 	s.Timers.Time(obs.SpanRebalance, func() { s.rebalanceTo(cuts) })
 	s.Counters.Rebalances++
@@ -169,53 +121,12 @@ func (s *Simulation) RebalanceTo(cuts [3][]int) {
 func (s *Simulation) rebalanceTo(cuts [3][]int) {
 	// A deferred refresh reads the old geometry's plan; finish it first.
 	s.FinishRefresh()
-	s.adoptGeometry(cuts)
+	s.bindGeometry(grid.NewDecompCuts(s.Dec.N, s.Dec.Dims, cuts))
 	// Reassign actives to their owners under the new cuts. A cut may move a
 	// boundary many cells, far beyond the one-neighbor-deep planned stencil,
-	// so this is the dense path. The migration count is drift bookkeeping,
-	// not repartition traffic: put it back.
-	mig := s.Dom.Migrated
+	// so this is the dense path.
 	s.Dom.MigrateDense()
-	s.Dom.Migrated = mig
 	s.Dom.Refresh()
-}
-
-// adoptGeometry rebuilds the decomposition, domain, fields, exchangers, and
-// Poisson plan for the given cuts, carrying the active particle storage
-// over. Analysis plans bind the old domain and are dropped for lazy rebuild.
-// Shared by the live rebalance and by Restore (which adopts a checkpoint's
-// recorded geometry before loading particle blocks).
-func (s *Simulation) adoptGeometry(cuts [3][]int) {
-	n := s.Dec.N
-	dec := grid.NewDecompCuts(n, s.Dec.Dims, cuts)
-	dom := domain.New(s.Comm, dec, s.Cfg.Overload)
-	dom.Active = s.Dom.Active
-	dom.Migrated = s.Dom.Migrated
-	s.Dec = dec
-	s.Dom = dom
-
-	ghost := s.minSlabWidth()
-	box := dec.Box(s.Comm.Rank())
-	s.rho = grid.NewField(n, box, ghost)
-	s.rhoEx = grid.NewExchanger(s.Comm, dec, s.rho)
-	for d := 0; d < 3; d++ {
-		s.acc[d] = grid.NewField(n, box, ghost)
-	}
-	s.accEx[0] = grid.NewExchanger(s.Comm, dec, s.acc[0])
-	s.accEx[1] = s.accEx[0]
-	s.accEx[2] = s.accEx[0]
-	s.poisson = spectral.NewPoisson(s.Comm, dec, spectral.Options{
-		OmegaM: s.Cfg.Cosmo.OmegaM,
-		Sigma:  s.Cfg.Sigma,
-		Ns:     s.Cfg.NsFilter,
-		Filter: !s.Cfg.DisableFilter,
-		Pool:   s.pool,
-	})
-	s.fof = nil
-	s.power = nil
-	if s.Cfg.AnalysisEvery > 0 {
-		s.ensureAnalysis(s.Cfg.AnalysisBins)
-	}
 }
 
 // Imbalance returns the balancer's current smoothed max/mean cost ratio

@@ -3,10 +3,16 @@ package core
 import (
 	"math"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"hacc/internal/analysis"
+	"hacc/internal/domain"
+	"hacc/internal/gio"
+	"hacc/internal/grid"
+	"hacc/internal/machine"
 	"hacc/internal/mpi"
+	"hacc/internal/snapshot"
 )
 
 // haloCfg is the clustered load-balancing workload: one deep Plummer halo,
@@ -22,6 +28,11 @@ func haloCfg() Config {
 		ZInit: 3, ZFinal: 1, Steps: 6, SubCycles: 2,
 		Seed: 7, Solver: PPTreePM, ICKind: "halo",
 	}
+}
+
+// sameCuts reports whether two cut-array triples are identical.
+func sameCuts(a, b [3][]int) bool {
+	return slices.Equal(a[0], b[0]) && slices.Equal(a[1], b[1]) && slices.Equal(a[2], b[2])
 }
 
 // TestRebalanceToLossless pins the repartition contract: RebalanceTo between
@@ -257,6 +268,61 @@ func TestRebalanceCheckpointCompose(t *testing.T) {
 		}
 		if !equalBits(capture(&s.Dom.Active), finalRef[c.Rank()]) {
 			t.Errorf("rank %d: restored continuation diverged from the uninterrupted rebalanced run", c.Rank())
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Restore the same checkpoint at 2 ranks: the recorded cuts belong to
+	// the 4-rank process grid, so the restore builds the uniform 2-rank
+	// geometry and reassigns every record — losslessly, and keeping the
+	// checkpointed drift count (a repartition is not migration).
+	gr, err := gio.Open(filepath.Join(stepDir, StateFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ckParts domain.Particles
+	if err := snapshot.ReadParticleRank(gr, -1, &ckParts); err != nil {
+		t.Fatal(err)
+	}
+	var ckMigrated int64
+	for fi := 0; fi < gr.NumRanks(); fi++ {
+		words, err := gio.ReadColumn[int64](gr, fi, "counters", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ckMigrated += words[machine.CounterWords]
+	}
+	gr.Close()
+	if ckMigrated == 0 {
+		t.Fatal("checkpoint records no migration; the drift-count check is vacuous")
+	}
+	var ckSorted []uint64
+	if err := mpi.Run(1, func(c *mpi.Comm) { ckSorted = gatherSorted(c, &ckParts) }); err != nil {
+		t.Fatal(err)
+	}
+	err = mpi.Run(2, func(c *mpi.Comm) {
+		s, err := Restore(c, stepDir, func(cfg *Config) {
+			cfg.CheckpointEvery = 0
+			cfg.CheckpointDir = ""
+		})
+		if err != nil {
+			panic(err)
+		}
+		if uni := grid.UniformCuts(s.Dec.N, s.Dec.Dims); !sameCuts(s.Dec.Cuts(), uni) {
+			t.Errorf("2-rank restore adopted cuts %v, want the uniform %v", s.Dec.Cuts(), uni)
+		}
+		got := gatherSorted(c, &s.Dom.Active)
+		migrated := mpi.AllReduce(c, []int64{s.Dom.Migrated}, mpi.SumI64)[0]
+		if c.Rank() != 0 {
+			return
+		}
+		if !equalU64(got, ckSorted) {
+			t.Error("2-rank restore changed the checkpoint's ID-sorted particle state")
+		}
+		if migrated != ckMigrated {
+			t.Errorf("2-rank restore sums Dom.Migrated to %d, checkpoint holds %d", migrated, ckMigrated)
 		}
 	})
 	if err != nil {

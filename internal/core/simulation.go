@@ -36,7 +36,7 @@ type Simulation struct {
 	rho     *grid.Field
 	acc     [3]*grid.Field
 	rhoEx   *grid.Exchanger
-	accEx   [3]*grid.Exchanger
+	accEx   *grid.Exchanger // shared by the three acceleration components
 	sched   timestep.Schedule
 
 	// A is the current scale factor; StepIndex counts completed full steps.
@@ -77,8 +77,8 @@ type Simulation struct {
 	refreshPending bool
 	fillOps        [3]*grid.GhostOp
 
-	// fof and power are the persistent in-situ analysis plans (built in New
-	// when Cfg.AnalysisEvery > 0, or lazily by FindHalos/PowerSpectrum).
+	// fof and power are the persistent in-situ analysis plans (bound with the
+	// geometry when Cfg.AnalysisEvery > 0, or lazily by FindHalos/PowerSpectrum).
 	// LastAnalysis holds the most recent in-situ product; its halo and
 	// spectrum storage is plan-owned and valid until the next analysis
 	// pass.
@@ -130,7 +130,7 @@ type shortIndex interface {
 
 // New builds the simulation and generates initial conditions. Collective.
 func New(c *mpi.Comm, cfg Config) (*Simulation, error) {
-	s, err := newSimulation(c, cfg)
+	s, err := newSimulation(c, cfg, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -156,29 +156,23 @@ func New(c *mpi.Comm, cfg Config) (*Simulation, error) {
 	}
 	s.Dom.Refresh()
 	s.A = s.sched.AInit
-	if s.Cfg.AnalysisEvery > 0 {
-		s.ensureAnalysis(s.Cfg.AnalysisBins)
-	}
 	return s, nil
 }
 
-// newSimulation builds every persistent structure of a rank — domain,
-// fields, exchangers, spectral plan, short-range kernel, worker pool —
-// without populating particles. New generates initial conditions on top;
-// Restore loads a checkpoint instead. Collective: every rank measures a
-// share of the kernel fit's source offsets (fitKernel), and the fit is
-// keyed on the seed alone, so its coefficients do not depend on the rank
-// count.
-func newSimulation(c *mpi.Comm, cfg Config) (*Simulation, error) {
+// newSimulation builds every persistent structure of a rank — worker pool,
+// the geometry-bound state for dec (bindGeometry; nil builds the uniform
+// decomposition), short-range kernel — without populating particles. New
+// generates initial conditions on top; Restore loads a checkpoint instead.
+// Collective: every rank measures a share of the kernel fit's source offsets
+// (fitKernel), and the fit is keyed on the seed alone, so its coefficients
+// do not depend on the rank count.
+func newSimulation(c *mpi.Comm, cfg Config, dec *grid.Decomp) (*Simulation, error) {
 	cfg = cfg.WithDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	n := [3]int{cfg.NGrid, cfg.NGrid, cfg.NGrid}
 	s := &Simulation{Cfg: cfg, Comm: c, Timers: obs.NewPhases(c.Rank())}
 	s.pool = par.NewPool(cfg.Threads)
-	s.Dec = grid.NewDecomp(n, c.Size())
-	s.Dom = domain.New(c, s.Dec, cfg.Overload)
 	s.LP = cosmology.NewLinearPower(cfg.Cosmo, cfg.TransferFunc())
 	s.sched = timestep.Schedule{
 		AInit:     cosmology.AFromZ(cfg.ZInit),
@@ -193,35 +187,10 @@ func newSimulation(c *mpi.Comm, cfg Config) (*Simulation, error) {
 	ng3 := float64(cfg.NGrid) * float64(cfg.NGrid) * float64(cfg.NGrid)
 	s.ParticleMass = ng3 / np3
 	s.ParticleMassMsun = cfg.Cosmo.ParticleMass(cfg.NParticles, cfg.BoxMpc)
-
-	// Grid fields: the acceleration fields must cover the overloaded
-	// particles for interpolation, and the density deposit halo must be
-	// just as wide — actives migrate only at the end of a full step, so
-	// during sub-cycling they may stray into the shell and still deposit
-	// locally (the no-communication property of overloading, §II). The +2
-	// is one cell for the CIC stencil plus one cell of drift margin per
-	// step; faster particles are a physical error (raise Overload), which
-	// the indexing check reports loudly.
-	ghost := int(math.Ceil(cfg.Overload)) + 2
-	box := s.Dec.Box(c.Rank())
-	s.rho = grid.NewField(n, box, ghost)
-	s.rhoEx = grid.NewExchanger(c, s.Dec, s.rho)
-	for d := 0; d < 3; d++ {
-		s.acc[d] = grid.NewField(n, box, ghost)
+	if dec == nil {
+		dec = grid.NewDecomp([3]int{cfg.NGrid, cfg.NGrid, cfg.NGrid}, c.Size())
 	}
-	// The exchanger plan depends only on the shape, which is identical for
-	// all three components: build once and reuse.
-	s.accEx[0] = grid.NewExchanger(c, s.Dec, s.acc[0])
-	s.accEx[1] = s.accEx[0]
-	s.accEx[2] = s.accEx[0]
-
-	s.poisson = spectral.NewPoisson(c, s.Dec, spectral.Options{
-		OmegaM: cfg.Cosmo.OmegaM,
-		Sigma:  cfg.Sigma,
-		Ns:     cfg.NsFilter,
-		Filter: !cfg.DisableFilter,
-		Pool:   s.pool,
-	})
+	s.bindGeometry(dec)
 	s.Counters.FFTGridN = cfg.NGrid
 
 	if cfg.Solver != PMOnly {
@@ -285,16 +254,59 @@ func newSimulation(c *mpi.Comm, cfg Config) (*Simulation, error) {
 			obs.SetDebugJournal(j.Path())
 		}
 	}
-	if cfg.DebugAddr != "" && c.Rank() == 0 {
-		// The endpoint serves whatever is registered: metrics always, the
-		// journal tail only when -trace armed one. Idempotent across
-		// supervised in-process restarts (the first listener wins).
-		obs.SetDebugRegistry(c.World().Metrics())
-		if _, err := obs.EnableDebug(cfg.DebugAddr); err != nil {
-			return nil, fmt.Errorf("core: debug endpoint %s: %w", cfg.DebugAddr, err)
-		}
-	}
 	return s, nil
+}
+
+// ghostWidth is the field ghost width in cells, and so also the narrowest
+// slab a rebalance may cut. The acceleration fields must cover the
+// overloaded particles for interpolation, and the density deposit halo must
+// be just as wide — actives migrate only at the end of a full step, so
+// during sub-cycling they may stray into the shell and still deposit
+// locally (the no-communication property of overloading, §II). The +2 is
+// one cell for the CIC stencil plus one cell of drift margin per step;
+// faster particles are a physical error (raise Overload), which the escape
+// check reports. A slab at least this wide keeps the ghost geometry and the
+// planned 26-stencil exchange one neighbor deep.
+func (s *Simulation) ghostWidth() int { return int(math.Ceil(s.Cfg.Overload)) + 2 }
+
+// bindGeometry builds every structure bound to the decomposition dec — the
+// domain, the density and acceleration fields with their ghost exchangers,
+// the Poisson plan, and the in-situ analysis plans when Cfg.AnalysisEvery is
+// set — replacing the previous geometry's. The active particles and the
+// migration count carry over from the previous domain, if any. It is the
+// one builder behind newSimulation (so New and Restore) and rebalanceTo.
+// Collective.
+func (s *Simulation) bindGeometry(dec *grid.Decomp) {
+	c := s.Comm
+	dom := domain.New(c, dec, s.Cfg.Overload)
+	if s.Dom != nil {
+		dom.Active = s.Dom.Active
+		dom.Migrated = s.Dom.Migrated
+	}
+	s.Dec, s.Dom = dec, dom
+
+	ghost := s.ghostWidth()
+	box := dec.Box(c.Rank())
+	s.rho = grid.NewField(dec.N, box, ghost)
+	s.rhoEx = grid.NewExchanger(c, dec, s.rho)
+	for d := range s.acc {
+		s.acc[d] = grid.NewField(dec.N, box, ghost)
+	}
+	// The exchanger plan depends only on the shape, which is identical for
+	// all three components: build once and reuse.
+	s.accEx = grid.NewExchanger(c, dec, s.acc[0])
+	s.poisson = spectral.NewPoisson(c, dec, spectral.Options{
+		OmegaM: s.Cfg.Cosmo.OmegaM,
+		Sigma:  s.Cfg.Sigma,
+		Ns:     s.Cfg.NsFilter,
+		Filter: !s.Cfg.DisableFilter,
+		Pool:   s.pool,
+	})
+	// The analysis plans bind the domain and the Poisson plan.
+	s.fof, s.power = nil, nil
+	if s.Cfg.AnalysisEvery > 0 {
+		s.ensureAnalysis(s.Cfg.AnalysisBins)
+	}
 }
 
 // fitKernel fits the short-range kernel polynomial as a collective: rank r
@@ -356,17 +368,23 @@ func (s *Simulation) Z() float64 { return cosmology.ZFromA(s.A) }
 // end-of-step exchange completes before it returns (Run overlaps it with
 // the step callback instead), so a loop of Step is Run without overlap.
 func (s *Simulation) Step() error {
+	if err := s.advance(); err != nil {
+		return err
+	}
+	s.FinishRefresh()
+	return nil
+}
+
+// advance takes one step and runs its cadenced analysis and checkpoint,
+// leaving the end-of-step refresh in flight.
+func (s *Simulation) advance() error {
 	if err := s.step(); err != nil {
 		return err
 	}
 	if err := s.maybeAnalyze(); err != nil {
 		return err
 	}
-	if err := s.maybeCheckpoint(); err != nil {
-		return err
-	}
-	s.FinishRefresh()
-	return nil
+	return s.maybeCheckpoint()
 }
 
 // step runs the integrator ops and posts the end-of-step exchange, leaving
@@ -490,13 +508,7 @@ func (s *Simulation) Run(cb func(step int, a float64)) error {
 		}
 	}()
 	for s.StepIndex < s.sched.Steps {
-		if err := s.step(); err != nil {
-			return err
-		}
-		if err := s.maybeAnalyze(); err != nil {
-			return err
-		}
-		if err := s.maybeCheckpoint(); err != nil {
+		if err := s.advance(); err != nil {
 			return err
 		}
 		if cb != nil {
@@ -601,7 +613,7 @@ func (s *Simulation) kickLong(w float64) error {
 	})
 	s.Timers.Time(obs.SpanCommPost, func() {
 		for d := 0; d < 3; d++ {
-			s.fillOps[d] = s.accEx[d].FillBegin(s.acc[d])
+			s.fillOps[d] = s.accEx.FillBegin(s.acc[d])
 		}
 	})
 	for d := 0; d < 3; d++ {

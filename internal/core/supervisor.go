@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"hacc/internal/fault"
-	"hacc/internal/gio"
 	"hacc/internal/mpi"
 	"hacc/internal/obs"
 )
@@ -375,24 +374,16 @@ func rankMain(cfg Config, mutate func(*Config), a attempt, body func(*Simulation
 // this recovery can never shadow a good older one again. An empty or missing
 // root simply yields a fresh start.
 func pickResume(root string) (string, []string) {
-	var quars []string
 	if root == "" {
 		return "", nil
 	}
-	for _, dir := range checkpointDirs(root) {
-		gr, err := gio.Open(filepath.Join(dir, StateFile))
-		if err == nil {
-			err = gr.Verify()
-			gr.Close()
-		}
-		if err == nil {
-			return dir, quars
-		}
-		if q, qerr := quarantine(dir); qerr == nil {
+	var quars []string
+	dir := newestRestorable(root, func(bad string) {
+		if q, err := quarantine(bad); err == nil {
 			quars = append(quars, q)
 		}
-	}
-	return "", quars
+	})
+	return dir, quars
 }
 
 // checkpointDirs lists the step%06d directories under root, newest first.

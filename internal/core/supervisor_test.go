@@ -23,7 +23,6 @@ func chaosCfg(ckroot string) Config {
 		ZInit: 20, ZFinal: 1, Steps: 4, SubCycles: 2,
 		Seed: 17, Solver: PMOnly,
 		CheckpointEvery: 2, CheckpointDir: ckroot,
-		CheckpointRetryBackoff: time.Millisecond,
 	}
 }
 
@@ -83,7 +82,6 @@ func TestCheckpointRetryExhaustion(t *testing.T) {
 	const ranks = 2
 	ckroot := t.TempDir()
 	cfg := chaosCfg(ckroot)
-	cfg.CheckpointRetries = 1
 	fault.Arm(fault.MustParse("fail fsync")) // every fsync, forever
 	defer fault.Disarm()
 	var retries int64
@@ -118,8 +116,8 @@ func TestCheckpointRetryExhaustion(t *testing.T) {
 	if n == 0 {
 		t.Fatal("no rank surfaced *fault.InjectedError")
 	}
-	if retries != 1 {
-		t.Fatalf("CkptRetries = %d, want 1 (bounded)", retries)
+	if retries != 2 {
+		t.Fatalf("CkptRetries = %d, want 2 (bounded)", retries)
 	}
 	noTmpFiles(t, ckroot)
 }

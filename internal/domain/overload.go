@@ -25,7 +25,7 @@ type Domain struct {
 	Passive Particles
 
 	// Statistics for the bench harness.
-	Migrated int64 // particles moved to a new owner (lifetime count)
+	Migrated int64 // particles Migrate moved to a new owner (lifetime count)
 
 	// origins records, for the passive set built by the most recent
 	// Refresh/RefreshEnd, the contiguous owner segments
@@ -191,8 +191,9 @@ func (d *Domain) Refresh() {
 // MigrateDense moves every active particle to its owner over one dense
 // all-to-all (O(P²) messages per call). Unlike Migrate it handles moves of
 // any distance, which a rebalance, a restore and a re-decomposed snapshot
-// need; it is also the equivalence oracle for the planned path.
-// Collective.
+// need; it is also the equivalence oracle for the planned path. It leaves
+// Migrated alone: that counter records drift across the planned stencil,
+// and a repartition is not drift. Collective.
 func (d *Domain) MigrateDense() {
 	p := d.Comm.Size()
 	a := &d.Active
@@ -215,14 +216,12 @@ func (d *Domain) MigrateDense() {
 		}
 	}
 	// Pass 2: pack departures while indices are still valid.
-	var moved int64
 	for r := 0; r < p; r++ {
 		if len(dest[r]) == 0 {
 			continue
 		}
 		sendF[r] = a.packFloatsInto(sendF[r], dest[r], [3]float32{})
 		sendI[r] = a.packIDsInto(sendI[r], dest[r])
-		moved += int64(len(dest[r]))
 	}
 	// Pass 3: compact the stayers.
 	stay := 0
@@ -241,7 +240,6 @@ func (d *Domain) MigrateDense() {
 	for r := 0; r < p; r++ {
 		a.unpack(recvF[r], recvI[r])
 	}
-	d.Migrated += moved
 }
 
 // Origin is one contiguous segment of the passive store, attributed to the

@@ -55,22 +55,33 @@ func NewDecomp(n [3]int, size int, dims ...int) *Decomp {
 	return NewDecompCuts(n, d, UniformCuts(n, d))
 }
 
-// NewDecompCuts builds a decomposition with explicit per-axis interval
-// boundaries. cuts[i] must hold dims[i]+1 strictly increasing values from 0
-// to n[i]. Rank order matches pfft.Block3D (row-major, z fastest).
-func NewDecompCuts(n [3]int, dims [3]int, cuts [3][]int) *Decomp {
+// ValidateCuts reports whether cuts are valid interval boundaries for an n
+// grid over a dims process grid: cuts[i] must hold dims[i]+1 strictly
+// increasing values from 0 to n[i].
+func ValidateCuts(n [3]int, dims [3]int, cuts [3][]int) error {
 	for i := 0; i < 3; i++ {
-		if len(cuts[i]) != dims[i]+1 {
-			panic(fmt.Sprintf("grid: axis %d has %d cuts, want %d", i, len(cuts[i]), dims[i]+1))
+		cs := cuts[i]
+		if len(cs) != dims[i]+1 {
+			return fmt.Errorf("grid: axis %d has %d cuts, want %d", i, len(cs), dims[i]+1)
 		}
-		if cuts[i][0] != 0 || cuts[i][dims[i]] != n[i] {
-			panic(fmt.Sprintf("grid: axis %d cuts %v must span [0,%d]", i, cuts[i], n[i]))
+		if cs[0] != 0 || cs[dims[i]] != n[i] {
+			return fmt.Errorf("grid: axis %d cuts %v must span [0,%d]", i, cs, n[i])
 		}
 		for c := 0; c < dims[i]; c++ {
-			if cuts[i][c] >= cuts[i][c+1] {
-				panic(fmt.Sprintf("grid: axis %d cuts %v not strictly increasing", i, cuts[i]))
+			if cs[c] >= cs[c+1] {
+				return fmt.Errorf("grid: axis %d cuts %v not strictly increasing", i, cs)
 			}
 		}
+	}
+	return nil
+}
+
+// NewDecompCuts builds a decomposition with explicit per-axis interval
+// boundaries, which must pass ValidateCuts (it panics otherwise). Rank order
+// matches pfft.Block3D (row-major, z fastest).
+func NewDecompCuts(n [3]int, dims [3]int, cuts [3][]int) *Decomp {
+	if err := ValidateCuts(n, dims, cuts); err != nil {
+		panic(err.Error())
 	}
 	own := [3][]int{append([]int(nil), cuts[0]...), append([]int(nil), cuts[1]...), append([]int(nil), cuts[2]...)}
 	p := dims[0] * dims[1] * dims[2]

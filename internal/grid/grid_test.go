@@ -519,12 +519,19 @@ func TestNewDecompCutsValidation(t *testing.T) {
 	n := [3]int{16, 16, 16}
 	dims := [3]int{2, 1, 1}
 	for _, bad := range [][3][]int{
-		{{0, 8}, {0, 16}, {0, 16}},      // wrong length
-		{{1, 8, 16}, {0, 16}, {0, 16}},  // doesn't start at 0
-		{{0, 8, 15}, {0, 16}, {0, 16}},  // doesn't end at n
-		{{0, 0, 16}, {0, 16}, {0, 16}},  // empty interval
-		{{0, 16, 16}, {0, 16}, {0, 16}}, // empty interval at end
+		{{0, 8}, {0, 16}, {0, 16}},        // wrong length
+		{{1, 8, 16}, {0, 16}, {0, 16}},    // doesn't start at 0
+		{{0, 8, 15}, {0, 16}, {0, 16}},    // doesn't end at n
+		{{0, 0, 16}, {0, 16}, {0, 16}},    // empty interval
+		{{0, 16, 16}, {0, 16}, {0, 16}},   // empty interval at end
+		{{0, 8, 16}, {0, 16}, nil},        // missing axis
+		{{0, 8, 16}, {0, 4, 16}, {0, 16}}, // too many cuts on an undivided axis
+		{{0, 8, 16}, {0, 16}, {0, 17}},    // overshoots n on the last axis
+		{{0, 12, 16}, {16, 16}, {0, 16}},  // undivided axis starting at n
 	} {
+		if err := ValidateCuts(n, dims, bad); err == nil {
+			t.Errorf("cuts %v: ValidateCuts returned nil", bad)
+		}
 		func() {
 			defer func() {
 				if recover() == nil {
@@ -533,5 +540,8 @@ func TestNewDecompCutsValidation(t *testing.T) {
 			}()
 			NewDecompCuts(n, dims, bad)
 		}()
+	}
+	if err := ValidateCuts(n, dims, [3][]int{{0, 5, 16}, {0, 16}, {0, 16}}); err != nil {
+		t.Errorf("valid cuts rejected: %v", err)
 	}
 }
