@@ -72,10 +72,8 @@ type Simulation struct {
 	pool    *par.Pool
 
 	// refreshPending marks an overload refresh whose Begin has been posted
-	// but whose End is deferred (overlapped stepping); fillOps holds the
-	// in-flight acceleration-component ghost fills.
+	// but whose End is deferred (overlapped stepping).
 	refreshPending bool
-	fillOps        [3]*grid.GhostOp
 
 	// fof and power are the persistent in-situ analysis plans (bound with the
 	// geometry when Cfg.AnalysisEvery > 0, or lazily by FindHalos/PowerSpectrum).
@@ -595,7 +593,7 @@ func (s *Simulation) kickLong(w float64) error {
 		grid.DepositCIC(s.rho, s.Dom.Active.X, s.Dom.Active.Y, s.Dom.Active.Z, s.ParticleMass)
 		s.Counters.CICOps += int64(s.Dom.Active.Len())
 	})
-	var rhoOp *grid.GhostOp
+	var rhoOp grid.GhostOp
 	s.Timers.Time(obs.SpanCommPost, func() { rhoOp = s.rhoEx.AccumulateBegin(s.rho) })
 	// Complete a refresh deferred from the previous step while the ghost
 	// sums are in flight (first passive read of this step is below).
@@ -611,14 +609,14 @@ func (s *Simulation) kickLong(w float64) error {
 		// equivalents.
 		s.Counters.FFT3D += 2
 	})
+	var fillOps [3]grid.GhostOp
 	s.Timers.Time(obs.SpanCommPost, func() {
 		for d := 0; d < 3; d++ {
-			s.fillOps[d] = s.accEx.FillBegin(s.acc[d])
+			fillOps[d] = s.accEx.FillBegin(s.acc[d])
 		}
 	})
 	for d := 0; d < 3; d++ {
-		s.Timers.Time(obs.SpanCommWait, s.fillOps[d].End)
-		s.fillOps[d] = nil
+		s.Timers.Time(obs.SpanCommWait, fillOps[d].End)
 		s.Timers.Time(obs.SpanCIC, func() {
 			s.applyGridKickComponent(&s.Dom.Active, d, w)
 			s.applyGridKickComponent(&s.Dom.Passive, d, w)

@@ -4,20 +4,18 @@
 // 1988), the grid layer under HACC's spectral particle-mesh solver (paper
 // §II).
 //
-// The ghost exchange is a persistent Exchanger plan: ghost-slot and
-// owned-cell runs (z-runs of consecutive storage cells, not one index per
-// cell) are derived once per (decomposition, ghost width), traffic flows
-// over neighbor legs only, and both directions (Accumulate for deposit
-// spill, Fill for interpolation halos) split into Begin/End with pooled
-// GhostOp handles; oracle_test.go holds the dense all-to-all form they are
-// checked against, with its own per-cell lists. The runs are planned from
-// per-axis tables (wrapped coordinate and owner process coordinate over
-// the extended box), since periodic wrap and block ownership are separable
-// by axis; each list is allocated once at its final length, and the runs,
-// expanded cell by cell, equal the per-cell wrap + RankOf planner's lists,
-// kept in oracle_test.go. The
-// deposit is the one serial DepositCIC: a threaded x-slab deposit measured
-// slower than it (200 k particles on 48³, 2 cores), allocated on every call
-// and made the density depend on summation order. The gather is threaded by particle
-// range over par.Pool (InterpCICParallel), bitwise equal to InterpCIC.
+// The ghost exchange is a persistent Exchanger, which is one pfft plan:
+// from the decomposition's layout padded by the ghost width (a field's
+// interior) to that layout's Halo (every ghost slot holds its canonical
+// cell). The plan is built locally from box intersections and checked
+// with one all-to-all of leg lengths; traffic flows over neighbor legs
+// only. Fill runs it, Accumulate runs its transpose
+// with add and then zeroes the ghosts; both split into Begin/End, and a
+// GhostOp is a value, so nothing is pooled. oracle_test.go holds the dense
+// all-to-all form the exchange is checked against, with its own per-cell
+// lists. The deposit is the one serial DepositCIC: a threaded x-slab
+// deposit measured slower than it (200 k particles on 48³, 2 cores),
+// allocated on every call and made the density depend on summation order.
+// The gather is threaded by particle range over par.Pool
+// (InterpCICParallel), bitwise equal to InterpCIC.
 package grid

@@ -24,7 +24,7 @@ func BenchmarkGhostExchange(b *testing.B) {
 			randomField(acc[d], int64(10*c.Rank()+d))
 		}
 		rhoEx, accEx := NewExchanger(c, dec, rho), NewExchanger(c, dec, acc[0])
-		var ops [3]*GhostOp
+		var ops [3]GhostOp
 		step := func() {
 			rhoEx.Accumulate(rho)
 			for d := range acc {

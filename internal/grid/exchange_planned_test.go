@@ -3,10 +3,10 @@ package grid
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"hacc/internal/mpi"
+	"hacc/internal/pfft"
 )
 
 // randomField fills a ghosted field (halo included) with rank-seeded values.
@@ -27,74 +27,84 @@ func sameData(t *testing.T, what string, a, b *Field) {
 	}
 }
 
-// TestGhostPlannedMatchesDense pins the planned neighbor-leg exchange
-// against the dense all-to-all oracle bitwise, both directions, across rank
-// counts (including 1, where everything is a self wrap) and ghost widths.
-// At ghost 5 and 6 on 16³ a halo reaches past the neighbor's box and back,
-// so one leg mirrors an owned cell twice: the accumulate must add both
-// contributions in the oracle's order.
+// TestGhostPlannedMatchesDense pins the planned exchange against the dense
+// all-to-all oracle bitwise, both directions, for ghost widths 1–6 on 1–8
+// ranks of a cubic uniform decomposition (one rank: everything is a self
+// wrap) and on a non-cubic one with uneven cuts. Where a halo reaches past
+// the neighbor's box and back (ghost 5 and 6 on 16³ over 8 ranks, and
+// wider halos on thinner boxes), one leg mirrors an owned cell twice: the
+// accumulate must add both contributions in the oracle's order.
 func TestGhostPlannedMatchesDense(t *testing.T) {
-	n := [3]int{16, 16, 16}
-	for _, tc := range []struct{ p, ghost int }{{1, 2}, {2, 2}, {4, 2}, {8, 2}, {2, 5}, {2, 6}, {8, 5}, {8, 6}} {
-		p, g := tc.p, tc.ghost
-		err := mpi.Run(p, func(c *mpi.Comm) {
-			dec := NewDecomp(n, p)
-			box := dec.Box(c.Rank())
-			fp := NewField(n, box, g)
-			fd := NewField(n, box, g)
-			e := NewExchanger(c, dec, fp)
-			o := newDenseExchanger(c, dec, fd)
-			for round := 0; round < 2; round++ {
-				seed := int64(1000*p + 100*g + 10*c.Rank() + round)
-				randomField(fp, seed)
-				randomField(fd, seed)
-				e.Accumulate(fp)
-				o.Accumulate(fd)
-				sameData(t, fmt.Sprintf("p=%d ghost=%d round=%d accumulate", p, g, round), fp, fd)
-				randomField(fp, seed+7)
-				randomField(fd, seed+7)
-				e.Fill(fp)
-				o.Fill(fd)
-				sameData(t, fmt.Sprintf("p=%d ghost=%d round=%d fill", p, g, round), fp, fd)
+	type layout struct {
+		name string
+		dec  func() *Decomp
+	}
+	var layouts []layout
+	for p := 1; p <= 8; p++ {
+		layouts = append(layouts, layout{fmt.Sprintf("cubic p=%d", p), func() *Decomp { return NewDecomp([3]int{16, 16, 16}, p) }})
+	}
+	layouts = append(layouts, layout{"uneven 2x3x1", func() *Decomp {
+		return NewDecompCuts([3]int{14, 18, 13}, [3]int{2, 3, 1}, [3][]int{{0, 9, 14}, {0, 2, 11, 18}, {0, 13}})
+	}})
+	for _, l := range layouts {
+		for g := 1; g <= 6; g++ {
+			err := mpi.Run(l.dec().NumRanks(), func(c *mpi.Comm) {
+				dec := l.dec()
+				box := dec.Box(c.Rank())
+				fp := NewField(dec.N, box, g)
+				fd := NewField(dec.N, box, g)
+				e := NewExchanger(c, dec, fp)
+				o := newDenseExchanger(c, dec, fd)
+				for round := 0; round < 2; round++ {
+					seed := int64(1000*dec.NumRanks() + 100*g + 10*c.Rank() + round)
+					randomField(fp, seed)
+					randomField(fd, seed)
+					e.Accumulate(fp)
+					o.Accumulate(fd)
+					sameData(t, fmt.Sprintf("%s ghost=%d round=%d accumulate", l.name, g, round), fp, fd)
+					randomField(fp, seed+7)
+					randomField(fd, seed+7)
+					e.Fill(fp)
+					o.Fill(fd)
+					sameData(t, fmt.Sprintf("%s ghost=%d round=%d fill", l.name, g, round), fp, fd)
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
-		})
-		if err != nil {
-			t.Fatal(err)
 		}
 	}
 }
 
-// TestGhostPlanMatchesPerCell pins the run planner against the per-cell
-// one: the runs, expanded cell by cell, give identical self pairs, ghost
-// slots and requested coordinates, in the same order, and each run list is
-// allocated at its final length — for ghost widths 1–6 on 1–8 ranks, on a
-// cubic uniform decomposition and on a non-cubic one with uneven cuts.
-func TestGhostPlanMatchesPerCell(t *testing.T) {
-	type layout struct {
-		name string
-		dec  *Decomp
-	}
-	var layouts []layout
-	for p := 1; p <= 8; p++ {
-		layouts = append(layouts, layout{fmt.Sprintf("cubic p=%d", p), NewDecomp([3]int{16, 16, 16}, p)})
-	}
-	layouts = append(layouts, layout{"uneven 2x3x1", NewDecompCuts([3]int{14, 18, 13}, [3]int{2, 3, 1},
-		[3][]int{{0, 9, 14}, {0, 2, 11, 18}, {0, 13}})})
-	for _, l := range layouts {
+// TestHaloPlanMatchesDenseFill pins a pfft plan into a halo layout — the
+// IC's move from x-pencils into a ghosted field's padded storage, halo
+// included — against the interior redistribution followed by the dense
+// oracle's Fill, bitwise, for ghost widths 1–6 on 1, 2, 3, 4 and 8 ranks.
+func TestHaloPlanMatchesDenseFill(t *testing.T) {
+	n := [3]int{16, 12, 10}
+	for _, p := range []int{1, 2, 3, 4, 8} {
 		for g := 1; g <= 6; g++ {
-			for me := 0; me < l.dec.NumRanks(); me++ {
-				f := NewField(l.dec.N, l.dec.Box(me), g)
-				runs := planGhosts(l.dec, f, me)
-				if got, want := runs.expand(), planGhostsPerCell(l.dec, f, me); !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s ghost=%d rank %d: expanded run plan differs from the per-cell plan", l.name, g, me)
+			err := mpi.Run(p, func(c *mpi.Comm) {
+				dec := NewDecomp(n, p)
+				pd := mpi.BalancedDims(p, 2)
+				pen := pfft.PencilX(n, pd[0], pd[1])
+				lay := dec.Layout().Padded(g)
+				want, got := NewField(n, dec.Box(c.Rank()), g), NewField(n, dec.Box(c.Rank()), g)
+				seed := int64(100*p + 10*g + c.Rank())
+				randomField(want, seed)
+				randomField(got, seed)
+				src := make([]float64, pen.Boxes[c.Rank()].Count())
+				rng := rand.New(rand.NewSource(seed + 1))
+				for i := range src {
+					src[i] = rng.NormFloat64()
 				}
-				exact := cap(runs.self) == len(runs.self)
-				for r := range runs.ghost {
-					exact = exact && cap(runs.ghost[r]) == len(runs.ghost[r]) && cap(runs.want[r]) == len(runs.want[r])
-				}
-				if !exact {
-					t.Fatalf("%s ghost=%d rank %d: a run list was not allocated at its final length", l.name, g, me)
-				}
+				pfft.NewRedistributor[float64](c, pen, lay).Run(src, want.Data)
+				newDenseExchanger(c, dec, want).Fill(want)
+				pfft.NewRedistributor[float64](c, pen, lay.Halo()).Run(src, got.Data)
+				sameData(t, fmt.Sprintf("p=%d ghost=%d", p, g), got, want)
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
 		}
 	}
@@ -117,7 +127,7 @@ func TestGhostFillPipelined(t *testing.T) {
 			randomField(seq[d], seed)
 		}
 		e := NewExchanger(c, dec, pip[0])
-		var ops [3]*GhostOp
+		var ops [3]GhostOp
 		for d := 0; d < 3; d++ {
 			ops[d] = e.FillBegin(pip[d])
 		}

@@ -1,10 +1,6 @@
 package grid
 
-import (
-	"fmt"
-
-	"hacc/internal/mpi"
-)
+import "hacc/internal/mpi"
 
 // cellPlan is the per-cell form of a ghost plan: every ghost slot of the
 // extended box, in storage order, either paired with the interior cell it
@@ -17,33 +13,8 @@ type cellPlan struct {
 	coords               [][]int32
 }
 
-// expand lists the cells of a run plan in the per-cell form.
-func (pl ghostPlan) expand() cellPlan {
-	cp := cellPlan{ghostSlots: make([][]int, len(pl.ghost)), coords: make([][]int32, len(pl.ghost))}
-	for _, w := range pl.self {
-		for j := 0; j < w.n; j++ {
-			cp.selfGhost = append(cp.selfGhost, w.ghost+j)
-			cp.selfOwned = append(cp.selfOwned, w.owned+j)
-		}
-	}
-	for r, runs := range pl.ghost {
-		for i, s := range runs {
-			q := pl.want[r][4*i : 4*i+4]
-			if int(q[3]) != s.n {
-				panic(fmt.Sprintf("run %d to rank %d: %d ghost cells but %d requested", i, r, s.n, q[3]))
-			}
-			for j := 0; j < s.n; j++ {
-				cp.ghostSlots[r] = append(cp.ghostSlots[r], s.at+j)
-				cp.coords[r] = append(cp.coords[r], q[0], q[1], q[2]+int32(j))
-			}
-		}
-	}
-	return cp
-}
-
-// planGhostsPerCell is the earlier ghost planner, kept as the oracle for
-// planGhosts: it wraps every slot of the extended box and asks RankOf for
-// its owner, one cell at a time.
+// planGhostsPerCell is the dense oracle's planner: it wraps every slot of
+// the extended box and asks RankOf for its owner, one cell at a time.
 func planGhostsPerCell(d *Decomp, f *Field, me int) cellPlan {
 	p := d.NumRanks()
 	pl := cellPlan{ghostSlots: make([][]int, p), coords: make([][]int32, p)}
@@ -86,8 +57,7 @@ type denseExchanger struct {
 	selfGhost, selfOwned []int
 }
 
-// newDenseExchanger plans the oracle. Collective (one all-to-all, as
-// NewExchanger).
+// newDenseExchanger plans the oracle. Collective (one all-to-all).
 func newDenseExchanger(c *mpi.Comm, d *Decomp, f *Field) *denseExchanger {
 	pl := planGhostsPerCell(d, f, c.Rank())
 	o := &denseExchanger{comm: c, ghostSlots: pl.ghostSlots, selfGhost: pl.selfGhost, selfOwned: pl.selfOwned}
@@ -139,3 +109,5 @@ func (o *denseExchanger) Fill(f *Field) {
 		f.Data[s] = f.Data[o.selfOwned[i]]
 	}
 }
+
+func wrap(x, n int) int { return ((x % n) + n) % n }

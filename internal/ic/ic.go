@@ -121,7 +121,8 @@ func Generate(c *mpi.Comm, dec *grid.Decomp, lp *cosmology.LinearPower, o Option
 
 	// Displacement fields, one axis at a time: Ψ_k = i·k_d/k²·δ_k
 	// (continuum gradient for IC fidelity), inverse-transformed, moved to
-	// the block layout, ghost-filled and read off at the lattice sites.
+	// the block layout with its ghost halo in one plan (the halo layout's
+	// ghost slots are data) and read off at the lattice sites.
 	//
 	// On axis d's Nyquist plane (2·m_d = ng) the mode −k has the same k_d
 	// as k, so there i·k_d/k²·δ̂ is anti-Hermitian: its inverse transform is
@@ -131,8 +132,7 @@ func Generate(c *mpi.Comm, dec *grid.Decomp, lp *cosmology.LinearPower, o Option
 	spec := make([]complex128, len(delta))
 	vals := make([]float64, pen.LocalX().Count())
 	disp := grid.NewField(n, box, 2)
-	toBlock := pfft.NewRedistributor[float64](c, pen.LayoutX(), dec.Layout().Padded(disp.Ghost))
-	ex := grid.NewExchanger(c, dec, disp)
+	toBlock := pfft.NewRedistributor[float64](c, pen.LayoutX(), dec.Layout().Padded(disp.Ghost).Halo())
 	var displ [3][]float32
 	for d := 0; d < 3; d++ {
 		pen.ForEachKR(func(mx, my, mz, idx int) {
@@ -148,7 +148,6 @@ func Generate(c *mpi.Comm, dec *grid.Decomp, lp *cosmology.LinearPower, o Option
 		})
 		pen.InverseReal(spec, vals)
 		toBlock.Run(vals, disp.Data)
-		ex.Fill(disp)
 		displ[d] = make([]float32, np)
 		grid.InterpCIC(disp, qx, qy, qz, displ[d], 1)
 	}

@@ -415,18 +415,19 @@ type Comm struct {
 	plans int   // plans numbered by NewTags (same on all members)
 }
 
-// Plan tags. A persistent exchange plan (the grid ghost exchanger, the
-// domain particle exchange, the FOF stitch) draws the tag of every
-// collective it posts from a sequence of its own. The plan's ID — its rank
-// in the communicator's plan numbering, which agrees on every member
-// because plans are built in the same collective order — selects a block
+// Plan tags. A persistent exchange plan (a pfft redistribution, grid's
+// ghost exchanger among them, the domain particle exchange, the FOF
+// stitch) draws the tag of every collective it posts from a sequence of
+// its own. The plan's ID — its rank in the communicator's plan numbering,
+// which agrees on every member because plans are built in the same
+// collective order — selects a block
 // of 1<<planSeqBits tags; the sequence cycles through the block, so two
 // collectives of one plan in flight at once (a deferred refresh beside the
 // next migrate) match their own messages, and no two plans on one
 // communicator share a tag. Plan tags are positive int32 values (a wire
 // frame carries the tag as a sign-extended u32) at or above planTagBase,
 // so they meet neither the negative collective tags nor a fixed user tag
-// below it, such as pfft's redistributor tag.
+// below it.
 const (
 	planTagBase = 1 << 20
 	planSeqBits = 12

@@ -1,5 +1,7 @@
 package pfft
 
+import "fmt"
+
 // Box is a half-open axis-aligned box [Lo, Hi) in 3-D grid coordinates.
 type Box struct {
 	Lo, Hi [3]int
@@ -30,6 +32,15 @@ func (b Box) Contains(x, y, z int) bool {
 		z >= b.Lo[2] && z < b.Hi[2]
 }
 
+// shift returns the box displaced by off.
+func (b Box) shift(off [3]int) Box {
+	for d := 0; d < 3; d++ {
+		b.Lo[d] += off[d]
+		b.Hi[d] += off[d]
+	}
+	return b
+}
+
 // Intersect returns the overlap of two boxes (possibly empty).
 func Intersect(a, b Box) Box {
 	var r Box
@@ -52,12 +63,15 @@ func Intersect(a, b Box) Box {
 // stores its box grown by Pad on each side, in the same order, and only
 // the box itself is partitioned data. A padded block layout indexes a
 // grid.Field's storage directly (Decomp.Layout().Padded(f.Ghost)), so a
-// redistribution reads or writes a field's interior in place.
+// redistribution reads or writes a field's interior in place. Its Halo
+// makes the halo data too.
 type Layout struct {
 	N     [3]int
 	Boxes []Box
 	Order [3]int
 	Pad   int
+
+	halo bool // the whole padded storage is data (Halo)
 }
 
 // Box returns the box owned by the given rank.
@@ -69,6 +83,35 @@ func (l *Layout) Padded(pad int) *Layout {
 	p := *l
 	p.Pad = pad
 	return &p
+}
+
+// Halo returns the padded layout whose halo is data too: the storage slot
+// at global coordinates g, anywhere in a rank's box grown by Pad, holds the
+// canonical point g mod N. A point may so be stored by several ranks, and
+// several times by one. A halo layout can only be a redistribution's
+// destination; Pad must not exceed N.
+func (l *Layout) Halo() *Layout {
+	for d := 0; d < 3; d++ {
+		if l.Pad > l.N[d] {
+			panic(fmt.Sprintf("pfft: halo width %d exceeds grid %v", l.Pad, l.N))
+		}
+	}
+	h := *l
+	h.halo = true
+	return &h
+}
+
+// dataBox returns the points the given rank's storage holds: its box, grown
+// by Pad under a halo layout.
+func (l *Layout) dataBox(rank int) Box {
+	b := l.Boxes[rank]
+	if l.halo {
+		for d := 0; d < 3; d++ {
+			b.Lo[d] -= l.Pad
+			b.Hi[d] += l.Pad
+		}
+	}
+	return b
 }
 
 // StorageLen returns the length of the given rank's local storage: its box
@@ -188,18 +231,4 @@ func forEach(b Box, order [3]int, fn func(g [3]int, k int)) {
 			}
 		}
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

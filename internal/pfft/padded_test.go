@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"hacc/internal/grid"
@@ -78,4 +79,63 @@ func sameBits(a, b []float64) bool {
 		}
 	}
 	return true
+}
+
+// TestHaloLayoutHoldsCanonicalPoints pins the halo layout's meaning: a
+// plan from x-pencils into a padded block layout's Halo writes every slot
+// of a rank's storage, halo included, with the value of its canonical
+// point g mod N — also where the halo is wider than a neighbour's box and
+// reaches the same point more than once. Ghost widths 1–6 on 1, 2, 3, 4 and
+// 8 ranks of a non-cubic grid.
+func TestHaloLayoutHoldsCanonicalPoints(t *testing.T) {
+	n := [3]int{16, 12, 10}
+	value := func(x, y, z int) float64 { return float64((x*n[1]+y)*n[2] + z) }
+	for _, p := range []int{1, 2, 3, 4, 8} {
+		for g := 1; g <= 6; g++ {
+			err := mpi.Run(p, func(c *mpi.Comm) {
+				d := mpi.BalancedDims(p, 2)
+				pen := pfft.PencilX(n, d[0], d[1])
+				src := make([]float64, pen.Boxes[c.Rank()].Count())
+				pb := pen.Boxes[c.Rank()]
+				for x := pb.Lo[0]; x < pb.Hi[0]; x++ {
+					for y := pb.Lo[1]; y < pb.Hi[1]; y++ {
+						for z := pb.Lo[2]; z < pb.Hi[2]; z++ {
+							src[pen.LocalIndex(c.Rank(), [3]int{x, y, z})] = value(x, y, z)
+						}
+					}
+				}
+				lay := grid.NewDecomp(n, p).Layout().Padded(g)
+				dst := pfft.NewRedistributor[float64](c, pen, lay.Halo()).Run(src, nil)
+				b := lay.Boxes[c.Rank()]
+				wrap := func(v, m int) int { return (v%m + m) % m }
+				for x := b.Lo[0] - g; x < b.Hi[0]+g; x++ {
+					for y := b.Lo[1] - g; y < b.Hi[1]+g; y++ {
+						for z := b.Lo[2] - g; z < b.Hi[2]+g; z++ {
+							got := dst[lay.LocalIndex(c.Rank(), [3]int{x, y, z})]
+							if want := value(wrap(x, n[0]), wrap(y, n[1]), wrap(z, n[2])); got != want {
+								t.Fatalf("p=%d ghost=%d rank %d: slot (%d,%d,%d) holds %v, want %v", p, g, c.Rank(), x, y, z, got, want)
+							}
+						}
+					}
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// TestHaloPlanRejectsMismatchedPeers: ranks that build a halo plan over
+// different halo widths disagree on their legs' lengths, and the build
+// panics on every rank instead of running mismatched legs.
+func TestHaloPlanRejectsMismatchedPeers(t *testing.T) {
+	n := [3]int{16, 12, 10}
+	err := mpi.Run(2, func(c *mpi.Comm) {
+		lay := grid.NewDecomp(n, 2).Layout().Padded(1 + c.Rank())
+		pfft.NewRedistributor[float64](c, pfft.PencilX(n, 2, 1), lay.Halo())
+	})
+	if err == nil || !strings.Contains(err.Error(), "plans to send") {
+		t.Fatalf("mismatched halo widths: got %v, want a leg-length panic", err)
+	}
 }

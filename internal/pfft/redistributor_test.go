@@ -49,7 +49,7 @@ func redistributeReference[T any](c *mpi.Comm, src []T, from, to *Layout) []T {
 
 // Redistribute is the one-shot form of a Redistributor (plan, run once,
 // discard) that the tests use to move whole arrays between layouts.
-func Redistribute[T any](c *mpi.Comm, src []T, from, to *Layout) []T {
+func Redistribute[T Elem](c *mpi.Comm, src []T, from, to *Layout) []T {
 	return NewRedistributor[T](c, from, to).Run(src, nil)
 }
 
@@ -303,11 +303,12 @@ func newIndexPlan(me int, from, to *Layout) indexPlan {
 func runMap(t *testing.T, runs []run) map[int]int {
 	m := map[int]int{}
 	for _, r := range runs {
-		for i := 0; i < r.n; i++ {
-			if _, dup := m[r.dst+i]; dup {
-				t.Errorf("run list stores index %d twice", r.dst+i)
+		for i := 0; i < int(r.n); i++ {
+			d := int(r.dst) + i
+			if _, dup := m[d]; dup {
+				t.Errorf("run list stores index %d twice", d)
 			}
-			m[r.dst+i] = r.src + i*r.stride
+			m[d] = int(r.src) + i*int(r.stride)
 		}
 	}
 	return m
@@ -407,7 +408,7 @@ func BenchmarkRedistribute(b *testing.B) {
 	})
 }
 
-func benchRedistribute[T any](b *testing.B, elemBytes int, from, to *Layout) {
+func benchRedistribute[T Elem](b *testing.B, elemBytes int, from, to *Layout) {
 	err := mpi.Run(len(from.Boxes), func(c *mpi.Comm) {
 		rd := NewRedistributor[T](c, from, to)
 		src, dst := make([]T, rd.SrcLen()), make([]T, rd.DstLen())
@@ -428,20 +429,5 @@ func benchRedistribute[T any](b *testing.B, elemBytes int, from, to *Layout) {
 	})
 	if err != nil {
 		b.Fatal(err)
-	}
-}
-
-// TestRedistTagBelowPlanTags: the redistributor's fixed tag lies below
-// every tag an exchange plan draws, so a redistribution in flight beside a
-// ghost, particle or stitch exchange never matches their messages.
-func TestRedistTagBelowPlanTags(t *testing.T) {
-	err := mpi.Run(1, func(c *mpi.Comm) {
-		tags := c.NewTags()
-		if first := tags.Next(); redistTag >= first {
-			t.Errorf("redistTag %#x is not below the first plan tag %#x", redistTag, first)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }

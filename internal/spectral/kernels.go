@@ -54,14 +54,6 @@ func KMode(m, n int) float64 {
 	return 2 * math.Pi * float64(m) / float64(n)
 }
 
-// sinc is sin(x)/x with the removable singularity filled in.
-func sinc(x float64) float64 {
-	if math.Abs(x) < 1e-12 {
-		return 1
-	}
-	return math.Sin(x) / x
-}
-
 // RadialTable memoizes a function of a mode's squared wavenumber
 // k² = kx²+ky²+kz² over sign-folded mode indices. KMode(n−m, n) is exactly
 // −KMode(m, n), so modes that differ only in the signs of their components

@@ -17,12 +17,6 @@ type Options struct {
 	Filter bool    // apply the isotropizing filter (on in production)
 	Slab   bool    // use the slab FFT decomposition instead of pencils
 
-	// Deconvolve divides out the CIC assignment window twice (deposit and
-	// interpolation), the conventional sharpened-PM scheme. HACC replaces
-	// this with the isotropizing filter; the option exists as the baseline
-	// for the anisotropy ablation (Filter and Deconvolve are exclusive).
-	Deconvolve bool
-
 	// Pool, when set, threads the k-space loops and the batched 1-D
 	// transforms across the simulation's persistent worker pool. All pooled
 	// loops are per-element independent, so the result is bitwise identical
@@ -150,23 +144,20 @@ func NewPoisson(c *mpi.Comm, dec *grid.Decomp, opts Options) *Poisson {
 }
 
 // kernelTable composes the k-space Green's function on this rank's
-// half-spectrum z-pencil: coupling × filter (or deconvolution) × inverse
-// influence function, with the DC mode zeroed (mean density sources
-// nothing). The influence function and the CIC windows are separable, so
-// the 1-D Laplacian eigenvalues Lap6 and the windows come from per-axis
-// tables, and λ(k) = Lap6(kx)+Lap6(ky)+Lap6(kz) sums the table entries in
-// Influence6's order: the same bits, without nine cosines per mode. The
-// filter depends on |k| alone and comes from a RadialTable.
+// half-spectrum z-pencil: coupling × filter × inverse influence function,
+// with the DC mode zeroed (mean density sources nothing). The influence
+// function is separable, so the 1-D Laplacian eigenvalues Lap6 come from
+// per-axis tables, and λ(k) = Lap6(kx)+Lap6(ky)+Lap6(kz) sums the table
+// entries in Influence6's order: the same bits, without nine cosines per
+// mode. The filter depends on |k| alone and comes from a RadialTable.
 // oracle_test.go holds the per-mode kernelAt the table is checked against.
 func (p *Poisson) kernelTable() []float64 {
 	n := p.dec.N
-	var lt, wt [3][]float64
+	var lt [3][]float64
 	for a := 0; a < 3; a++ {
 		lt[a] = make([]float64, n[a])
-		wt[a] = make([]float64, n[a])
 		for m := range lt[a] {
-			k := KMode(m, n[a])
-			lt[a][m], wt[a][m] = Lap6(k), sinc(k/2)
+			lt[a][m] = Lap6(KMode(m, n[a]))
 		}
 	}
 	sigma, ns := p.opts.Sigma, p.opts.Ns
@@ -183,9 +174,6 @@ func (p *Poisson) kernelTable() []float64 {
 		f := 1.0
 		if p.opts.Filter {
 			f = filter.At(mx, my, mz)
-		} else if p.opts.Deconvolve {
-			w := wt[0][mx] * wt[1][my] * wt[2][mz]
-			f = 1 / (w * w * w * w)
 		}
 		kernel[idx] = c * f * g
 	})
